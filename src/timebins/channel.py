@@ -4,6 +4,12 @@ The one-bin unitary acts on system (x) bin.  Sandwiching it between the bin
 vacuum on the right and the bin number states <m| on the left yields one
 system-space Kraus operator per bin photon count m, and the reduced dynamics
 is the operator-sum map rho -> sum_m K_m rho K_m^dag.
+
+Long trajectories run in Liouville space: with the row-major vec(rho) =
+rho.ravel(), one collision is the d^2 x d^2 step matrix
+S_c = sum_m K_m (x) conj(K_m), and ``propagate`` fills a whole (steps+1, d, d)
+stack with one matrix-vector product per step.  The stack is then checked in
+one pass (``first_invalid``) with the same thresholds as ``DensityMatrix``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ __all__ = [
     "apply_channel",
     "iterate_channel",
     "expansion_report",
+    "step_matrix",
+    "propagate",
+    "first_invalid",
+    "collision_trajectory",
+    "as_series",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -39,6 +50,36 @@ MIN_EIGENVALUE = -1e-10
 TRACE_WARN = 1e-10
 TRACE_ABORT = 1e-6
 
+# Largest allowed distance between the step matrix and the Kraus map on the
+# first step of a trajectory.
+STEP_MATRIX_TOL = 1e-12
+
+
+def first_invalid(stack: np.ndarray, skip: np.ndarray | None = None) -> tuple[int, str]:
+    """The first state of a (n, d, d) stack that fails a DensityMatrix check.
+
+    Runs the Hermiticity, unit-trace and smallest-eigenvalue checks on every
+    state at once and returns (index, message) of the earliest failure, with
+    the message the check raises; (n, "") when every state passes.  States
+    flagged in ``skip`` are not checked.
+    """
+    herm = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    lo = np.linalg.eigvalsh(stack)[:, 0]
+    bad = herm > HERMITICITY_TOL
+    bad |= np.abs(tr - 1.0) > TRACE_TOL
+    bad |= lo < MIN_EIGENVALUE
+    if skip is not None:
+        bad &= ~skip
+    if not bad.any():
+        return len(stack), ""
+    k = int(np.argmax(bad))
+    if herm[k] > HERMITICITY_TOL:
+        return k, f"density matrix not Hermitian (defect {herm[k]:.3e})"
+    if abs(tr[k] - 1.0) > TRACE_TOL:
+        return k, f"density matrix trace {float(tr[k])!r} is not 1"
+    return k, f"density matrix has negative eigenvalue {lo[k]:.3e}"
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -47,16 +88,9 @@ class DensityMatrix:
     op: Operator
 
     def __post_init__(self) -> None:
-        m = self.op.data
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian (defect {herm:.3e})")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr!r} is not 1")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < MIN_EIGENVALUE:
-            raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+        _, message = first_invalid(self.op.data[None])
+        if message:
+            raise ValueError(message)
 
     @classmethod
     def pure(cls, amplitudes, dims=None) -> "DensityMatrix":
@@ -68,8 +102,9 @@ class DensityMatrix:
 
     @classmethod
     def _trusted(cls, op: Operator) -> "DensityMatrix":
-        # skips validation: used by apply_channel when it knowingly returns a
-        # state carrying a reported truncation trace loss above TRACE_WARN
+        # skips validation: for states of an already checked trajectory, and
+        # for apply_channel when it knowingly returns a state carrying a
+        # reported truncation trace loss above TRACE_WARN
         self = object.__new__(cls)
         object.__setattr__(self, "op", op)
         return self
@@ -127,22 +162,84 @@ def apply_channel(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
         out += k.data @ r @ k.data.conj().T
 
     deviation = abs(float(np.trace(out).real) - float(np.trace(r).real))
+    leaked = _guard_trace(deviation, family.n_max)
+    result = Operator(0.5 * (out + out.conj().T), rho.op.dims)
+    # a reported leak is not hidden: the state is returned as computed
+    return DensityMatrix._trusted(result) if leaked else DensityMatrix(result)
+
+
+def _guard_trace(deviation: float, n_max: int) -> bool:
+    """The per-collision trace guard: GuardError above TRACE_ABORT, and a
+    RuntimeWarning (returns True) above TRACE_WARN."""
     if deviation > TRACE_ABORT:
         raise GuardError(
             f"channel lost {deviation:.3e} of the trace in one step; "
-            f"bin truncation n_max={family.n_max} is inadequate"
+            f"bin truncation n_max={n_max} is inadequate"
         )
-    out = 0.5 * (out + out.conj().T)
-    result = Operator(out, rho.op.dims)
-    if deviation > TRACE_WARN:
-        warnings.warn(
-            f"channel trace deviation {deviation:.3e} exceeds {TRACE_WARN:g}",
-            RuntimeWarning,
-            stacklevel=2,
+    if deviation <= TRACE_WARN:
+        return False
+    warnings.warn(
+        f"channel trace deviation {deviation:.3e} exceeds {TRACE_WARN:g}",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return True
+
+
+def step_matrix(family: KrausFamily) -> np.ndarray:
+    """S_c = sum_m K_m (x) conj(K_m), so that vec(apply_channel) = S_c vec(rho)."""
+    return sum(np.kron(k.data, k.data.conj()) for k in family.ops)
+
+
+def propagate(s: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
+    """The (steps+1, d, d) stack rho_0, S rho_0, ..., S^steps rho_0 of a
+    row-major step matrix S."""
+    d = rho0.shape[0]
+    flat = np.empty((steps + 1, d * d), dtype=complex)
+    flat[0] = rho0.ravel()
+    for k in range(steps):
+        np.dot(s, flat[k], out=flat[k + 1])
+    return flat.reshape(steps + 1, d, d)
+
+
+def as_series(stack: np.ndarray, rho0: DensityMatrix) -> list[DensityMatrix]:
+    """A checked trajectory stack as [rho0, rho1, ...] density matrices."""
+    dims = rho0.op.dims
+    return [rho0] + [DensityMatrix._trusted(Operator(m, dims)) for m in stack[1:]]
+
+
+def collision_trajectory(
+    family: KrausFamily, rho0: DensityMatrix, steps: int
+) -> np.ndarray:
+    """The (steps+1, d, d) stack of ``steps`` collisions from rho0.
+
+    The first collision goes through ``apply_channel`` with all of its guards,
+    and the step matrix must reproduce it to STEP_MATRIX_TOL.  The rest is
+    propagated with the step matrix, then guarded as apply_channel guards
+    each step: the same warnings, and the same error at the earliest step
+    that apply_channel would have refused.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if steps == 0:
+        return rho0.op.data[None].copy()
+    first = apply_channel(family, rho0)
+    stack = propagate(step_matrix(family), rho0.op.data, steps)
+    gap = float(np.max(np.abs(stack[1] - first.op.data)))
+    if gap > STEP_MATRIX_TOL:
+        raise GuardError(
+            f"step matrix differs from the Kraus map by {gap:.3e} on the first step"
         )
-        # the leak is reported, not hidden; return the state as computed
-        return DensityMatrix._trusted(result)
-    return DensityMatrix(result)
+
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    deviation = np.abs(np.diff(tr))[1:]  # steps 2 .. steps
+    warned = deviation > TRACE_WARN
+    stop, message = first_invalid(stack[2:], skip=warned)
+    for k in np.flatnonzero(warned[:stop]):
+        _guard_trace(float(deviation[k]), family.n_max)
+    if message:
+        raise ValueError(message)
+    return stack
 
 
 def iterate_channel(
@@ -150,12 +247,7 @@ def iterate_channel(
 ) -> list[DensityMatrix]:
     """Apply the same time-independent family repeatedly; returns the whole
     trajectory [rho0, rho1, ..., rho_steps]."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    series = [rho0]
-    for _ in range(steps):
-        series.append(apply_channel(family, series[-1]))
-    return series
+    return as_series(collision_trajectory(family, rho0, steps), rho0)
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,20 @@ a fixed-step RK4 integrator on the matrix ODE, and closed-form solutions for
 undriven two-level spontaneous emission and pure dephasing used as oracles.
 The collapse operator is stored unscaled with gamma kept separate, so rate
 sweeps never rebuild operators.
+
+Everything runs on one row-major Liouvillian matrix L (vec(rho) = rho.ravel()).
+For this linear autonomous ODE one classic RK4 step is exactly the matrix
+polynomial S_rk4 = sum_{k<=4} (L dt)^k / k!, so a trajectory is one call to
+``channel.propagate``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix
+from .channel import DensityMatrix, as_series, first_invalid, propagate
 from .errors import GuardError
 from .model import SystemModel
 from .operators import Operator
@@ -28,6 +32,9 @@ __all__ = [
     "liouvillian",
     "integrate_rk4",
     "analytic_oracle",
+    "liouvillian_matrix",
+    "rk4_trajectory",
+    "closed_form",
 ]
 
 TRACE_DRIFT_ABORT = 1e-8
@@ -55,66 +62,101 @@ class LindbladModel:
         return cls(system.hamiltonian, system.lowering, gamma)
 
 
-def _rhs(h: np.ndarray, c: np.ndarray, cdc: np.ndarray, gamma: float, r: np.ndarray) -> np.ndarray:
-    out = -1j * (h @ r - r @ h)
-    out += gamma * (c @ r @ c.conj().T - 0.5 * (cdc @ r + r @ cdc))
-    return out
+def _dissipator_matrix(model: LindbladModel) -> np.ndarray:
+    """Row-major matrix of gamma (L rho L^dag - 1/2 {L^dag L, rho})."""
+    c = model.collapse.data
+    one = np.eye(c.shape[0])
+    cdc = c.conj().T @ c
+    return model.gamma * (
+        np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, one) + np.kron(one, cdc.T))
+    )
+
+
+def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
+    """Row-major matrix of -i [H, rho] plus the dissipator."""
+    h = model.hamiltonian.data
+    one = np.eye(h.shape[0])
+    return -1j * (np.kron(h, one) - np.kron(one, h.T)) + _dissipator_matrix(model)
+
+
+def _act(superop: np.ndarray, model: LindbladModel, rho: DensityMatrix) -> Operator:
+    if rho.dim != model.hamiltonian.dim:
+        raise ValueError("state dimension does not match the model")
+    r = rho.op.data
+    return Operator((superop @ r.ravel()).reshape(r.shape), rho.op.dims)
 
 
 def dissipator(model: LindbladModel, rho: DensityMatrix) -> Operator:
     """gamma (L rho L^dag - 1/2 {L^dag L, rho}); traceless and Hermitian."""
-    if rho.dim != model.collapse.dim:
-        raise ValueError("state dimension does not match the model")
-    c = model.collapse.data
-    cdc = c.conj().T @ c
-    r = rho.op.data
-    out = model.gamma * (c @ r @ c.conj().T - 0.5 * (cdc @ r + r @ cdc))
-    return Operator(out, rho.op.dims)
+    return _act(_dissipator_matrix(model), model, rho)
 
 
 def liouvillian(model: LindbladModel, rho: DensityMatrix) -> Operator:
     """-i [H, rho] plus the dissipator."""
-    if rho.dim != model.hamiltonian.dim:
-        raise ValueError("state dimension does not match the model")
-    h = model.hamiltonian.data
-    c = model.collapse.data
-    out = _rhs(h, c, c.conj().T @ c, model.gamma, rho.op.data)
-    return Operator(out, rho.op.dims)
+    return _act(liouvillian_matrix(model), model, rho)
 
 
-def integrate_rk4(
+def rk4_trajectory(
     model: LindbladModel, rho0: DensityMatrix, dt: float, steps: int
-) -> list[DensityMatrix]:
-    """Classic fixed-step RK4 on the matrix ODE; returns the whole trajectory.
+) -> np.ndarray:
+    """The (steps+1, d, d) stack of ``steps`` classic RK4 steps from rho0.
 
-    Aborts if the trace drifts from 1 by more than 1e-8, which for this
-    trace-preserving generator can only signal a genuinely broken input.
+    Aborts with GuardError at the first step whose trace drifts from 1 by more
+    than TRACE_DRIFT_ABORT, which for this trace-preserving generator can only
+    signal a genuinely broken input, unless an earlier state fails a
+    DensityMatrix check (ValueError).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    h = model.hamiltonian.data
-    c = model.collapse.data
-    cdc = c.conj().T @ c
-    gamma = model.gamma
-    dims = rho0.op.dims
+    a = liouvillian_matrix(model) * dt
+    one = np.eye(a.shape[0])
+    step = one  # Horner form of sum_{k<=4} a^k / k!
+    for k in (4, 3, 2, 1):
+        step = one + (a @ step) / k
+    stack = propagate(step, rho0.op.data, steps)
 
-    series = [rho0]
-    r = rho0.op.data
-    for k in range(steps):
-        k1 = _rhs(h, c, cdc, gamma, r)
-        k2 = _rhs(h, c, cdc, gamma, r + 0.5 * dt * k1)
-        k3 = _rhs(h, c, cdc, gamma, r + 0.5 * dt * k2)
-        k4 = _rhs(h, c, cdc, gamma, r + dt * k3)
-        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = abs(float(np.trace(r).real) - 1.0)
-        if drift > TRACE_DRIFT_ABORT:
-            raise GuardError(
-                f"RK4 trace drifted by {drift:.3e} at step {k + 1} (dt={dt:g})"
-            )
-        series.append(DensityMatrix(Operator(r, dims)))
-    return series
+    drift = np.abs(np.trace(stack[1:], axis1=1, axis2=2).real - 1.0)
+    stop, message = first_invalid(stack[1:])
+    drifted = np.flatnonzero(drift[: stop + 1] > TRACE_DRIFT_ABORT)
+    if drifted.size:
+        k = int(drifted[0])
+        raise GuardError(
+            f"RK4 trace drifted by {drift[k]:.3e} at step {k + 1} (dt={dt:g})"
+        )
+    if message:
+        raise ValueError(message)
+    return stack
+
+
+def integrate_rk4(
+    model: LindbladModel, rho0: DensityMatrix, dt: float, steps: int
+) -> list[DensityMatrix]:
+    """Classic fixed-step RK4 on the matrix ODE; returns the whole trajectory."""
+    return as_series(rk4_trajectory(model, rho0, dt, steps), rho0)
+
+
+def closed_form(
+    kind: str, gamma: float, times: np.ndarray, rho0: np.ndarray
+) -> np.ndarray:
+    """The (len(times), 2, 2) stack of the closed-form two-level solution at
+    H = 0 (see ``analytic_oracle``) from the 2 x 2 matrix rho0."""
+    if rho0.shape != (2, 2):
+        raise ValueError("analytic_oracle covers two-level systems only")
+    if kind not in ("spontaneous", "dephasing"):
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    t = np.asarray(times, dtype=float)
+    ee = float(rho0[1, 1].real)
+    if kind == "spontaneous":
+        ee = ee * np.exp(-gamma * t)
+    coherence = complex(rho0[1, 0]) * np.exp(-gamma * t / 2.0)
+    out = np.empty((t.size, 2, 2), dtype=complex)
+    out[:, 0, 0] = 1.0 - ee
+    out[:, 0, 1] = coherence.conj()
+    out[:, 1, 0] = coherence
+    out[:, 1, 1] = ee
+    return out
 
 
 def analytic_oracle(
@@ -126,17 +168,5 @@ def analytic_oracle(
                   rho_eg(t) = rho_eg(0) e^(-gamma t / 2), populations sum to 1.
     dephasing:    populations fixed, rho_eg(t) = rho_eg(0) e^(-gamma t / 2).
     """
-    if rho0.dim != 2:
-        raise ValueError("analytic_oracle covers two-level systems only")
-    if kind not in ("spontaneous", "dephasing"):
-        raise ValueError(f"unknown oracle kind {kind!r}")
-    r = rho0.op.data
-    ee0 = float(r[1, 1].real)
-    eg0 = complex(r[1, 0])
-    coherence = eg0 * math.exp(-gamma * t / 2.0)
-    if kind == "spontaneous":
-        ee = ee0 * math.exp(-gamma * t)
-    else:
-        ee = ee0
-    out = np.array([[1.0 - ee, coherence.conjugate()], [coherence, ee]], dtype=complex)
+    out = closed_form(kind, gamma, [t], rho0.op.data)[0]
     return DensityMatrix(Operator(out, rho0.op.dims))

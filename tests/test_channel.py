@@ -1,17 +1,21 @@
 """Unit tests for Kraus extraction and the collision channel."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import timebins.channel as channel
 from timebins.channel import (
     DensityMatrix,
     KrausFamily,
     apply_channel,
+    collision_trajectory,
     expansion_report,
     extract_kraus,
     iterate_channel,
+    step_matrix,
 )
 from timebins.errors import GuardError
 from timebins.lindblad import analytic_oracle
@@ -224,3 +228,118 @@ def test_expansion_report_needs_k2():
     family = tls_family(n_max=1)
     with pytest.raises(ValueError):
         expansion_report(family, two_level_system(), 1.0)
+
+
+# --- the stacked Liouville-space path against the Kraus form it replaces ---
+
+SYSTEMS = {
+    "tls": lambda: two_level_system(0.7, 0.0),
+    "tls-driven": lambda: two_level_system(0.4, 1.0),
+    "dephasing": lambda: dephasing_variant(two_level_system(0.3, 0.5)),
+    "oscillator3": lambda: truncated_oscillator(3, 0.9),
+}
+
+
+def family_of(system, gamma=1.0, dt=0.01, n_max=2):
+    u = coarse_map(system, CoarseParams(gamma, dt, n_max))
+    return extract_kraus(u, system.dim, n_max, dt)
+
+
+def random_state(rng, dim):
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = m @ m.conj().T
+    return DensityMatrix(Operator(rho / np.trace(rho).real, (dim,)))
+
+
+def guard_record(run):
+    """Warning texts and the (type, message) of the error a run raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            run()
+            error = None
+        except (GuardError, ValueError) as exc:
+            error = (type(exc).__name__, str(exc))
+    return [str(w.message) for w in caught], error
+
+
+def stepwise(family, rho, steps):
+    """The Kraus form one step at a time, as the oracle for every guard."""
+    for _ in range(steps):
+        rho = apply_channel(family, rho)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_iterate_channel_matches_repeated_apply_channel(name):
+    system = SYSTEMS[name]()
+    family = family_of(system)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(3):
+        rho = random_state(rng, system.dim)
+        series = iterate_channel(family, rho, 200)
+        slow = rho
+        for k in range(1, 201):
+            slow = apply_channel(family, slow)
+            assert np.max(np.abs(series[k].op.data - slow.op.data)) <= 1e-12
+
+
+def test_long_driven_qubit_matches_extended_precision_kraus_iteration():
+    family = family_of(two_level_system(0.5, 1.0))
+    steps = 10_000
+    stack = collision_trajectory(family, EXCITED, steps)
+    ops = [k.data.astype(np.clongdouble) for k in family.ops]
+    rho = EXCITED.op.data.astype(np.clongdouble)
+    worst = 0.0
+    for k in range(1, steps + 1):
+        rho = sum(op @ rho @ op.conj().T for op in ops)
+        worst = max(worst, float(np.max(np.abs(stack[k] - rho))))
+    assert worst <= 1e-12
+
+
+def test_first_step_cross_check_rejects_a_wrong_step_matrix(monkeypatch):
+    family = tls_family()
+    wrong = step_matrix(family) * (1.0 + 1e-9)
+    monkeypatch.setattr(channel, "step_matrix", lambda fam: wrong)
+    with pytest.raises(GuardError, match="step matrix differs from the Kraus map"):
+        collision_trajectory(family, EXCITED, 3)
+
+
+def test_guard_parity_dropped_kraus_operator_aborts_at_the_same_step():
+    # without K1 a driven qubit leaks more trace each step as it is excited,
+    # so it warns for a few steps before the abort
+    family = family_of(two_level_system(0.0, 0.2))
+    broken = KrausFamily(
+        ops=(family.ops[0], family.ops[2]), dt=0.01, n_max=1, completeness_defect=1.0
+    )
+    slow = guard_record(lambda: stepwise(broken, GROUND, 50))
+    fast = guard_record(lambda: iterate_channel(broken, GROUND, 50))
+    assert fast == slow
+    assert len(slow[0]) >= 3 and slow[1][0] == "GuardError"
+
+
+def test_guard_parity_leaky_family_warns_as_often_as_step_by_step():
+    # the family of test_apply_channel_warns_on_small_trace_leak
+    system = truncated_oscillator(3)
+    family = family_of(system, dt=1e-4)
+    leaky = KrausFamily(ops=family.ops[:2], dt=1e-4, n_max=2, completeness_defect=1e-8)
+    top = DensityMatrix.pure([0.0, 0.0, 1.0])
+    slow = guard_record(lambda: stepwise(leaky, top, 60))
+    fast = guard_record(lambda: iterate_channel(leaky, top, 60))
+    assert fast == slow
+    assert len(slow[0]) == 60 and slow[1] is None
+
+
+def test_guard_parity_accumulated_leak_fails_validation_at_the_same_step():
+    # a doubly excited population just above the warning threshold: the steps
+    # warn until the per-step leak falls below TRACE_WARN, and the first
+    # unwarned state then fails the unit-trace check
+    system = truncated_oscillator(3)
+    family = family_of(system, dt=1e-3)
+    leaky = KrausFamily(ops=family.ops[:2], dt=1e-3, n_max=2, completeness_defect=1e-6)
+    p2 = 1.02e-10 / 9.993e-07  # one step leaks 9.993e-07 from |2><2|
+    rho = DensityMatrix(Operator(np.diag([1.0 - p2, 0.0, p2]).astype(complex), (3,)))
+    slow = guard_record(lambda: stepwise(leaky, rho, 40))
+    fast = guard_record(lambda: iterate_channel(leaky, rho, 40))
+    assert fast == slow
+    assert len(slow[0]) >= 5 and slow[1][0] == "ValueError"
+    assert "trace" in slow[1][1]

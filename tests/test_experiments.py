@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import timebins.experiments as experiments
 from timebins.cli import main
 from timebins.errors import GuardError
 from timebins.experiments import fit_order
@@ -136,6 +137,32 @@ def test_kraus_report_run(tmp_path, capsys):
     assert r1_order == pytest.approx(1.5, abs=0.05)
 
 
+def test_kraus_report_driven_qubit_checks_the_r2_order(tmp_path, capsys, monkeypatch):
+    # with a drive K2 is O(dt^2), not zero: the fitted r2 order is checked
+    text = "experiment = kraus-report\nsystem = tls-driven\ndt = 0.01\n"
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    summary = capsys.readouterr().out
+    r2_order = float(summary.split("r2_order=")[1].split()[0])
+    assert r2_order == pytest.approx(2.0, abs=0.01)
+    r2 = [float(row.split(",")[3]) for row in out.read_text().splitlines()[1:]]
+    assert r2[0] > 1e-6
+
+    monkeypatch.setattr(experiments, "R2_ORDER_MIN", 2.1)
+    assert run_cli(tmp_path, text)[0] == 1
+
+
+def test_kraus_report_undriven_qubit_keeps_the_exact_zero_check(
+    tmp_path, capsys, monkeypatch
+):
+    text = "experiment = kraus-report\nomega0 = 0.8\ndt = 0.01\n"
+    assert run_cli(tmp_path, text)[0] == 0
+    assert "r2_order" not in capsys.readouterr().out
+
+    monkeypatch.setattr(experiments, "R2_MAX_QUBIT", -1.0)
+    assert run_cli(tmp_path, text)[0] == 1
+
+
 def test_ordering_probe_driven_and_free(tmp_path, capsys):
     code, out = run_cli(
         tmp_path, "experiment = ordering-probe\nsystem = tls-driven\ndt = 0.1\n"
@@ -202,17 +229,27 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_console_script_and_cross_process_determinism(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import timebins
 
     cfg = tmp_path / "run.cfg"
     cfg.write_text("experiment = collision\ndt = 0.02\nt_final = 0.5\n", encoding="utf-8")
+    # the child runs in tmp_path, where a relative PYTHONPATH entry such as
+    # "src" resolves to nothing: put the package's own source root first
+    src = str(Path(timebins.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
 
     outputs = []
     for name in ("p1.csv", "p2.csv"):
         proc = subprocess.run(
             [sys.executable, "-m", "timebins", "--config", str(cfg), "--out", name],
             cwd=tmp_path,
+            env=env,
             capture_output=True,
             text=True,
         )

@@ -14,7 +14,7 @@ from timebins.lindblad import (
     integrate_rk4,
     liouvillian,
 )
-from timebins.model import dephasing_variant, two_level_system
+from timebins.model import dephasing_variant, truncated_oscillator, two_level_system
 from timebins.operators import Operator
 
 EXCITED = DensityMatrix.pure([0.0, 1.0])
@@ -24,6 +24,34 @@ PLUS = DensityMatrix.pure([1.0, 1.0])
 
 def decay_model(gamma=1.0, omega0=0.0, drive=0.0):
     return LindbladModel.from_system(two_level_system(omega0, drive), gamma)
+
+
+def four_stage_rk4(model, rho0, dt, steps):
+    """Classic four-stage RK4 on the matrix ODE, one step at a time."""
+    h = model.hamiltonian.data
+    c = model.collapse.data
+    cdc = c.conj().T @ c
+
+    def rhs(r):
+        out = -1j * (h @ r - r @ h)
+        out += model.gamma * (c @ r @ c.conj().T - 0.5 * (cdc @ r + r @ cdc))
+        return out
+
+    r = rho0.op.data
+    series = [r]
+    for k in range(steps):
+        k1 = rhs(r)
+        k2 = rhs(r + 0.5 * dt * k1)
+        k3 = rhs(r + 0.5 * dt * k2)
+        k4 = rhs(r + dt * k3)
+        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        drift = abs(float(np.trace(r).real) - 1.0)
+        if drift > 1e-8:
+            raise GuardError(
+                f"RK4 trace drifted by {drift:.3e} at step {k + 1} (dt={dt:g})"
+            )
+        series.append(r)
+    return series
 
 
 def test_dissipator_dark_state_and_excited_state():
@@ -113,8 +141,12 @@ def test_rk4_guard_aborts_on_broken_trace():
     rho = DensityMatrix.pure([0.0, 1.0])
     # bypass construction-time validation to emulate numerical corruption
     rho.op.data[1, 1] += 2e-8
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError) as fast:
         integrate_rk4(decay_model(), rho, 0.01, 5)
+    # the same message, naming the same step, as the four-stage loop
+    with pytest.raises(GuardError) as slow:
+        four_stage_rk4(decay_model(), rho, 0.01, 5)
+    assert str(fast.value) == str(slow.value)
 
 
 def test_rk4_rejects_bad_steps():
@@ -145,3 +177,27 @@ def test_analytic_oracle_rejects_bad_input():
     big = DensityMatrix(Operator(np.eye(3, dtype=complex) / 3, (3,)))
     with pytest.raises(ValueError):
         analytic_oracle("spontaneous", 1.0, 1.0, big)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        two_level_system(0.0, 0.0),
+        two_level_system(0.8, 0.6),
+        dephasing_variant(two_level_system(0.3, 0.5)),
+        truncated_oscillator(3, 0.9),
+    ],
+    ids=["decay", "driven", "dephasing", "oscillator3"],
+)
+def test_rk4_matches_the_four_stage_loop(system):
+    model = LindbladModel.from_system(system, 1.3)
+    rng = np.random.default_rng(system.dim)
+    shape = (system.dim, system.dim)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rho = m @ m.conj().T
+    rho0 = DensityMatrix(Operator(rho / np.trace(rho).real, (system.dim,)))
+    fast = integrate_rk4(model, rho0, 0.01, 1000)
+    slow = four_stage_rk4(model, rho0, 0.01, 1000)
+    worst = max(float(np.max(np.abs(a.op.data - b))) for a, b in zip(fast, slow))
+    assert worst <= 1e-12
+
