@@ -27,13 +27,7 @@ from .channel import (
 from .config import ConfigError, RunConfig, parse_config
 from .errors import GuardError
 from .experiments import fit_order, run_experiment
-from .lindblad import (
-    LindbladModel,
-    analytic_oracle,
-    dissipator,
-    integrate_rk4,
-    liouvillian,
-)
+from .lindblad import LindbladModel, analytic_oracle, integrate_rk4
 from .microscopic import (
     FrequencyGrid,
     build_microscopic,
@@ -41,7 +35,6 @@ from .microscopic import (
     fit_decay_rate,
 )
 from .model import (
-    BinSpace,
     CoarseParams,
     SystemModel,
     bin_generator,
@@ -89,14 +82,11 @@ __all__ = [
     "run_experiment",
     "LindbladModel",
     "analytic_oracle",
-    "dissipator",
     "integrate_rk4",
-    "liouvillian",
     "FrequencyGrid",
     "build_microscopic",
     "evolve_microscopic",
     "fit_decay_rate",
-    "BinSpace",
     "CoarseParams",
     "SystemModel",
     "bin_generator",

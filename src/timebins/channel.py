@@ -58,15 +58,21 @@ STEP_MATRIX_TOL = 1e-12
 def first_invalid(stack: np.ndarray, skip: np.ndarray | None = None) -> tuple[int, str]:
     """The first state of a (n, d, d) stack that fails a DensityMatrix check.
 
-    Runs the Hermiticity, unit-trace and smallest-eigenvalue checks on every
-    state at once and returns (index, message) of the earliest failure, with
-    the message the check raises; (n, "") when every state passes.  States
-    flagged in ``skip`` are not checked.
+    Runs the finiteness, Hermiticity, unit-trace and smallest-eigenvalue
+    checks on every state at once and returns (index, message) of the earliest
+    failure, with the message the check raises; (n, "") when every state
+    passes.  States flagged in ``skip`` are not checked.
     """
+    # every comparison with NaN is False, so non-finite states get their own
+    # test, and the others run on zeros in their place
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        stack = np.where(finite[:, None, None], stack, 0.0)
     herm = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
     tr = np.trace(stack, axis1=1, axis2=2).real
     lo = np.linalg.eigvalsh(stack)[:, 0]
-    bad = herm > HERMITICITY_TOL
+    bad = ~finite
+    bad |= herm > HERMITICITY_TOL
     bad |= np.abs(tr - 1.0) > TRACE_TOL
     bad |= lo < MIN_EIGENVALUE
     if skip is not None:
@@ -74,6 +80,8 @@ def first_invalid(stack: np.ndarray, skip: np.ndarray | None = None) -> tuple[in
     if not bad.any():
         return len(stack), ""
     k = int(np.argmax(bad))
+    if not finite[k]:
+        return k, "density matrix has non-finite entries"
     if herm[k] > HERMITICITY_TOL:
         return k, f"density matrix not Hermitian (defect {herm[k]:.3e})"
     if abs(tr[k] - 1.0) > TRACE_TOL:

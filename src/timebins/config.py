@@ -6,6 +6,7 @@ typos never silently fall back to defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "EXPERIMENTS", "SYSTEMS"]
@@ -51,11 +52,14 @@ def _convert(key: str, raw: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        if kind != "float":
+            return raw
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"cannot parse {key} = {raw!r} as {kind}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:

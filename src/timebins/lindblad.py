@@ -1,6 +1,6 @@
 """Continuum-limit reference dynamics.
 
-Dissipator and Liouvillian of the master equation
+The Liouvillian of the master equation
 
     d rho / dt = -i [H, rho] + gamma (L rho L^dag - 1/2 {L^dag L, rho}),
 
@@ -24,12 +24,10 @@ import numpy as np
 from .channel import DensityMatrix, as_series, first_invalid, propagate
 from .errors import GuardError
 from .model import SystemModel
-from .operators import Operator
+from .operators import HERMITICITY_TOL, Operator
 
 __all__ = [
     "LindbladModel",
-    "dissipator",
-    "liouvillian",
     "integrate_rk4",
     "analytic_oracle",
     "liouvillian_matrix",
@@ -50,7 +48,7 @@ class LindbladModel:
 
     def __post_init__(self) -> None:
         h = self.hamiltonian.data
-        if np.max(np.abs(h - h.conj().T)) > 1e-12:
+        if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
             raise ValueError("Hamiltonian must be Hermitian")
         if self.collapse.dim != self.hamiltonian.dim:
             raise ValueError("collapse operator dimension does not match Hamiltonian")
@@ -62,38 +60,14 @@ class LindbladModel:
         return cls(system.hamiltonian, system.lowering, gamma)
 
 
-def _dissipator_matrix(model: LindbladModel) -> np.ndarray:
-    """Row-major matrix of gamma (L rho L^dag - 1/2 {L^dag L, rho})."""
-    c = model.collapse.data
-    one = np.eye(c.shape[0])
-    cdc = c.conj().T @ c
-    return model.gamma * (
-        np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, one) + np.kron(one, cdc.T))
-    )
-
-
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
-    """Row-major matrix of -i [H, rho] plus the dissipator."""
+    """Row-major matrix of -i [H, rho] + gamma (L rho L^dag - 1/2 {L^dag L, rho})."""
     h = model.hamiltonian.data
+    c = model.collapse.data
     one = np.eye(h.shape[0])
-    return -1j * (np.kron(h, one) - np.kron(one, h.T)) + _dissipator_matrix(model)
-
-
-def _act(superop: np.ndarray, model: LindbladModel, rho: DensityMatrix) -> Operator:
-    if rho.dim != model.hamiltonian.dim:
-        raise ValueError("state dimension does not match the model")
-    r = rho.op.data
-    return Operator((superop @ r.ravel()).reshape(r.shape), rho.op.dims)
-
-
-def dissipator(model: LindbladModel, rho: DensityMatrix) -> Operator:
-    """gamma (L rho L^dag - 1/2 {L^dag L, rho}); traceless and Hermitian."""
-    return _act(_dissipator_matrix(model), model, rho)
-
-
-def liouvillian(model: LindbladModel, rho: DensityMatrix) -> Operator:
-    """-i [H, rho] plus the dissipator."""
-    return _act(liouvillian_matrix(model), model, rho)
+    cdc = c.conj().T @ c
+    dissipator = np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, one) + np.kron(one, cdc.T))
+    return -1j * (np.kron(h, one) - np.kron(one, h.T)) + model.gamma * dissipator
 
 
 def rk4_trajectory(

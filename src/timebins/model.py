@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DensityMatrix, apply_channel, extract_kraus
-from .operators import Operator, dagger, expm, identity, kron
+from .operators import HERMITICITY_TOL, Operator, dagger, expm, identity, kron
 
 __all__ = [
     "SystemModel",
-    "BinSpace",
     "CoarseParams",
     "lowering_matrix",
     "two_level_system",
@@ -32,8 +31,6 @@ __all__ = [
     "coarse_map",
     "ordering_residual",
 ]
-
-HERMITICITY_TOL = 1e-12
 
 
 def lowering_matrix(dim: int) -> np.ndarray:
@@ -86,25 +83,6 @@ def dephasing_variant(base: SystemModel) -> SystemModel:
 
 
 @dataclass(frozen=True)
-class BinSpace:
-    """Truncated harmonic-oscillator space of one waveguide time bin."""
-
-    n_max: int
-
-    def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-    @property
-    def annihilate(self) -> Operator:
-        return Operator(lowering_matrix(self.dim), (self.dim,))
-
-
-@dataclass(frozen=True)
 class CoarseParams:
     """Decay rate, bin width, and bin truncation of one coarse-grained run."""
 
@@ -123,10 +101,10 @@ class CoarseParams:
 
 def bin_generator(system: SystemModel, params: CoarseParams) -> Operator:
     """Anti-Hermitian exponent of the one-bin map on system (x) bin."""
-    bin_space = BinSpace(params.n_max)
-    db = bin_space.annihilate
+    d_bin = params.n_max + 1
+    db = Operator(lowering_matrix(d_bin), (d_bin,))
     coupling = math.sqrt(params.gamma * params.dt)
-    gen = (-1j * params.dt) * kron(system.hamiltonian, identity((bin_space.dim,)))
+    gen = (-1j * params.dt) * kron(system.hamiltonian, identity((d_bin,)))
     gen = gen + coupling * (
         kron(system.lowering, dagger(db)) - kron(dagger(system.lowering), db)
     )

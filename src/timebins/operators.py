@@ -28,6 +28,10 @@ __all__ = [
     "vn_entropy",
 ]
 
+# Largest |h - h^dag| entry accepted for a Hamiltonian, and |a + a^dag| for
+# the anti-Hermitian generator handed to ``expm``.
+HERMITICITY_TOL = 1e-12
+
 _EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
@@ -147,63 +151,22 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return a @ b - b @ a
 
 
-# Pade-13 numerator/denominator coefficients for the matrix exponential.
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-
-
 def expm(a: Operator) -> Operator:
-    """Matrix exponential by scaling and squaring with a Pade-13 core.
+    """Unitary exponential of an anti-Hermitian generator, from one ``eigh``.
 
-    The matrix is halved until its 1-norm is at most 0.5, the Pade
-    approximant is evaluated there, and the result is squared back up.
+    With i a = V diag(lam) V^dag, exp(a) = 1 + V diag(e^{-i lam} - 1) V^dag.
+    Writing e^{-i lam} - 1 as -2 sin^2(lam/2) - i sin(lam) keeps the small
+    phases of a short bin free of cancellation.
     """
     m = a.data
     if not np.all(np.isfinite(m)):
         raise ValueError("expm requires finite entries")
-    norm = float(np.linalg.norm(m, 1))
-    if norm == 0.0:
-        return identity(a.dims)
-    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-    x = m / (2.0**squarings)
-
-    b = _PADE13
-    ident = np.eye(m.shape[0], dtype=complex)
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
-    u = x @ (
-        x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-        + b[7] * x6
-        + b[5] * x4
-        + b[3] * x2
-        + b[1] * ident
-    )
-    v = (
-        x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
-        + b[6] * x6
-        + b[4] * x4
-        + b[2] * x2
-        + b[0] * ident
-    )
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return Operator(r, a.dims)
+    defect = float(np.max(np.abs(m + m.conj().T)))
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"expm needs an anti-Hermitian generator (defect {defect:.3e})")
+    lam, v = np.linalg.eigh(1j * m)
+    phase = -2.0 * np.sin(0.5 * lam) ** 2 - 1j * np.sin(lam)
+    return Operator(np.eye(m.shape[0]) + (v * phase) @ v.conj().T, a.dims)
 
 
 def partial_trace(a: Operator, keep: int | Iterable[int]) -> Operator:

@@ -50,6 +50,15 @@ def test_density_matrix_validation():
     assert EXCITED.purity() == pytest.approx(1.0)
 
 
+def test_density_matrix_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="non-finite entries"):
+        DensityMatrix(Operator(np.full((2, 2), np.nan), (2,)))
+    stack = np.stack([EXCITED.op.data] * 6)
+    stack[3, 1, 1] = np.nan
+    stack[5, 0, 0] = np.inf
+    assert channel.first_invalid(stack) == (3, "density matrix has non-finite entries")
+
+
 def test_extract_kraus_identity_map():
     family = tls_family(gamma=0.0, dt=0.1)
     np.testing.assert_array_equal(family.ops[0].data, np.eye(2))

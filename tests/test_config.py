@@ -81,3 +81,12 @@ def test_grid_keys_validated():
         parse_config("experiment = microscopic\nn_modes = 1600")
     with pytest.raises(ConfigError, match="n_bins"):
         parse_config("experiment = joint-chain\nn_bins = 0")
+
+
+@pytest.mark.parametrize(
+    "key", ["gamma", "dt", "t_final", "omega0", "drive", "half_width"]
+)
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+def test_non_finite_float_values_rejected(key, raw):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config(f"experiment = collision\n{key} = {raw}")

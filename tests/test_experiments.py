@@ -176,6 +176,43 @@ def test_ordering_probe_driven_and_free(tmp_path, capsys):
     assert "threshold=1.9" in capsys.readouterr().out
 
 
+def test_ordering_probe_undriven_dephasing_checks_the_exact_residual(
+    tmp_path, capsys, monkeypatch
+):
+    # H = omega0 sigma^dag sigma commutes with the coupling: the map is exact
+    text = "experiment = ordering-probe\nsystem = dephasing\nomega0 = 0.7\ndt = 0.1\n"
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    summary = capsys.readouterr().out
+    assert "fitted_order" not in summary
+    residual_max = float(summary.split("residual_max=")[1].split()[0])
+    assert residual_max <= 1e-12
+    lines = out.read_text().splitlines()
+    assert len(lines) == 6 and lines[-1].startswith("# residual_max = ")
+
+    monkeypatch.setattr(experiments, "ORDERING_MAX_EXACT", -1.0)
+    assert run_cli(tmp_path, text)[0] == 1
+
+
+def test_ordering_probe_driven_dephasing_keeps_the_order_fit(tmp_path, capsys):
+    text = "experiment = ordering-probe\nsystem = dephasing\ndrive = 1\ndt = 0.1\n"
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    assert "fitted_order=" in capsys.readouterr().out
+    assert out.read_text().splitlines()[-1].startswith("# fitted_order = ")
+
+
+def test_joint_chain_builds_the_one_bin_unitary_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = experiments.coarse_map
+    monkeypatch.setattr(
+        experiments, "coarse_map", lambda *args: calls.append(args) or original(*args)
+    )
+    code, _ = run_cli(tmp_path, "experiment = joint-chain\nn_bins = 4\n")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_microscopic_run(tmp_path, capsys):
     code, out = run_cli(
         tmp_path,
@@ -220,6 +257,17 @@ def test_config_error_exit_code(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "experiment = warp\n")
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", ["gamma = nan", "omega0 = nan", "dt = inf", "drive = inf", "t_final = inf"]
+)
+def test_non_finite_config_value_exit_code(tmp_path, capsys, line):
+    code, _ = run_cli(tmp_path, f"experiment = collision\n{line}\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "must be finite" in err
+    assert "Traceback" not in err
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from timebins.channel import extract_kraus, propagate, step_matrix
 from timebins.model import (
-    BinSpace,
     CoarseParams,
     bin_generator,
     coarse_map,
@@ -16,7 +17,7 @@ from timebins.model import (
     truncated_oscillator,
     two_level_system,
 )
-from timebins.operators import commutator, dagger, identity, kron
+from timebins.operators import Operator, commutator, dagger, identity, kron
 
 
 def test_two_level_system_hamiltonians():
@@ -45,9 +46,8 @@ def test_dephasing_variant_coupling():
 
 
 def test_bin_space_ladder():
-    space = BinSpace(3)
-    assert space.dim == 4
-    db = space.annihilate.data
+    db = lowering_matrix(4)
+    assert db.shape == (4, 4)
     for m in range(1, 4):
         ket = np.zeros(4)
         ket[m] = 1.0
@@ -56,9 +56,6 @@ def test_bin_space_ladder():
         expect[m - 1] = math.sqrt(m)
         np.testing.assert_allclose(out, expect)
     np.testing.assert_array_equal(db @ np.eye(4)[:, 0], np.zeros(4))
-
-    with pytest.raises(ValueError):
-        BinSpace(0)
 
 
 def test_coarse_params_validation():
@@ -105,7 +102,7 @@ def test_excitation_conservation_for_diagonal_hamiltonian():
     params = CoarseParams(0.8, 0.05, 3)
     gen = bin_generator(system, params)
     number_sys = dagger(system.lowering) @ system.lowering
-    db = BinSpace(3).annihilate
+    db = Operator(lowering_matrix(4), (4,))
     number_bin = dagger(db) @ db
     total = kron(number_sys, identity((4,))) + kron(identity((2,)), number_bin)
     assert commutator(gen, total).max_abs() <= 1e-12
@@ -129,6 +126,33 @@ def test_coarse_map_unitary():
         u = coarse_map(system, params)
         udu = dagger(u) @ u
         assert (udu - identity(u.dims)).max_abs() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["tls", "tls-driven", "oscillator3", "dephasing"])
+def test_long_collision_trajectory_matches_a_scipy_built_unitary(name):
+    # every collision reapplies the same map, so an error in U compounds over
+    # the 10^4 steps; scipy's expm of the same generator is the reference
+    system = {
+        "tls": two_level_system(),
+        "tls-driven": two_level_system(0.0, 1.0),
+        "oscillator3": truncated_oscillator(3),
+        "dephasing": dephasing_variant(two_level_system()),
+    }[name]
+    vec = np.zeros(system.dim, dtype=complex)
+    vec[-1] = 1.0
+    if name == "dephasing":
+        vec[:] = 1.0 / math.sqrt(2.0)
+    rho0 = np.outer(vec, vec.conj())
+    dt = 0.02
+    for n_max in (1, 2, 4):
+        params = CoarseParams(1.0, dt, n_max)
+        gen = bin_generator(system, params)
+        ref_u = Operator(scipy.linalg.expm(gen.data), gen.dims)
+        got, ref = (
+            propagate(step_matrix(extract_kraus(u, system.dim, n_max, dt)), rho0, 10_000)
+            for u in (coarse_map(system, params), ref_u)
+        )
+        assert np.max(np.abs(got - ref)) <= 2e-13
 
 
 def test_coarse_map_depends_only_on_gamma_dt_product_without_hamiltonian():

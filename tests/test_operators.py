@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from timebins.model import (
+    CoarseParams,
+    bin_generator,
+    dephasing_variant,
+    truncated_oscillator,
+    two_level_system,
+)
 from timebins.operators import (
     Operator,
     StateVector,
@@ -143,12 +150,36 @@ def test_expm_excitation_block_rotation():
 
 def test_expm_matches_scipy():
     rng = np.random.default_rng(17)
+    gens = []
     for n in (2, 3, 6):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        m *= 10.0 / np.linalg.norm(m, 1)
-        got = expm(Operator(m, (n,))).data
-        ref = scipy.linalg.expm(m)
+        m = m - m.conj().T
+        gens.append(Operator(m * (10.0 / np.linalg.norm(m, 1)), (n,)))
+    systems = (
+        two_level_system(),
+        two_level_system(0.0, 1.0),
+        truncated_oscillator(3),
+        dephasing_variant(two_level_system()),
+    )
+    for system in systems:
+        for n_max in range(1, 7):
+            for dt in (0.01, 0.1):
+                gens.append(bin_generator(system, CoarseParams(1.0, dt, n_max)))
+    for gen in gens:
+        got = expm(gen).data
+        ref = scipy.linalg.expm(gen.data)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.linalg.norm(ref, 1)
+
+
+def test_expm_rejects_a_generator_that_is_not_antihermitian():
+    rng = np.random.default_rng(17)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        expm(Operator(m, (3,)))
+    gen = m - m.conj().T
+    gen[0, 1] += 1e-11
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        expm(Operator(gen, (3,)))
 
 
 def test_expm_unitary_for_antihermitian():
