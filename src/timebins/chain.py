@@ -133,5 +133,5 @@ def factorization_report(
     Kraus iteration of the same family from rho0."""
     reduced = reduced_system(state)
     reference = iterate_channel(family, rho0, state.cursor)[-1]
-    defect = (reduced.op - reference.op).max_abs()
+    defect = float(np.max(np.abs(reduced.op.data - reference)))
     return FactorizationReport(entropy=vn_entropy(reduced.op), markov_defect=defect)

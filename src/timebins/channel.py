@@ -38,8 +38,6 @@ __all__ = [
     "step_matrix",
     "propagate",
     "first_invalid",
-    "collision_trajectory",
-    "as_series",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -110,9 +108,8 @@ class DensityMatrix:
 
     @classmethod
     def _trusted(cls, op: Operator) -> "DensityMatrix":
-        # skips validation: for states of an already checked trajectory, and
-        # for apply_channel when it knowingly returns a state carrying a
-        # reported truncation trace loss above TRACE_WARN
+        # skips validation: apply_channel knowingly returns a state carrying
+        # a reported truncation trace loss above TRACE_WARN
         self = object.__new__(cls)
         object.__setattr__(self, "op", op)
         return self
@@ -120,9 +117,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.op.dim
-
-    def purity(self) -> float:
-        return float(np.trace(self.op.data @ self.op.data).real)
 
 
 @dataclass(frozen=True)
@@ -210,16 +204,11 @@ def propagate(s: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
     return flat.reshape(steps + 1, d, d)
 
 
-def as_series(stack: np.ndarray, rho0: DensityMatrix) -> list[DensityMatrix]:
-    """A checked trajectory stack as [rho0, rho1, ...] density matrices."""
-    dims = rho0.op.dims
-    return [rho0] + [DensityMatrix._trusted(Operator(m, dims)) for m in stack[1:]]
-
-
-def collision_trajectory(
+def iterate_channel(
     family: KrausFamily, rho0: DensityMatrix, steps: int
 ) -> np.ndarray:
-    """The (steps+1, d, d) stack of ``steps`` collisions from rho0.
+    """The (steps+1, d, d) stack rho_0 .. rho_steps of ``steps`` collisions
+    with the same time-independent family.
 
     The first collision goes through ``apply_channel`` with all of its guards,
     and the step matrix must reproduce it to STEP_MATRIX_TOL.  The rest is
@@ -248,14 +237,6 @@ def collision_trajectory(
     if message:
         raise ValueError(message)
     return stack
-
-
-def iterate_channel(
-    family: KrausFamily, rho0: DensityMatrix, steps: int
-) -> list[DensityMatrix]:
-    """Apply the same time-independent family repeatedly; returns the whole
-    trajectory [rho0, rho1, ..., rho_steps]."""
-    return as_series(collision_trajectory(family, rho0, steps), rho0)
 
 
 @dataclass(frozen=True)

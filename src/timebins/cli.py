@@ -40,7 +40,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except GuardError as exc:
+    except (GuardError, MemoryError) as exc:
+        # a MemoryError is a run too long to allocate, e.g. a huge t_final/dt
         print(f"numeric guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except OSError as exc:

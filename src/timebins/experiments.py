@@ -19,14 +19,14 @@ from .chain import init_chain, reduced_system, step_chain
 from .channel import (
     DensityMatrix,
     KrausFamily,
-    collision_trajectory,
     expansion_report,
     extract_kraus,
     first_invalid,
+    iterate_channel,
 )
 from .config import ConfigError, RunConfig
 from .errors import GuardError
-from .lindblad import LindbladModel, analytic_oracle, closed_form, rk4_trajectory
+from .lindblad import LindbladModel, analytic_oracle, integrate_rk4
 from .microscopic import (
     FrequencyGrid,
     build_microscopic,
@@ -89,6 +89,9 @@ ORDERING_MAX_EXACT = 1e-12
 
 ORDERING_SUBDIVISIONS = 8
 SWEEP_POINTS = 4
+# Beyond 2**53 steps the times k*dt no longer tell steps apart, and 16 bytes a
+# step is 2**57 bytes; shorter runs that do not fit fail at allocation.
+MAX_STEPS = 2**53
 # Time-series rows formatted per block, so no full-length Python copy of the
 # table is ever built next to the CSV text.
 CSV_BLOCK_ROWS = 1024
@@ -140,10 +143,6 @@ def _initial_vector(cfg: RunConfig, system: SystemModel) -> np.ndarray:
     return v
 
 
-def _initial_state(cfg: RunConfig, system: SystemModel) -> DensityMatrix:
-    return DensityMatrix.pure(_initial_vector(cfg, system))
-
-
 def _purities(stack: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kji->k", stack, stack).real
 
@@ -191,7 +190,10 @@ def _sweep(dt: float) -> list[float]:
 
 
 def _steps(t_final: float, dt: float) -> int:
-    return max(1, round(t_final / dt))
+    steps = t_final / dt
+    if not steps < MAX_STEPS:  # also catches an overflow to inf
+        raise GuardError(f"t_final/dt = {steps:g} steps cannot be held in memory")
+    return max(1, round(steps))
 
 
 def _collision_family(system: SystemModel, cfg: RunConfig, dt: float) -> KrausFamily:
@@ -211,7 +213,7 @@ def _timeseries_report(
         purity = _purities(stack[-1:])[0]
         summary = f"final_trace={np.trace(final).real:.6f} final_purity={purity:.6f}"
         return csv, summary, EXIT_OK
-    reference = analytic_oracle(kind, cfg.gamma, times[-1], rho0).op.data
+    reference = analytic_oracle(kind, cfg.gamma, times[-1:], rho0)[0]
     if kind == "spontaneous":
         name, value, target = "rho_ee", final[1, 1].real, reference[1, 1].real
     else:
@@ -224,8 +226,8 @@ def _timeseries_report(
 def _run_collision(cfg: RunConfig) -> tuple[str, str, int]:
     system = _build_system(cfg)
     family = _collision_family(system, cfg, cfg.dt)
-    rho0 = _initial_state(cfg, system)
-    stack = collision_trajectory(family, rho0, _steps(cfg.t_final, cfg.dt))
+    rho0 = DensityMatrix.pure(_initial_vector(cfg, system))
+    stack = iterate_channel(family, rho0, _steps(cfg.t_final, cfg.dt))
     tol = COLLISION_TOL_FACTOR * cfg.gamma * cfg.dt
     return _timeseries_report(cfg, stack, rho0, tol)
 
@@ -233,8 +235,8 @@ def _run_collision(cfg: RunConfig) -> tuple[str, str, int]:
 def _run_lindblad(cfg: RunConfig) -> tuple[str, str, int]:
     system = _build_system(cfg)
     model = LindbladModel.from_system(system, cfg.gamma)
-    rho0 = _initial_state(cfg, system)
-    stack = rk4_trajectory(model, rho0, cfg.dt, _steps(cfg.t_final, cfg.dt))
+    rho0 = DensityMatrix.pure(_initial_vector(cfg, system))
+    stack = integrate_rk4(model, rho0, cfg.dt, _steps(cfg.t_final, cfg.dt))
     tol = max(LINDBLAD_TOL_FLOOR, LINDBLAD_TOL_FACTOR * (cfg.gamma * cfg.dt) ** 4)
     return _timeseries_report(cfg, stack, rho0, tol)
 
@@ -246,7 +248,7 @@ def _run_joint_chain(cfg: RunConfig) -> tuple[str, str, int]:
     vec = _initial_vector(cfg, system)
     rho0 = DensityMatrix.pure(vec)
     state = init_chain(StateVector(vec, (system.dim,)), cfg.n_bins, cfg.n_max)
-    reference = collision_trajectory(family, rho0, cfg.n_bins)
+    reference = iterate_channel(family, rho0, cfg.n_bins)
 
     reduced = [reduced_system(state)]
     for _ in range(cfg.n_bins):
@@ -302,14 +304,14 @@ def _run_convergence(cfg: RunConfig) -> tuple[str, str, int]:
             "dephasing system with omega0 = 0"
         )
     system = _build_system(cfg)
-    rho0 = _initial_state(cfg, system)
+    rho0 = DensityMatrix.pure(_initial_vector(cfg, system))
     rows = []
     for dt in _sweep(cfg.dt):
         family = _collision_family(system, cfg, dt)
         steps = _steps(cfg.t_final, dt)
-        stack = collision_trajectory(family, rho0, steps)
+        stack = iterate_channel(family, rho0, steps)
         times = np.arange(1, steps + 1) * dt
-        reference = closed_form(kind, cfg.gamma, times, rho0.op.data)
+        reference = analytic_oracle(kind, cfg.gamma, times, rho0)
         rows.append((dt, float(np.max(np.abs(stack[1:] - reference)))))
     order = fit_order(rows)
     csv = _sweep_csv(rows, order)

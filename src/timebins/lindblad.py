@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix, as_series, first_invalid, propagate
+from .channel import DensityMatrix, first_invalid, propagate
 from .errors import GuardError
 from .model import SystemModel
 from .operators import HERMITICITY_TOL, Operator
@@ -31,8 +31,6 @@ __all__ = [
     "integrate_rk4",
     "analytic_oracle",
     "liouvillian_matrix",
-    "rk4_trajectory",
-    "closed_form",
 ]
 
 TRACE_DRIFT_ABORT = 1e-8
@@ -70,7 +68,7 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     return -1j * (np.kron(h, one) - np.kron(one, h.T)) + model.gamma * dissipator
 
 
-def rk4_trajectory(
+def integrate_rk4(
     model: LindbladModel, rho0: DensityMatrix, dt: float, steps: int
 ) -> np.ndarray:
     """The (steps+1, d, d) stack of ``steps`` classic RK4 steps from rho0.
@@ -104,43 +102,32 @@ def rk4_trajectory(
     return stack
 
 
-def integrate_rk4(
-    model: LindbladModel, rho0: DensityMatrix, dt: float, steps: int
-) -> list[DensityMatrix]:
-    """Classic fixed-step RK4 on the matrix ODE; returns the whole trajectory."""
-    return as_series(rk4_trajectory(model, rho0, dt, steps), rho0)
-
-
-def closed_form(
-    kind: str, gamma: float, times: np.ndarray, rho0: np.ndarray
+def analytic_oracle(
+    kind: str, gamma: float, times: np.ndarray, rho0: DensityMatrix
 ) -> np.ndarray:
     """The (len(times), 2, 2) stack of the closed-form two-level solution at
-    H = 0 (see ``analytic_oracle``) from the 2 x 2 matrix rho0."""
-    if rho0.shape != (2, 2):
-        raise ValueError("analytic_oracle covers two-level systems only")
-    if kind not in ("spontaneous", "dephasing"):
-        raise ValueError(f"unknown oracle kind {kind!r}")
-    t = np.asarray(times, dtype=float)
-    ee = float(rho0[1, 1].real)
-    if kind == "spontaneous":
-        ee = ee * np.exp(-gamma * t)
-    coherence = complex(rho0[1, 0]) * np.exp(-gamma * t / 2.0)
-    out = np.empty((t.size, 2, 2), dtype=complex)
-    out[:, 0, 0] = 1.0 - ee
-    out[:, 0, 1] = coherence.conj()
-    out[:, 1, 0] = coherence
-    out[:, 1, 1] = ee
-    return out
-
-
-def analytic_oracle(
-    kind: str, gamma: float, t: float, rho0: DensityMatrix
-) -> DensityMatrix:
-    """Closed-form two-level solution at H = 0.
+    H = 0, checked as density matrices.
 
     spontaneous:  rho_ee(t) = rho_ee(0) e^(-gamma t),
                   rho_eg(t) = rho_eg(0) e^(-gamma t / 2), populations sum to 1.
     dephasing:    populations fixed, rho_eg(t) = rho_eg(0) e^(-gamma t / 2).
     """
-    out = closed_form(kind, gamma, [t], rho0.op.data)[0]
-    return DensityMatrix(Operator(out, rho0.op.dims))
+    if rho0.dim != 2:
+        raise ValueError("analytic_oracle covers two-level systems only")
+    if kind not in ("spontaneous", "dephasing"):
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    t = np.asarray(times, dtype=float)
+    r = rho0.op.data
+    ee = float(r[1, 1].real)
+    if kind == "spontaneous":
+        ee = ee * np.exp(-gamma * t)
+    coherence = complex(r[1, 0]) * np.exp(-gamma * t / 2.0)
+    out = np.empty((t.size, 2, 2), dtype=complex)
+    out[:, 0, 0] = 1.0 - ee
+    out[:, 0, 1] = coherence.conj()
+    out[:, 1, 0] = coherence
+    out[:, 1, 1] = ee
+    _, message = first_invalid(out)
+    if message:
+        raise ValueError(message)
+    return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix, apply_channel, extract_kraus
+from .channel import DensityMatrix, apply_channel, extract_kraus, iterate_channel
 from .operators import HERMITICITY_TOL, Operator, dagger, expm, identity, kron
 
 __all__ = [
@@ -142,8 +142,6 @@ def ordering_residual(
     excited[system.dim - 1] = 1.0
     rho = DensityMatrix.pure(excited)
 
-    one_step = apply_channel(coarse, rho)
-    reference = rho
-    for _ in range(subdivisions):
-        reference = apply_channel(fine, reference)
-    return (one_step.op - reference.op).max_abs()
+    one_step = apply_channel(coarse, rho).op.data
+    reference = iterate_channel(fine, rho, subdivisions)[-1]
+    return float(np.max(np.abs(one_step - reference)))

@@ -253,6 +253,40 @@ def test_joint_chain_overflow_guard_exit_code(tmp_path, capsys):
     assert "numeric guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # 1e14 steps: a 5.7 PiB stack, refused at allocation
+        "experiment = collision\nt_final = 1e12\ndt = 0.01\n",
+        # 1e300 steps: more than an array can index
+        "experiment = collision\nt_final = 1e200\ndt = 1e-100\n",
+        "experiment = lindblad\nt_final = 1e12\ndt = 0.01\n",
+        # t_final / dt overflows to inf
+        "experiment = lindblad\nt_final = 1e300\ndt = 1e-300\n",
+        "experiment = convergence\nt_final = 1e13\n",
+        "experiment = convergence\nt_final = 1e14\n",
+        # 1e15 sample times: a 7.1 PiB time grid
+        "experiment = microscopic\ndt = 1e-15\nn_modes = 101\n",
+    ],
+    ids=[
+        "collision-alloc",
+        "collision-index",
+        "lindblad-alloc",
+        "lindblad-overflow",
+        "convergence-alloc",
+        "convergence-index",
+        "microscopic-alloc",
+    ],
+)
+def test_run_too_long_to_hold_exits_3(tmp_path, capsys, text):
+    code, out = run_cli(tmp_path, text)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric guard:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "experiment = warp\n")
     assert code == 2

@@ -116,7 +116,7 @@ def test_microscopic_matches_collision_model_end_to_end(wide_band_run):
     # compare after the bandwidth transient (t ~ 1/half_width decays
     # quadratically, not exponentially), matching the rate-fit window
     gap = max(
-        abs(float(dm.op.data[1, 1].real) - p)
+        abs(float(dm[1, 1].real) - p)
         for dm, p, t in zip(series, survival, times)
         if t >= 0.5
     )
