@@ -5,11 +5,13 @@ vacuum on the right and the bin number states <m| on the left yields one
 system-space Kraus operator per bin photon count m, and the reduced dynamics
 is the operator-sum map rho -> sum_m K_m rho K_m^dag.
 
-Long trajectories run in Liouville space: with the row-major vec(rho) =
-rho.ravel(), one collision is the d^2 x d^2 step matrix
-S_c = sum_m K_m (x) conj(K_m), and ``propagate`` fills a whole (steps+1, d, d)
-stack with one matrix-vector product per step.  The stack is then checked in
-one pass (``first_invalid``) with the same thresholds as ``DensityMatrix``.
+The family is one (n_max+1, d, d) array K[m], and every sum over m is one
+broadcast product summed over its first axis.  Long trajectories run in
+Liouville space: with the row-major vec(rho) = rho.ravel(), one collision is
+the d^2 x d^2 step matrix S_c = sum_m K_m (x) conj(K_m), and ``propagate``
+fills a whole (steps+1, d, d) stack with one matrix-vector product per step.
+The stack is then checked in one pass (``first_invalid``) with the same
+thresholds as ``DensityMatrix``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GuardError
-from .operators import Operator, dagger, identity
+from .operators import Operator
 
 if TYPE_CHECKING:
     from .model import SystemModel
@@ -99,12 +101,11 @@ class DensityMatrix:
             raise ValueError(message)
 
     @classmethod
-    def pure(cls, amplitudes, dims=None) -> "DensityMatrix":
+    def pure(cls, amplitudes) -> "DensityMatrix":
         """Projector onto a (normalized copy of the) given state vector."""
         v = np.asarray(amplitudes, dtype=complex).ravel()
         v = v / np.linalg.norm(v)
-        dims = (v.size,) if dims is None else tuple(dims)
-        return cls(Operator(np.outer(v, v.conj()), dims))
+        return cls(Operator(np.outer(v, v.conj()), (v.size,)))
 
     @classmethod
     def _trusted(cls, op: Operator) -> "DensityMatrix":
@@ -121,9 +122,10 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class KrausFamily:
-    """Kraus operators of one bin collision, indexed by bin photon count m."""
+    """Kraus operators of one bin collision: ops[m] is K_m, for bin photon
+    count m, in one complex (count, d, d) array."""
 
-    ops: tuple[Operator, ...]
+    ops: np.ndarray
     dt: float
     n_max: int
     completeness_defect: float
@@ -139,12 +141,9 @@ def extract_kraus(u: Operator, sys_dim: int, n_max: int, dt: float) -> KrausFami
     d_bin = n_max + 1
     if u.dims != (sys_dim, d_bin):
         raise ValueError(f"map has factors {u.dims}, expected {(sys_dim, d_bin)}")
-    u4 = u.data.reshape(sys_dim, d_bin, sys_dim, d_bin)
-    ops = tuple(Operator(u4[:, m, :, 0].copy(), (sys_dim,)) for m in range(d_bin))
-
-    acc = np.zeros((sys_dim, sys_dim), dtype=complex)
-    for k in ops:
-        acc += k.data.conj().T @ k.data
+    # u[(i, m), (j, 0)] = K_m[i, j]
+    ops = u.data.reshape(sys_dim, d_bin, sys_dim, d_bin)[:, :, :, 0].transpose(1, 0, 2).copy()
+    acc = (ops.conj().swapaxes(1, 2) @ ops).sum(0)
     defect = float(np.max(np.abs(acc - np.eye(sys_dim))))
     return KrausFamily(ops, float(dt), int(n_max), defect)
 
@@ -156,12 +155,11 @@ def apply_channel(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
     check, which removes 1e-16-scale Hermiticity drift over long iterations
     without hiding genuine trace loss.
     """
-    if family.ops[0].dim != rho.dim:
+    k = family.ops
+    if k.shape[1] != rho.dim:
         raise ValueError("Kraus family and state have different system dimensions")
     r = rho.op.data
-    out = np.zeros_like(r)
-    for k in family.ops:
-        out += k.data @ r @ k.data.conj().T
+    out = (k @ r @ k.conj().swapaxes(1, 2)).sum(0)
 
     deviation = abs(float(np.trace(out).real) - float(np.trace(r).real))
     leaked = _guard_trace(deviation, family.n_max)
@@ -190,7 +188,10 @@ def _guard_trace(deviation: float, n_max: int) -> bool:
 
 def step_matrix(family: KrausFamily) -> np.ndarray:
     """S_c = sum_m K_m (x) conj(K_m), so that vec(apply_channel) = S_c vec(rho)."""
-    return sum(np.kron(k.data, k.data.conj()) for k in family.ops)
+    k = family.ops
+    # s[i, j, k, l] = sum_m K_m[i, k] conj(K_m[j, l]) is entry (i d + j, k d + l)
+    s = (k[:, :, None, :, None] * k.conj()[:, None, :, None, :]).sum(0)
+    return s.reshape(len(s) ** 2, -1)
 
 
 def propagate(s: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
@@ -257,16 +258,17 @@ def expansion_report(
     r0 = ||K0 - (1 + dt(-i H - gamma/2 n))||, r1 = ||K1 - sqrt(gamma dt) sigma||,
     r2 = ||K2||, all in the max norm; n = sigma^dag sigma.
     """
-    if len(family.ops) < 3:
+    k = family.ops
+    if len(k) < 3:
         raise ValueError("expansion_report needs n_max >= 2 so that K_2 exists")
     dt = family.dt
-    sigma = system.lowering
-    number = dagger(sigma) @ sigma
-    k0_ref = identity((system.dim,)) + dt * (
-        -1j * system.hamiltonian - (gamma / 2.0) * number
+    sigma = system.lowering.data
+    number = sigma.conj().T @ sigma
+    k0_ref = np.eye(system.dim) + dt * (
+        -1j * system.hamiltonian.data - (gamma / 2.0) * number
     )
     k1_ref = math.sqrt(gamma * dt) * sigma
-    r0 = (family.ops[0] - k0_ref).max_abs()
-    r1 = (family.ops[1] - k1_ref).max_abs()
-    r2 = family.ops[2].max_abs()
+    r0, r1, r2 = (
+        float(np.max(np.abs(x))) for x in (k[0] - k0_ref, k[1] - k1_ref, k[2])
+    )
     return ExpansionReport(dt=dt, r0=r0, r1=r1, r2=r2)

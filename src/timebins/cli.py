@@ -30,18 +30,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = parse_config(text)
+        return run_experiment(parse_config(text), out_override=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        return run_experiment(cfg, out_override=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (GuardError, MemoryError) as exc:
-        # a MemoryError is a run too long to allocate, e.g. a huge t_final/dt
+    except (GuardError, MemoryError, ValueError) as exc:
+        # a MemoryError is a run too long to allocate, e.g. a huge t_final/dt,
+        # and the one ValueError expected is a computed state that fails a
+        # density-matrix check (channel.first_invalid)
+        if isinstance(exc, ValueError) and not str(exc).startswith("density matrix"):
+            raise
         print(f"numeric guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except OSError as exc:

@@ -275,9 +275,16 @@ def _run_joint_chain(cfg: RunConfig) -> tuple[str, str, int]:
 def _run_microscopic(cfg: RunConfig) -> tuple[str, str, int]:
     if cfg.system not in ("tls", "tls-driven") or cfg.omega0 != 0.0 or cfg.drive != 0.0:
         raise ConfigError("microscopic covers the undriven two-level emitter only")
+    steps = _steps(cfg.t_final, cfg.dt)
+    window = (0.5 / cfg.gamma, min(2.5 / cfg.gamma, cfg.t_final))
+    times = np.linspace(0.0, cfg.t_final, steps + 1)  # before the eigensolve
+    if np.count_nonzero((times >= window[0]) & (times <= window[1])) < 3:
+        raise ConfigError(
+            f"fit window {window} holds fewer than three samples at dt = {cfg.dt:g}"
+        )
     grid = FrequencyGrid(cfg.n_modes, cfg.half_width)
     h = build_microscopic(grid, cfg.gamma)
-    times, survival = evolve_microscopic(h, cfg.t_final, _steps(cfg.t_final, cfg.dt))
+    times, survival = evolve_microscopic(h, cfg.t_final, steps)
 
     # In the single-excitation sector the reduced state is diag(1-p, p).
     stack = np.zeros((len(survival), 2, 2), dtype=complex)
@@ -288,7 +295,6 @@ def _run_microscopic(cfg: RunConfig) -> tuple[str, str, int]:
         raise ValueError(message)
     csv = _timeseries_csv(times, stack)
 
-    window = (0.5 / cfg.gamma, min(2.5 / cfg.gamma, cfg.t_final))
     rate = -fit_decay_rate(times, survival, window)
     rel_err = abs(rate - cfg.gamma) / cfg.gamma
     summary = f"fitted_rate={rate:.6f} target={cfg.gamma:.6f} rel_err={rel_err:.3g}"
@@ -326,6 +332,8 @@ def _run_convergence(cfg: RunConfig) -> tuple[str, str, int]:
 
 
 def _run_kraus_report(cfg: RunConfig) -> tuple[str, str, int]:
+    if cfg.n_max < 2:
+        raise ConfigError("kraus-report needs n_max >= 2 so that K_2 exists")
     system = _build_system(cfg)
     reports = []
     defects = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DensityMatrix, apply_channel, extract_kraus, iterate_channel
-from .operators import HERMITICITY_TOL, Operator, dagger, expm, identity, kron
+from .operators import HERMITICITY_TOL, Operator, expm
 
 __all__ = [
     "SystemModel",
@@ -78,7 +78,8 @@ def dephasing_variant(base: SystemModel) -> SystemModel:
     The Hamiltonian is unchanged; the resulting channel leaves populations in
     the number basis fixed and damps coherences.
     """
-    number = dagger(base.lowering) @ base.lowering
+    sigma = base.lowering.data
+    number = Operator(sigma.conj().T @ sigma, base.lowering.dims)
     return SystemModel(base.dim, number, base.hamiltonian, base.label + "-dephasing")
 
 
@@ -102,13 +103,13 @@ class CoarseParams:
 def bin_generator(system: SystemModel, params: CoarseParams) -> Operator:
     """Anti-Hermitian exponent of the one-bin map on system (x) bin."""
     d_bin = params.n_max + 1
-    db = Operator(lowering_matrix(d_bin), (d_bin,))
+    db = lowering_matrix(d_bin)
+    sigma = system.lowering.data
     coupling = math.sqrt(params.gamma * params.dt)
-    gen = (-1j * params.dt) * kron(system.hamiltonian, identity((d_bin,)))
-    gen = gen + coupling * (
-        kron(system.lowering, dagger(db)) - kron(dagger(system.lowering), db)
-    )
-    return gen
+    free = np.kron(system.hamiltonian.data, np.eye(d_bin, dtype=complex))
+    exchange = np.kron(sigma, db.conj().T) - np.kron(sigma.conj().T, db)
+    gen = (-1j * params.dt) * free + coupling * exchange
+    return Operator(gen, (system.dim, d_bin))
 
 
 def coarse_map(system: SystemModel, params: CoarseParams) -> Operator:

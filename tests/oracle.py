@@ -1,0 +1,124 @@
+"""Reference algebra that only the tests use.
+
+``Operator`` here is the package's validated container plus the arithmetic
+the tests are written in; the package itself works on ``.data`` arrays.  The
+Kraus loops are the per-operator sums that ``channel`` replaced with one
+broadcast product over the (count, d, d) stack, kept as its oracle.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable
+
+import numpy as np
+
+from timebins import operators
+from timebins.operators import StateVector
+
+_EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+class Operator(operators.Operator):
+    """timebins.operators.Operator with +, -, @ and scalar *."""
+
+    def _new(self, data: np.ndarray) -> "Operator":
+        return Operator(data, self.dims)
+
+    def __matmul__(self, other) -> "Operator":
+        return self._new(self.data @ other.data)
+
+    def __add__(self, other) -> "Operator":
+        return self._new(self.data + other.data)
+
+    def __radd__(self, other) -> "Operator":
+        return self._new(other.data + self.data)
+
+    def __sub__(self, other) -> "Operator":
+        return self._new(self.data - other.data)
+
+    def __mul__(self, scalar) -> "Operator":
+        return self._new(self.data * complex(scalar))
+
+    __rmul__ = __mul__
+
+
+def identity(dims: Iterable[int]) -> Operator:
+    dims = tuple(dims)
+    return Operator(np.eye(math.prod(dims), dtype=complex), dims)
+
+
+def basis_state(dim: int, index: int) -> StateVector:
+    """Single-factor basis vector |index> on a dim-dimensional factor."""
+    if not 0 <= index < dim:
+        raise ValueError(f"basis index {index} out of range for dimension {dim}")
+    v = np.zeros(dim, dtype=complex)
+    v[index] = 1.0
+    return StateVector(v, (dim,))
+
+
+def kron(a, b) -> Operator:
+    """Kronecker product; the left operand's factors come first."""
+    return Operator(np.kron(a.data, b.data), a.dims + b.dims)
+
+
+def dagger(a) -> Operator:
+    """Conjugate transpose."""
+    return Operator(a.data.conj().T, a.dims)
+
+
+def commutator(a, b) -> Operator:
+    return Operator(a.data @ b.data - b.data @ a.data, a.dims)
+
+
+def partial_trace(a, keep: int | Iterable[int]) -> Operator:
+    """Trace out every factor not listed in ``keep``.
+
+    Kept factors stay in their original order regardless of the order given,
+    and the trace of the result equals the trace of the input.
+    """
+    keep_req = (keep,) if isinstance(keep, (int, np.integer)) else tuple(keep)
+    nfac = len(a.dims)
+    kept = tuple(sorted(int(i) for i in keep_req))
+    if not kept:
+        raise ValueError("keep at least one factor (use np.trace for a full trace)")
+    if len(set(kept)) != len(kept):
+        raise ValueError(f"duplicate factor indices in {keep_req}")
+    if any(i < 0 or i >= nfac for i in kept):
+        raise ValueError(f"factor index out of range for {nfac} factors: {keep_req}")
+    if 2 * nfac > len(_EINSUM_LETTERS):
+        raise ValueError(f"too many tensor factors for partial_trace: {nfac}")
+
+    row = list(_EINSUM_LETTERS[:nfac])
+    col = list(_EINSUM_LETTERS[nfac : 2 * nfac])
+    for i in range(nfac):
+        if i not in kept:
+            col[i] = row[i]  # repeated index: this factor is traced
+    out = "".join(row[i] for i in kept) + "".join(_EINSUM_LETTERS[nfac + i] for i in kept)
+    subscripts = "".join(row) + "".join(col) + "->" + out
+
+    reduced = np.einsum(subscripts, a.data.reshape(a.dims + a.dims))
+    new_dims = tuple(a.dims[i] for i in kept)
+    side = math.prod(new_dims)
+    return Operator(reduced.reshape(side, side), new_dims)
+
+
+def kraus_map(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_m K_m rho K_m^dag, one operator at a time."""
+    out = np.zeros_like(rho)
+    for k in ops:
+        out += k @ rho @ k.conj().T
+    return out
+
+
+def kraus_step_matrix(ops: np.ndarray) -> np.ndarray:
+    """sum_m K_m (x) conj(K_m), one operator at a time."""
+    return sum(np.kron(k, k.conj()) for k in ops)
+
+
+def kraus_completeness(ops: np.ndarray) -> np.ndarray:
+    """sum_m K_m^dag K_m, one operator at a time."""
+    acc = np.zeros(ops[0].shape, dtype=complex)
+    for k in ops:
+        acc += k.conj().T @ k
+    return acc

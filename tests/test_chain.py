@@ -20,7 +20,9 @@ from timebins.model import (
     dephasing_variant,
     two_level_system,
 )
-from timebins.operators import StateVector, basis_state
+from timebins.operators import StateVector
+
+from oracle import basis_state
 
 
 def tls_setup(gamma=1.0, dt=0.01, n_max=1, n_bins=3, dephasing=False, start=None):

@@ -245,6 +245,32 @@ def test_microscopic_recurrence_guard_exit_code(tmp_path, capsys):
     assert "numeric guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the window [0.5, 2.5] / gamma ends at t_final = 0.3, before it starts
+        "experiment = microscopic\nt_final = 0.3\n",
+        # [0.005, 0.025] holds the two samples 0.01 and 0.02
+        "experiment = microscopic\ngamma = 100\n",
+        # [0.5, 2.5] holds the two samples 1 and 2
+        "experiment = microscopic\nt_final = 3\ndt = 1\n",
+    ],
+    ids=["t_final", "gamma", "dt"],
+)
+def test_microscopic_short_fit_window_is_a_config_error(
+    tmp_path, capsys, monkeypatch, text
+):
+    def eigensolve(*args):
+        raise AssertionError("the window must be checked before the eigensolve")
+
+    monkeypatch.setattr(experiments, "evolve_microscopic", eigensolve)
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "fewer than three samples" in err
+    assert not out.exists()
+
+
 def test_joint_chain_overflow_guard_exit_code(tmp_path, capsys):
     code, _ = run_cli(
         tmp_path, "experiment = joint-chain\nn_bins = 24\nn_max = 2\n"
@@ -284,6 +310,23 @@ def test_run_too_long_to_hold_exits_3(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("numeric guard:")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_invalid_computed_state_exits_3(tmp_path, capsys):
+    # one RK4 step of gamma dt = 5 leaves a negative population
+    code, out = run_cli(tmp_path, "experiment = lindblad\ndt = 5\nt_final = 10\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric guard: density matrix has negative eigenvalue")
+    assert not out.exists()
+
+
+def test_kraus_report_needs_two_bin_photons(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "experiment = kraus-report\nn_max = 1\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n_max >= 2" in err
     assert not out.exists()
 
 

@@ -17,12 +17,13 @@ from timebins.model import (
     truncated_oscillator,
     two_level_system,
 )
-from timebins.operators import Operator, commutator, dagger, identity, kron
+
+from oracle import Operator, commutator, dagger, identity, kron
 
 
 def test_two_level_system_hamiltonians():
     free = two_level_system(0.0, 0.0)
-    assert free.hamiltonian.max_abs() == 0.0
+    assert np.max(np.abs(free.hamiltonian.data)) == 0.0
     np.testing.assert_array_equal(free.lowering.data, [[0, 1], [0, 0]])
 
     detuned = two_level_system(1.0, 0.0)
@@ -94,7 +95,7 @@ def test_bin_generator_antihermitian():
         gen = bin_generator(
             two_level_system(omega0, drive), CoarseParams(gamma, dt, 3)
         )
-        assert (gen + dagger(gen)).max_abs() <= 1e-12
+        assert np.max(np.abs((gen + dagger(gen)).data)) <= 1e-12
 
 
 def test_excitation_conservation_for_diagonal_hamiltonian():
@@ -105,7 +106,7 @@ def test_excitation_conservation_for_diagonal_hamiltonian():
     db = Operator(lowering_matrix(4), (4,))
     number_bin = dagger(db) @ db
     total = kron(number_sys, identity((4,))) + kron(identity((2,)), number_bin)
-    assert commutator(gen, total).max_abs() <= 1e-12
+    assert np.max(np.abs(commutator(gen, total).data)) <= 1e-12
 
 
 def test_coarse_map_identity_and_rotation():
@@ -125,7 +126,7 @@ def test_coarse_map_unitary():
         params = CoarseParams(rng.uniform(0.1, 2.0), rng.uniform(0.01, 0.5), 2)
         u = coarse_map(system, params)
         udu = dagger(u) @ u
-        assert (udu - identity(u.dims)).max_abs() <= 1e-12
+        assert np.max(np.abs((udu - identity(u.dims)).data)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["tls", "tls-driven", "oscillator3", "dephasing"])

@@ -1,0 +1,36 @@
+"""The package surface: exactly the union of the library modules' ``__all__``."""
+
+import importlib
+import pkgutil
+
+import timebins
+
+# the command-line driver and its ``python -m`` entry are not library modules
+NOT_LIBRARY = {"cli", "__main__"}
+
+
+def library_modules():
+    names = sorted(
+        info.name
+        for info in pkgutil.iter_modules(timebins.__path__)
+        if info.name not in NOT_LIBRARY
+    )
+    return [importlib.import_module(f"timebins.{name}") for name in names]
+
+
+def test_package_exports_the_union_of_the_library_modules():
+    exported = [name for module in library_modules() for name in module.__all__]
+    assert sorted(timebins.__all__) == sorted(exported + ["__version__"])
+
+
+def test_every_exported_name_resolves():
+    for name in timebins.__all__:
+        assert hasattr(timebins, name), name
+
+
+def test_no_name_is_exported_by_two_modules():
+    owner = {}
+    for module in library_modules():
+        for name in module.__all__:
+            assert name not in owner, f"{name} in {owner.get(name)} and {module.__name__}"
+            owner[name] = module.__name__
