@@ -96,6 +96,10 @@ def parse_config(text: str) -> RunConfig:
     for key in ("gamma", "dt", "t_final", "half_width"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
+    # the one-bin generator holds gamma dt and the Hamiltonian times dt
+    for key in ("gamma", "omega0", "drive"):
+        if not math.isfinite(getattr(cfg, key) * cfg.dt):
+            raise ConfigError(f"{key} * dt overflows to infinity")
     if cfg.n_max < 1:
         raise ConfigError("n_max must be >= 1")
     if cfg.n_bins < 1:

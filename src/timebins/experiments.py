@@ -277,14 +277,13 @@ def _run_microscopic(cfg: RunConfig) -> tuple[str, str, int]:
         raise ConfigError("microscopic covers the undriven two-level emitter only")
     steps = _steps(cfg.t_final, cfg.dt)
     window = (0.5 / cfg.gamma, min(2.5 / cfg.gamma, cfg.t_final))
-    times = np.linspace(0.0, cfg.t_final, steps + 1)  # before the eigensolve
+    times = np.linspace(0.0, cfg.t_final, steps + 1)
     if np.count_nonzero((times >= window[0]) & (times <= window[1])) < 3:
         raise ConfigError(
             f"fit window {window} holds fewer than three samples at dt = {cfg.dt:g}"
         )
     grid = FrequencyGrid(cfg.n_modes, cfg.half_width)
-    h = build_microscopic(grid, cfg.gamma)
-    times, survival = evolve_microscopic(h, cfg.t_final, steps)
+    survival = evolve_microscopic(build_microscopic(grid, cfg.gamma), times)
 
     # In the single-excitation sector the reduced state is diag(1-p, p).
     stack = np.zeros((len(survival), 2, 2), dtype=complex)

@@ -47,7 +47,6 @@ class SystemModel:
     dim: int
     lowering: Operator
     hamiltonian: Operator
-    label: str
 
     def __post_init__(self) -> None:
         if self.lowering.dim != self.dim or self.hamiltonian.dim != self.dim:
@@ -62,14 +61,14 @@ def two_level_system(omega0: float = 0.0, drive: float = 0.0) -> SystemModel:
     H = omega0 |e><e| + drive (sigma + sigma^dag)."""
     sigma = lowering_matrix(2)
     h = omega0 * np.diag([0.0, 1.0]).astype(complex) + drive * (sigma + sigma.conj().T)
-    return SystemModel(2, Operator(sigma, (2,)), Operator(h, (2,)), "tls")
+    return SystemModel(2, Operator(sigma, (2,)), Operator(h, (2,)))
 
 
 def truncated_oscillator(levels: int = 3, omega0: float = 0.0) -> SystemModel:
     """Harmonic oscillator truncated to ``levels`` states, coupling via a."""
     a = lowering_matrix(levels)
     h = omega0 * np.diag(np.arange(levels, dtype=float)).astype(complex)
-    return SystemModel(levels, Operator(a, (levels,)), Operator(h, (levels,)), f"oscillator{levels}")
+    return SystemModel(levels, Operator(a, (levels,)), Operator(h, (levels,)))
 
 
 def dephasing_variant(base: SystemModel) -> SystemModel:
@@ -80,7 +79,7 @@ def dephasing_variant(base: SystemModel) -> SystemModel:
     """
     sigma = base.lowering.data
     number = Operator(sigma.conj().T @ sigma, base.lowering.dims)
-    return SystemModel(base.dim, number, base.hamiltonian, base.label + "-dephasing")
+    return SystemModel(base.dim, number, base.hamiltonian)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 ``Operator`` here is the package's validated container plus the arithmetic
 the tests are written in; the package itself works on ``.data`` arrays.  The
 Kraus loops are the per-operator sums that ``channel`` replaced with one
-broadcast product over the (count, d, d) stack, kept as its oracle.
+broadcast product over the (count, d, d) stack, kept as its oracle.  The
+dense complex single-excitation Hamiltonian and its ``eigh`` are the oracle
+of the secular-equation solver in ``microscopic``.
 """
 
 from __future__ import annotations
@@ -122,3 +124,27 @@ def kraus_completeness(ops: np.ndarray) -> np.ndarray:
     for k in ops:
         acc += k.conj().T @ k
     return acc
+
+
+def dense_hamiltonian(arrow) -> np.ndarray:
+    """The complex single-excitation Hamiltonian of a microscopic Arrowhead in
+    the basis (|e,vac>, |g,1_1>, ..., |g,1_n>): diagonal (0, omega_1 ...
+    omega_n) and coupling i g from the excited emitter to each mode."""
+    n = arrow.grid.n_modes + 1
+    h = np.zeros((n, n), dtype=complex)
+    h[np.arange(1, n), np.arange(1, n)] = arrow.grid.frequencies
+    h[1:, 0] = 1j * arrow.coupling
+    h[0, 1:] = -1j * arrow.coupling
+    return h
+
+
+def dense_spectrum(arrow) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the dense Hamiltonian and the emitter weight of each."""
+    evals, evecs = np.linalg.eigh(dense_hamiltonian(arrow))
+    return evals, np.abs(evecs[0, :]) ** 2
+
+
+def dense_survival(arrow, times: np.ndarray) -> np.ndarray:
+    """|c_e(t)|^2 from one dense Hermitian eigendecomposition."""
+    evals, weights = dense_spectrum(arrow)
+    return np.abs(np.exp(-1j * np.outer(times, evals)) @ weights) ** 2

@@ -277,7 +277,11 @@ def test_kraus_stack_sums_equal_the_per_operator_loops(name):
             out = kraus_map(ops, rho.op.data)
             got = apply_channel(family, rho).op.data
             assert np.array_equal(got, 0.5 * (out + out.conj().T))
-            assert np.array_equal(step_matrix(family), kraus_step_matrix(ops))
+            # every row but rho_00's is the plain sum bit for bit; that row is
+            # completed to exact trace preservation, within two ulps of it
+            s, plain = step_matrix(family), kraus_step_matrix(ops)
+            assert np.array_equal(s[1:], plain[1:])
+            assert np.max(np.abs(s[0] - plain[0])) <= 4.5e-16
             defect = np.max(np.abs(kraus_completeness(ops) - np.eye(system.dim)))
             assert family.completeness_defect == float(defect)
 
@@ -325,6 +329,19 @@ def test_long_driven_qubit_matches_extended_precision_kraus_iteration():
         rho = sum(op @ rho @ op.conj().T for op in ops)
         worst = max(worst, float(np.max(np.abs(stack[k] - rho))))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n_max", [2, 4])
+def test_undriven_dephasing_keeps_its_trace_over_long_runs(n_max):
+    # sum_m K_m^dag K_m is 1 only to an ulp, so a step matrix that is the
+    # plain Kraus sum drifts the trace by 1.1e-12 over these 10^4 steps
+    system = dephasing_variant(two_level_system())
+    stack = iterate_channel(family_of(system, n_max=n_max), PLUS, 10_000)
+    trace = np.trace(stack, axis1=1, axis2=2).real
+    assert np.max(np.abs(trace - 1.0)) <= 1e-15
+    s = step_matrix(family_of(system, n_max=n_max))
+    identity = np.eye(system.dim).ravel()
+    assert np.max(np.abs(identity @ s - identity)) <= 2.3e-16
 
 
 def test_first_step_cross_check_rejects_a_wrong_step_matrix(monkeypatch):

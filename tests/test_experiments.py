@@ -347,6 +347,26 @@ def test_non_finite_config_value_exit_code(tmp_path, capsys, line):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = collision\ngamma = 1e200\ndt = 1e200\n",
+        "experiment = joint-chain\ngamma = 1e200\ndt = 1e200\n",
+        "experiment = collision\nomega0 = 1e200\ndt = 1e200\n",
+        "experiment = joint-chain\nsystem = tls-driven\ndrive = -1e200\ndt = 1e200\n",
+    ],
+    ids=["collision-gamma", "joint-chain-gamma", "collision-omega0", "joint-chain-drive"],
+)
+def test_generator_overflow_is_a_config_error(tmp_path, capsys, text):
+    # each value is finite, but their product in the one-bin generator is not
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "dt overflows" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "absent.cfg")])
     assert code == 2

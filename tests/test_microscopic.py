@@ -1,6 +1,7 @@
 """Unit tests for the exact frequency-grid emitter model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from timebins.errors import GuardError
 from timebins.microscopic import (
     FrequencyGrid,
     build_microscopic,
+    emitter_spectrum,
     evolve_microscopic,
     fit_decay_rate,
 )
+
+from oracle import dense_hamiltonian, dense_spectrum, dense_survival
 
 
 def test_grid_validation_and_spacing():
@@ -29,11 +33,11 @@ def test_grid_validation_and_spacing():
 
 def test_build_microscopic_structure():
     grid = FrequencyGrid(11, 1.0)
-    h = build_microscopic(grid, 0.0)
+    h = dense_hamiltonian(build_microscopic(grid, 0.0))
     np.testing.assert_array_equal(h, np.diag(np.concatenate([[0.0], grid.frequencies])))
 
     gamma = 0.7
-    h = build_microscopic(grid, gamma)
+    h = dense_hamiltonian(build_microscopic(grid, gamma))
     # golden-rule identity is exact by construction: 2 pi g^2 / spacing = gamma
     g = abs(h[1, 0])
     assert 2.0 * math.pi * g**2 / grid.spacing == pytest.approx(gamma, rel=1e-14)
@@ -42,11 +46,13 @@ def test_build_microscopic_structure():
 
 def test_evolution_starts_at_one_and_conserves_norm():
     grid = FrequencyGrid(401, 10.0)
-    h = build_microscopic(grid, 1.0)
-    times, survival = evolve_microscopic(h, 2.0, 100)
+    arrow = build_microscopic(grid, 1.0)
+    times = np.linspace(0.0, 2.0, 101)
+    survival = evolve_microscopic(arrow, times)
     assert survival[0] == pytest.approx(1.0, abs=1e-12)
 
     # independent evolution of the full amplitude vector at a few times
+    h = dense_hamiltonian(arrow)
     evals, evecs = np.linalg.eigh(h)
     c0 = np.zeros(h.shape[0], dtype=complex)
     c0[0] = 1.0
@@ -59,8 +65,8 @@ def test_evolution_starts_at_one_and_conserves_norm():
 
 @pytest.fixture(scope="module")
 def wide_band_run():
-    h = build_microscopic(FrequencyGrid(1601, 20.0), 1.0)
-    return evolve_microscopic(h, 2.5, 500)
+    times = np.linspace(0.0, 2.5, 501)
+    return times, evolve_microscopic(build_microscopic(FrequencyGrid(1601, 20.0), 1.0), times)
 
 
 def test_survival_matches_exponential_decay(wide_band_run):
@@ -80,8 +86,9 @@ def test_bandwidth_convergence_is_monotone():
     errors = []
     for half_width in (5.0, 10.0, 20.0):
         n_modes = round(2 * half_width / 0.05) + 1
-        h = build_microscopic(FrequencyGrid(n_modes, half_width), 1.0)
-        times, survival = evolve_microscopic(h, 2.5, 250)
+        arrow = build_microscopic(FrequencyGrid(n_modes, half_width), 1.0)
+        times = np.linspace(0.0, 2.5, 251)
+        survival = evolve_microscopic(arrow, times)
         rate = -fit_decay_rate(times, survival, window=(0.5, 2.5))
         errors.append(abs(rate - 1.0))
     assert errors[0] > errors[1] > errors[2]
@@ -89,10 +96,11 @@ def test_bandwidth_convergence_is_monotone():
 
 def test_recurrence_guard():
     grid = FrequencyGrid(41, 1.0)  # spacing 0.05 -> recurrence at 2 pi / 0.05
-    h = build_microscopic(grid, 1.0)
+    arrow = build_microscopic(grid, 1.0)
     with pytest.raises(GuardError):
-        evolve_microscopic(h, 2.0 * math.pi / grid.spacing + 1.0, 10)
-    times, survival = evolve_microscopic(h, 10.0, 10)  # below the guard
+        evolve_microscopic(arrow, np.linspace(0.0, 2.0 * math.pi / grid.spacing + 1.0, 11))
+    times = np.linspace(0.0, 10.0, 11)
+    survival = evolve_microscopic(arrow, times)  # below the guard
     assert times[-1] == 10.0
 
 
@@ -121,3 +129,94 @@ def test_microscopic_matches_collision_model_end_to_end(wide_band_run):
         if t >= 0.5
     )
     assert gap <= 0.02  # dominated by the grid's finite bandwidth, not by dt
+
+
+@pytest.mark.parametrize(
+    "n_modes, half_width, gamma",
+    [
+        (101, 5.0, 1.0),
+        (401, 10.0, 0.3),
+        (801, 20.0, 3.0),
+        (1601, 40.0, 7.0),
+        (101, 1.0, 50.0),
+    ],
+)
+def test_secular_solver_matches_dense_eigh(n_modes, half_width, gamma):
+    arrow = build_microscopic(FrequencyGrid(n_modes, half_width), gamma)
+    energies, weights = emitter_spectrum(arrow)
+    dense_energies, _ = dense_spectrum(arrow)
+    assert np.all(np.diff(energies) > 0)  # one root per gap, in order
+    np.testing.assert_allclose(energies, dense_energies, rtol=0, atol=1e-12)
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    times = np.linspace(0.0, min(3.0, 0.9 * 2.0 * math.pi / arrow.grid.spacing), 301)
+    survival = evolve_microscopic(arrow, times)
+    np.testing.assert_allclose(survival, dense_survival(arrow, times), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-8, 1e-30])
+def test_secular_solver_at_vanishing_coupling(gamma):
+    # gamma = 0: the emitter decouples and never decays; tiny gamma: every
+    # root lies within an ulp or less of its pole
+    arrow = build_microscopic(FrequencyGrid(401, 20.0), gamma)
+    energies, weights = emitter_spectrum(arrow)
+    assert np.all(np.isfinite(energies)) and np.all(np.isfinite(weights))
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    times = np.linspace(0.0, 6.0, 121)
+    survival = evolve_microscopic(arrow, times)
+    assert np.all(np.isfinite(survival))
+    np.testing.assert_allclose(survival, dense_survival(arrow, times), rtol=0, atol=1e-12)
+    if gamma == 0.0:
+        assert np.all(survival == 1.0)
+    else:
+        np.testing.assert_allclose(survival, 1.0, rtol=0, atol=1e-12 + gamma * times[-1])
+
+
+def test_secular_solver_working_set_is_blocked():
+    # the solver keeps a few (block, n) float arrays: its peak stays under a
+    # quarter of one real n x n array (2.1 MB against 5.1 MB here)
+    arrow = build_microscopic(FrequencyGrid(1601, 20.0), 1.0)
+    tracemalloc.start()
+    try:
+        emitter_spectrum(arrow)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1602**2 / 4
+
+
+def continuum_amplitude(times, gamma, half_width, panels=400, order=20):
+    """c_e(t) = integral of rho(w) e^{-i w t} over the flat band [-W, W],
+    rho(w) = (gamma/2pi) / ((w - shift(w))^2 + (gamma/2)^2) with the band-edge
+    level shift shift(w) = (gamma/2pi) ln|(w + W)/(w - W)|, by Gauss-Legendre
+    panels.  No eigensolver and no mode list: the bound states past the band
+    edges weigh about e^{-2 pi W/gamma} and are left out."""
+    nodes, node_weights = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(-half_width, half_width, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    omega = (half * nodes + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+    weight = (half * node_weights).ravel()
+    shift = gamma / (2.0 * math.pi) * np.log(np.abs((omega + half_width) / (omega - half_width)))
+    density = gamma / (2.0 * math.pi) / ((omega - shift) ** 2 + (gamma / 2.0) ** 2)
+    return np.exp(-1j * np.outer(times, omega)) @ (density * weight)
+
+
+@pytest.fixture(scope="module")
+def continuum_band():
+    times = np.linspace(0.0, 6.0, 121)
+    return times, continuum_amplitude(times, 1.0, 20.0)
+
+
+@pytest.mark.parametrize("n_modes", [401, 1601, 6401])
+def test_grid_converges_to_the_continuum_band(continuum_band, n_modes):
+    # The grid differs from the flat continuum band at first order in the
+    # spacing: 1.44e-3 * spacing in the survival and 7.6e-4 * spacing in the
+    # amplitude at each of these sizes.  6401 modes is out of reach of a
+    # dense eigensolver.
+    times, reference = continuum_band
+    arrow = build_microscopic(FrequencyGrid(n_modes, 20.0), 1.0)
+    energies, weights = emitter_spectrum(arrow)
+    amplitude = np.exp(-1j * np.outer(times, energies)) @ weights
+    spacing = arrow.grid.spacing
+    assert np.max(np.abs(amplitude - reference)) <= 8e-4 * spacing
+    survival = evolve_microscopic(arrow, times)
+    assert np.max(np.abs(survival - np.abs(reference) ** 2)) <= 1.5e-3 * spacing
