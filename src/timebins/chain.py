@@ -14,19 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix, KrausFamily, iterate_channel
+from .channel import DensityMatrix
 from .errors import GuardError
-from .operators import Operator, StateVector, vn_entropy
+from .operators import StateVector
 
-__all__ = [
-    "ChainState",
-    "FactorizationReport",
-    "MAX_AMPLITUDES",
-    "init_chain",
-    "step_chain",
-    "reduced_system",
-    "factorization_report",
-]
+__all__ = ["ChainState", "MAX_AMPLITUDES", "init_chain", "step_chain", "reduced_system"]
 
 MAX_AMPLITUDES = 1 << 22
 NORM_TOL = 1e-10
@@ -72,8 +64,11 @@ def init_chain(sys_state: StateVector, n_bins: int, n_max: int) -> ChainState:
         raise ValueError("n_max must be >= 1")
     sys_dim = math.prod(sys_state.dims)
     d_bin = n_max + 1
-    total = sys_dim * d_bin**n_bins
-    if total > MAX_AMPLITUDES:
+    # a count past 64 bits is over the cap whatever the sizes, and is named by
+    # its formula: forming and printing d_bin**n_bins can take minutes
+    bits = math.log2(sys_dim) + n_bins * math.log2(d_bin)
+    total = sys_dim * d_bin**n_bins if bits <= 64 else f"{sys_dim}*{d_bin}**{n_bins}"
+    if bits > 64 or total > MAX_AMPLITUDES:
         raise GuardError(
             f"chain would need {total} amplitudes (> {MAX_AMPLITUDES}); "
             "reduce n_bins or n_max"
@@ -85,21 +80,19 @@ def init_chain(sys_state: StateVector, n_bins: int, n_max: int) -> ChainState:
     return ChainState(StateVector(vec, dims), 0)
 
 
-def step_chain(state: ChainState, u: Operator) -> ChainState:
-    """Collide the system with the cursor bin: apply u on that pair, identity
-    elsewhere, and advance the cursor."""
+def step_chain(state: ChainState, u: np.ndarray) -> ChainState:
+    """Collide the system with the cursor bin: apply the (s d, s d) matrix u
+    on that pair, identity elsewhere, and advance the cursor."""
     if state.cursor >= state.n_bins:
         raise GuardError("all bins have already interacted")
-    if u.dims != (state.sys_dim, state.bin_dim):
-        raise ValueError(
-            f"map factors {u.dims} do not match (system, bin) = "
-            f"{(state.sys_dim, state.bin_dim)}"
-        )
     s, d = state.sys_dim, state.bin_dim
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (s * d, s * d):
+        raise ValueError(f"map shape {u.shape} does not match (system, bin) = {(s, d)}")
     before = d**state.cursor
     after = d ** (state.n_bins - state.cursor - 1)
     v4 = state.vec.data.reshape(s, before, d, after)
-    u4 = u.data.reshape(s, d, s, d)
+    u4 = u.reshape(s, d, s, d)
     out = np.einsum("iajb,jpbq->ipaq", u4, v4)
     vec = StateVector(out.reshape(-1), state.vec.dims)
     return ChainState(vec, state.cursor + 1)
@@ -110,28 +103,5 @@ def reduced_system(state: ChainState) -> DensityMatrix:
     v = state.vec.data.reshape(state.sys_dim, -1)
     rho = v @ v.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(Operator(rho, (state.sys_dim,)))
+    return DensityMatrix(rho)
 
-
-@dataclass(frozen=True)
-class FactorizationReport:
-    """System-field entanglement entropy next to the Markov-recursion defect.
-
-    entropy > 0 says the global state does not factorize; markov_defect ~ 0
-    says the reduced dynamics nevertheless equals the memoryless Kraus
-    iteration.
-    """
-
-    entropy: float
-    markov_defect: float
-
-
-def factorization_report(
-    state: ChainState, family: KrausFamily, rho0: DensityMatrix
-) -> FactorizationReport:
-    """Compare the chain's reduced state after cursor collisions against the
-    Kraus iteration of the same family from rho0."""
-    reduced = reduced_system(state)
-    reference = iterate_channel(family, rho0, state.cursor)[-1]
-    defect = float(np.max(np.abs(reduced.op.data - reference)))
-    return FactorizationReport(entropy=vn_entropy(reduced.op), markov_defect=defect)

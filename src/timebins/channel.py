@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GuardError
-from .operators import Operator
+from .operators import square_matrix
 
 if TYPE_CHECKING:
     from .model import SystemModel
@@ -97,10 +97,12 @@ def first_invalid(stack: np.ndarray, skip: np.ndarray | None = None) -> tuple[in
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state of the system."""
 
-    op: Operator
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        _, message = first_invalid(self.op.data[None])
+        m = square_matrix(self.matrix, "density matrix")
+        object.__setattr__(self, "matrix", m)
+        _, message = first_invalid(m[None])
         if message:
             raise ValueError(message)
 
@@ -109,19 +111,19 @@ class DensityMatrix:
         """Projector onto a (normalized copy of the) given state vector."""
         v = np.asarray(amplitudes, dtype=complex).ravel()
         v = v / np.linalg.norm(v)
-        return cls(Operator(np.outer(v, v.conj()), (v.size,)))
+        return cls(np.outer(v, v.conj()))
 
     @classmethod
-    def _trusted(cls, op: Operator) -> "DensityMatrix":
+    def _trusted(cls, matrix: np.ndarray) -> "DensityMatrix":
         # skips validation: apply_channel knowingly returns a state carrying
         # a reported truncation trace loss above TRACE_WARN
         self = object.__new__(cls)
-        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "matrix", matrix)
         return self
 
     @property
     def dim(self) -> int:
-        return self.op.dim
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ class KrausFamily:
     completeness_defect: float
 
 
-def extract_kraus(u: Operator, sys_dim: int, n_max: int, dt: float) -> KrausFamily:
+def extract_kraus(u: np.ndarray, sys_dim: int, n_max: int, dt: float) -> KrausFamily:
     """Extract K_m = (1 (x) <m|) U (1 (x) |0>) for m = 0 .. n_max.
 
     The family covers the whole truncated bin basis, so the completeness
@@ -143,10 +145,15 @@ def extract_kraus(u: Operator, sys_dim: int, n_max: int, dt: float) -> KrausFami
     it is cached on the family rather than renormalized away.
     """
     d_bin = n_max + 1
-    if u.dims != (sys_dim, d_bin):
-        raise ValueError(f"map has factors {u.dims}, expected {(sys_dim, d_bin)}")
+    side = sys_dim * d_bin
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (side, side):
+        raise ValueError(
+            f"map has shape {u.shape}, expected {(side, side)} "
+            f"for (system, bin) = {(sys_dim, d_bin)}"
+        )
     # u[(i, m), (j, 0)] = K_m[i, j]
-    ops = u.data.reshape(sys_dim, d_bin, sys_dim, d_bin)[:, :, :, 0].transpose(1, 0, 2).copy()
+    ops = u.reshape(sys_dim, d_bin, sys_dim, d_bin)[:, :, :, 0].transpose(1, 0, 2).copy()
     acc = (ops.conj().swapaxes(1, 2) @ ops).sum(0)
     defect = float(np.max(np.abs(acc - np.eye(sys_dim))))
     return KrausFamily(ops, float(dt), int(n_max), defect)
@@ -162,12 +169,12 @@ def apply_channel(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
     k = family.ops
     if k.shape[1] != rho.dim:
         raise ValueError("Kraus family and state have different system dimensions")
-    r = rho.op.data
+    r = rho.matrix
     out = (k @ r @ k.conj().swapaxes(1, 2)).sum(0)
 
     deviation = abs(float(np.trace(out).real) - float(np.trace(r).real))
     leaked = _guard_trace(deviation, family.n_max)
-    result = Operator(0.5 * (out + out.conj().T), rho.op.dims)
+    result = 0.5 * (out + out.conj().T)
     # a reported leak is not hidden: the state is returned as computed
     return DensityMatrix._trusted(result) if leaked else DensityMatrix(result)
 
@@ -239,10 +246,10 @@ def iterate_channel(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
-        return rho0.op.data[None].copy()
+        return rho0.matrix[None].copy()
     first = apply_channel(family, rho0)
-    stack = propagate(step_matrix(family), rho0.op.data, steps)
-    gap = float(np.max(np.abs(stack[1] - first.op.data)))
+    stack = propagate(step_matrix(family), rho0.matrix, steps)
+    gap = float(np.max(np.abs(stack[1] - first.matrix)))
     if gap > STEP_MATRIX_TOL:
         raise GuardError(
             f"step matrix differs from the Kraus map by {gap:.3e} on the first step"
@@ -281,10 +288,10 @@ def expansion_report(
     if len(k) < 3:
         raise ValueError("expansion_report needs n_max >= 2 so that K_2 exists")
     dt = family.dt
-    sigma = system.lowering.data
+    sigma = system.lowering
     number = sigma.conj().T @ sigma
     k0_ref = np.eye(system.dim) + dt * (
-        -1j * system.hamiltonian.data - (gamma / 2.0) * number
+        -1j * system.hamiltonian - (gamma / 2.0) * number
     )
     k1_ref = math.sqrt(gamma * dt) * sigma
     r0, r1, r2 = (

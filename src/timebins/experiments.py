@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -92,13 +92,14 @@ SWEEP_POINTS = 4
 # Beyond 2**53 steps the times k*dt no longer tell steps apart, and 16 bytes a
 # step is 2**57 bytes; shorter runs that do not fit fail at allocation.
 MAX_STEPS = 2**53
-# Time-series rows formatted per block, so no full-length Python copy of the
-# table is ever built next to the CSV text.
+# CSV rows formatted per block, so no full-length Python copy of the table is
+# ever built next to the CSV text.
 CSV_BLOCK_ROWS = 1024
 
 
 def fit_order(rows: Sequence[tuple[float, float]]) -> float:
-    """Least-squares slope of ln(error) against ln(dt)."""
+    """Least-squares slope of ln(error) against ln(dt), from (dt, error) rows
+    such as two columns of a sweep table."""
     pts = [(float(dt), float(err)) for dt, err in rows]
     if len(pts) < 3:
         raise GuardError("order fit needs at least three (dt, error) rows")
@@ -107,11 +108,6 @@ def fit_order(rows: Sequence[tuple[float, float]]) -> float:
     log_dt = np.log([dt for dt, _ in pts])
     log_err = np.log([err for _, err in pts])
     return float(np.polyfit(log_dt, log_err, 1)[0])
-
-
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trip doubles exactly.
-    return f"{float(x):.17g}"
 
 
 def _build_system(cfg: RunConfig) -> SystemModel:
@@ -147,6 +143,21 @@ def _purities(stack: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kji->k", stack, stack).real
 
 
+def _csv(
+    header: Sequence[str], table: np.ndarray, note: tuple[str, float] | None = None
+) -> str:
+    """CSV text of a float table, ended by a '# name = value' line if a note
+    is given.  17 significant digits round-trip doubles exactly."""
+    row = ",".join(["{:.17g}"] * table.shape[1])
+    blocks = [",".join(header)]
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        values = table[start : start + CSV_BLOCK_ROWS].tolist()
+        blocks.append("\n".join(row.format(*v) for v in values))
+    if note is not None:
+        blocks.append("# {} = {:.17g}".format(*note))
+    return "\n".join(blocks) + "\n"
+
+
 def _timeseries_csv(
     times: Sequence[float],
     stack: np.ndarray,
@@ -154,7 +165,6 @@ def _timeseries_csv(
 ) -> str:
     extra = extra or {}
     header = ["t", "rho_gg", "rho_ee", "re_rho_eg", "im_rho_eg", "trace", "purity"]
-    header += list(extra)
     table = np.column_stack(
         [
             times,
@@ -167,26 +177,14 @@ def _timeseries_csv(
             *extra.values(),
         ]
     )
-    # the same 17 significant digits as _fmt, one format call per row
-    row = ",".join(["{:.17g}"] * table.shape[1])
-    blocks = [",".join(header)]
-    for start in range(0, len(table), CSV_BLOCK_ROWS):
-        values = table[start : start + CSV_BLOCK_ROWS].tolist()
-        blocks.append("\n".join(row.format(*v) for v in values))
-    return "\n".join(blocks) + "\n"
+    return _csv(header + list(extra), table)
 
 
-def _sweep_csv(
-    rows: Sequence[tuple[float, float]], value: float, name: str = "fitted_order"
-) -> str:
-    lines = ["dt,max_error"]
-    lines += [f"{_fmt(dt)},{_fmt(err)}" for dt, err in rows]
-    lines.append(f"# {name} = {_fmt(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def _sweep(dt: float) -> list[float]:
-    return [dt * 0.5**i for i in range(SWEEP_POINTS)]
+def _sweep(cfg: RunConfig, measure: Callable[[float], Sequence[float]]) -> np.ndarray:
+    """The table of rows (dt, *measure(dt)) for dt = cfg.dt, cfg.dt/2, ...,
+    SWEEP_POINTS values in all."""
+    dts = [cfg.dt * 0.5**i for i in range(SWEEP_POINTS)]
+    return np.array([(dt, *measure(dt)) for dt in dts])
 
 
 def _steps(t_final: float, dt: float) -> int:
@@ -254,8 +252,8 @@ def _run_joint_chain(cfg: RunConfig) -> tuple[str, str, int]:
     for _ in range(cfg.n_bins):
         state = step_chain(state, unitary)
         reduced.append(reduced_system(state))
-    stack = np.stack([dm.op.data for dm in reduced])
-    entropies = [vn_entropy(dm.op) for dm in reduced]
+    stack = np.stack([dm.matrix for dm in reduced])
+    entropies = [vn_entropy(dm.matrix) for dm in reduced]
     defects = np.max(np.abs(stack - reference), axis=(1, 2))
 
     times = np.arange(cfg.n_bins + 1) * cfg.dt
@@ -310,16 +308,18 @@ def _run_convergence(cfg: RunConfig) -> tuple[str, str, int]:
         )
     system = _build_system(cfg)
     rho0 = DensityMatrix.pure(_initial_vector(cfg, system))
-    rows = []
-    for dt in _sweep(cfg.dt):
+
+    def max_error(dt: float) -> tuple[float]:
         family = _collision_family(system, cfg, dt)
         steps = _steps(cfg.t_final, dt)
         stack = iterate_channel(family, rho0, steps)
         times = np.arange(1, steps + 1) * dt
         reference = analytic_oracle(kind, cfg.gamma, times, rho0)
-        rows.append((dt, float(np.max(np.abs(stack[1:] - reference)))))
-    order = fit_order(rows)
-    csv = _sweep_csv(rows, order)
+        return (float(np.max(np.abs(stack[1:] - reference))),)
+
+    table = _sweep(cfg, max_error)
+    order = fit_order(table)
+    csv = _csv(["dt", "max_error"], table, ("fitted_order", order))
     summary = f"fitted_order={order:.4f}"
     code = EXIT_OK
     if kind == "spontaneous":
@@ -334,23 +334,18 @@ def _run_kraus_report(cfg: RunConfig) -> tuple[str, str, int]:
     if cfg.n_max < 2:
         raise ConfigError("kraus-report needs n_max >= 2 so that K_2 exists")
     system = _build_system(cfg)
-    reports = []
-    defects = []
-    for dt in _sweep(cfg.dt):
+
+    def residuals(dt: float) -> tuple[float, float, float, float]:
         family = _collision_family(system, cfg, dt)
-        reports.append(expansion_report(family, system, cfg.gamma))
-        defects.append(family.completeness_defect)
+        rep = expansion_report(family, system, cfg.gamma)
+        return rep.r0, rep.r1, rep.r2, family.completeness_defect
 
-    lines = ["dt,r0,r1,r2,completeness_defect"]
-    for rep, defect in zip(reports, defects):
-        lines.append(
-            ",".join(_fmt(x) for x in (rep.dt, rep.r0, rep.r1, rep.r2, defect))
-        )
-    csv = "\n".join(lines) + "\n"
+    table = _sweep(cfg, residuals)
+    csv = _csv(["dt", "r0", "r1", "r2", "completeness_defect"], table)
 
-    r1_order = fit_order([(rep.dt, rep.r1) for rep in reports])
-    r2_max = max(rep.r2 for rep in reports)
-    defect_max = max(defects)
+    r1_order = fit_order(table[:, [0, 2]])
+    r2_max = table[:, 3].max()
+    defect_max = table[:, 4].max()
     summary = (
         f"r1_order={r1_order:.4f} r2_max={r2_max:.3g} "
         f"completeness_defect_max={defect_max:.3g}"
@@ -367,7 +362,7 @@ def _run_kraus_report(cfg: RunConfig) -> tuple[str, str, int]:
                 code = EXIT_TOLERANCE
         else:
             # the drive lets a second photon out within one bin: K2 = O(dt^2)
-            r2_order = fit_order([(rep.dt, rep.r2) for rep in reports])
+            r2_order = fit_order(table[:, [0, 3]])
             summary += f" r2_order={r2_order:.4f}"
             if r2_order < R2_ORDER_MIN:
                 code = EXIT_TOLERANCE
@@ -376,18 +371,21 @@ def _run_kraus_report(cfg: RunConfig) -> tuple[str, str, int]:
 
 def _run_ordering_probe(cfg: RunConfig) -> tuple[str, str, int]:
     system = _build_system(cfg)
-    rows = []
-    for dt in _sweep(cfg.dt):
+
+    def residual(dt: float) -> tuple[float]:
         params = CoarseParams(cfg.gamma, dt, cfg.n_max)
-        rows.append((dt, ordering_residual(system, params, ORDERING_SUBDIVISIONS)))
+        return (ordering_residual(system, params, ORDERING_SUBDIVISIONS),)
+
+    table = _sweep(cfg, residual)
+    header = ["dt", "max_error"]
     if cfg.system == "dephasing" and cfg.drive == 0.0:
-        residual_max = max(err for _, err in rows)
-        csv = _sweep_csv(rows, residual_max, "residual_max")
+        residual_max = table[:, 1].max()
+        csv = _csv(header, table, ("residual_max", residual_max))
         summary = f"residual_max={residual_max:.3g} threshold={ORDERING_MAX_EXACT:g}"
         code = EXIT_OK if residual_max <= ORDERING_MAX_EXACT else EXIT_TOLERANCE
         return csv, summary, code
-    order = fit_order(rows)
-    csv = _sweep_csv(rows, order)
+    order = fit_order(table)
+    csv = _csv(header, table, ("fitted_order", order))
     free_system = cfg.omega0 == 0.0 and cfg.drive == 0.0
     threshold = ORDERING_ORDER_MIN_FREE if free_system else ORDERING_ORDER_MIN
     summary = f"fitted_order={order:.4f} threshold={threshold}"

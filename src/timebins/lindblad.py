@@ -24,7 +24,7 @@ import numpy as np
 from .channel import DensityMatrix, first_invalid, propagate
 from .errors import GuardError
 from .model import SystemModel
-from .operators import HERMITICITY_TOL, Operator
+from .operators import HERMITICITY_TOL, square_matrix
 
 __all__ = [
     "LindbladModel",
@@ -40,16 +40,19 @@ TRACE_DRIFT_ABORT = 1e-8
 class LindbladModel:
     """Hamiltonian plus one collapse channel at rate gamma."""
 
-    hamiltonian: Operator
-    collapse: Operator
+    hamiltonian: np.ndarray
+    collapse: np.ndarray
     gamma: float
 
     def __post_init__(self) -> None:
-        h = self.hamiltonian.data
+        h = square_matrix(self.hamiltonian, "Hamiltonian")
+        c = np.asarray(self.collapse, dtype=complex)
         if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
             raise ValueError("Hamiltonian must be Hermitian")
-        if self.collapse.dim != self.hamiltonian.dim:
+        if c.shape != h.shape:
             raise ValueError("collapse operator dimension does not match Hamiltonian")
+        object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "collapse", c)
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
 
@@ -60,8 +63,8 @@ class LindbladModel:
 
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     """Row-major matrix of -i [H, rho] + gamma (L rho L^dag - 1/2 {L^dag L, rho})."""
-    h = model.hamiltonian.data
-    c = model.collapse.data
+    h = model.hamiltonian
+    c = model.collapse
     one = np.eye(h.shape[0])
     cdc = c.conj().T @ c
     dissipator = np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, one) + np.kron(one, cdc.T))
@@ -87,7 +90,7 @@ def integrate_rk4(
     step = one  # Horner form of sum_{k<=4} a^k / k!
     for k in (4, 3, 2, 1):
         step = one + (a @ step) / k
-    stack = propagate(step, rho0.op.data, steps)
+    stack = propagate(step, rho0.matrix, steps)
 
     drift = np.abs(np.trace(stack[1:], axis1=1, axis2=2).real - 1.0)
     stop, message = first_invalid(stack[1:])
@@ -117,7 +120,7 @@ def analytic_oracle(
     if kind not in ("spontaneous", "dephasing"):
         raise ValueError(f"unknown oracle kind {kind!r}")
     t = np.asarray(times, dtype=float)
-    r = rho0.op.data
+    r = rho0.matrix
     ee = float(r[1, 1].real)
     if kind == "spontaneous":
         ee = ee * np.exp(-gamma * t)

@@ -39,8 +39,9 @@ __all__ = [
     "fit_decay_rate",
 ]
 
-# Roots are solved this many at a time, so the working set is a few
-# (ROOT_BLOCK, n_modes) float arrays.
+# Roots are solved, and summed into the survival amplitude, this many at a
+# time, so the working set is a few (ROOT_BLOCK, n_modes) float arrays and
+# one (times, ROOT_BLOCK) complex one.
 ROOT_BLOCK = 32
 # Iterations of safeguarded Newton steps before a block falls back to plain
 # bisection, which halves every bracket and so always ends.
@@ -200,7 +201,10 @@ def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
             "increase n_modes or shorten the run"
         )
     energies, weights = emitter_spectrum(arrow)
-    amplitude = np.exp(-1j * np.outer(times, energies)) @ weights
+    amplitude = np.zeros(np.shape(times), dtype=complex)
+    for start in range(0, energies.size, ROOT_BLOCK):
+        block = slice(start, start + ROOT_BLOCK)
+        amplitude += np.exp(-1j * np.outer(times, energies[block])) @ weights[block]
     return np.abs(amplitude) ** 2
 
 

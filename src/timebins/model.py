@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DensityMatrix, apply_channel, extract_kraus, iterate_channel
-from .operators import HERMITICITY_TOL, Operator, expm
+from .operators import HERMITICITY_TOL, expm
 
 __all__ = [
     "SystemModel",
@@ -45,13 +45,16 @@ class SystemModel:
     """A local quantum system: bath-coupling operator plus its Hamiltonian."""
 
     dim: int
-    lowering: Operator
-    hamiltonian: Operator
+    lowering: np.ndarray
+    hamiltonian: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.lowering.dim != self.dim or self.hamiltonian.dim != self.dim:
+        lowering = np.asarray(self.lowering, dtype=complex)
+        h = np.asarray(self.hamiltonian, dtype=complex)
+        if lowering.shape != (self.dim, self.dim) or h.shape != (self.dim, self.dim):
             raise ValueError("operator dimensions do not match the system dimension")
-        h = self.hamiltonian.data
+        object.__setattr__(self, "lowering", lowering)
+        object.__setattr__(self, "hamiltonian", h)
         if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
             raise ValueError("system Hamiltonian must be Hermitian")
 
@@ -61,14 +64,14 @@ def two_level_system(omega0: float = 0.0, drive: float = 0.0) -> SystemModel:
     H = omega0 |e><e| + drive (sigma + sigma^dag)."""
     sigma = lowering_matrix(2)
     h = omega0 * np.diag([0.0, 1.0]).astype(complex) + drive * (sigma + sigma.conj().T)
-    return SystemModel(2, Operator(sigma, (2,)), Operator(h, (2,)))
+    return SystemModel(2, sigma, h)
 
 
 def truncated_oscillator(levels: int = 3, omega0: float = 0.0) -> SystemModel:
     """Harmonic oscillator truncated to ``levels`` states, coupling via a."""
     a = lowering_matrix(levels)
     h = omega0 * np.diag(np.arange(levels, dtype=float)).astype(complex)
-    return SystemModel(levels, Operator(a, (levels,)), Operator(h, (levels,)))
+    return SystemModel(levels, a, h)
 
 
 def dephasing_variant(base: SystemModel) -> SystemModel:
@@ -77,9 +80,8 @@ def dephasing_variant(base: SystemModel) -> SystemModel:
     The Hamiltonian is unchanged; the resulting channel leaves populations in
     the number basis fixed and damps coherences.
     """
-    sigma = base.lowering.data
-    number = Operator(sigma.conj().T @ sigma, base.lowering.dims)
-    return SystemModel(base.dim, number, base.hamiltonian)
+    sigma = base.lowering
+    return SystemModel(base.dim, sigma.conj().T @ sigma, base.hamiltonian)
 
 
 @dataclass(frozen=True)
@@ -99,19 +101,19 @@ class CoarseParams:
             raise ValueError("n_max must be >= 1")
 
 
-def bin_generator(system: SystemModel, params: CoarseParams) -> Operator:
-    """Anti-Hermitian exponent of the one-bin map on system (x) bin."""
+def bin_generator(system: SystemModel, params: CoarseParams) -> np.ndarray:
+    """Anti-Hermitian exponent of the one-bin map on system (x) bin, a square
+    matrix of side system.dim * (n_max + 1)."""
     d_bin = params.n_max + 1
     db = lowering_matrix(d_bin)
-    sigma = system.lowering.data
+    sigma = system.lowering
     coupling = math.sqrt(params.gamma * params.dt)
-    free = np.kron(system.hamiltonian.data, np.eye(d_bin, dtype=complex))
+    free = np.kron(system.hamiltonian, np.eye(d_bin, dtype=complex))
     exchange = np.kron(sigma, db.conj().T) - np.kron(sigma.conj().T, db)
-    gen = (-1j * params.dt) * free + coupling * exchange
-    return Operator(gen, (system.dim, d_bin))
+    return (-1j * params.dt) * free + coupling * exchange
 
 
-def coarse_map(system: SystemModel, params: CoarseParams) -> Operator:
+def coarse_map(system: SystemModel, params: CoarseParams) -> np.ndarray:
     """Unitary one-bin evolution exp(bin_generator(system, params))."""
     return expm(bin_generator(system, params))
 
@@ -142,6 +144,6 @@ def ordering_residual(
     excited[system.dim - 1] = 1.0
     rho = DensityMatrix.pure(excited)
 
-    one_step = apply_channel(coarse, rho).op.data
+    one_step = apply_channel(coarse, rho).matrix
     reference = iterate_channel(fine, rho, subdivisions)[-1]
     return float(np.max(np.abs(one_step - reference)))

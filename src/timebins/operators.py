@@ -1,10 +1,11 @@
-"""Validated dense operators and state vectors on tensor-product factor spaces.
+"""State vectors on tensor-product factor spaces, and the matrix functions
+the package needs.
 
-Every operator and state vector carries the ordered list of factor dimensions
-it lives on.  Composite indices are row-major with the leftmost factor most
-significant, the order of ``np.kron``.  Within each factor, basis index 0 is
-the ground state / vacuum, ascending with excitation number.  Arithmetic is
-done on the ``data`` arrays; the containers only check shapes and values.
+Matrices are plain square complex arrays; a state vector carries the ordered
+list of factor dimensions it lives on.  Composite indices are row-major with
+the leftmost factor most significant, the order of ``np.kron``.  Within each
+factor, basis index 0 is the ground state / vacuum, ascending with excitation
+number.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["Operator", "StateVector", "expm", "vn_entropy"]
+__all__ = ["StateVector", "expm", "vn_entropy"]
 
 # Largest |h - h^dag| entry accepted for a Hamiltonian, and |a + a^dag| for
 # the anti-Hermitian generator handed to ``expm``.
@@ -31,27 +32,12 @@ def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Square complex matrix tagged with the tensor factors it acts on."""
-
-    data: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        dims = _check_dims(self.dims)
-        data = np.asarray(self.data, dtype=complex)
-        side = math.prod(dims)
-        if data.shape != (side, side):
-            raise ValueError(
-                f"matrix shape {data.shape} does not match factor dimensions {dims}"
-            )
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
+def square_matrix(m, name: str = "matrix") -> np.ndarray:
+    """``m`` as a complex array; ValueError unless it is a square matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -77,14 +63,14 @@ class StateVector:
         return float(np.linalg.norm(self.data))
 
 
-def expm(a: Operator) -> Operator:
+def expm(a: np.ndarray) -> np.ndarray:
     """Unitary exponential of an anti-Hermitian generator, from one ``eigh``.
 
     With i a = V diag(lam) V^dag, exp(a) = 1 + V diag(e^{-i lam} - 1) V^dag.
     Writing e^{-i lam} - 1 as -2 sin^2(lam/2) - i sin(lam) keeps the small
     phases of a short bin free of cancellation.
     """
-    m = a.data
+    m = square_matrix(a, "generator")
     if not np.all(np.isfinite(m)):
         raise ValueError("expm requires finite entries")
     defect = float(np.max(np.abs(m + m.conj().T)))
@@ -92,19 +78,20 @@ def expm(a: Operator) -> Operator:
         raise ValueError(f"expm needs an anti-Hermitian generator (defect {defect:.3e})")
     lam, v = np.linalg.eigh(1j * m)
     phase = -2.0 * np.sin(0.5 * lam) ** 2 - 1j * np.sin(lam)
-    return Operator(np.eye(m.shape[0]) + (v * phase) @ v.conj().T, a.dims)
+    return np.eye(m.shape[0]) + (v * phase) @ v.conj().T
 
 
-def vn_entropy(rho: Operator) -> float:
+def vn_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -sum(lam ln lam) in nats.
 
     Eigenvalues below 1e-14 are dropped; small negatives from roundoff are
     clamped to zero so truncation noise cannot produce NaN.
     """
-    defect = float(np.max(np.abs(rho.data - rho.data.conj().T)))
+    rho = square_matrix(rho)
+    defect = float(np.max(np.abs(rho - rho.conj().T)))
     if defect > 1e-8:
         raise ValueError(f"vn_entropy needs a Hermitian matrix (defect {defect:.3e})")
-    evals = np.linalg.eigvalsh(rho.data)
+    evals = np.linalg.eigvalsh(rho)
     evals = np.where(evals < 0.0, 0.0, evals)
     pos = evals[evals > 1e-14]
     return float(-np.sum(pos * np.log(pos))) + 0.0  # avoid -0.0 for pure states

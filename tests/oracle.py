@@ -1,28 +1,48 @@
 """Reference algebra that only the tests use.
 
-``Operator`` here is the package's validated container plus the arithmetic
-the tests are written in; the package itself works on ``.data`` arrays.  The
-Kraus loops are the per-operator sums that ``channel`` replaced with one
+``Operator`` is a square matrix tagged with its tensor factors, with the
+arithmetic the tests are written in; the package itself works on plain
+arrays, so tests hand it ``.data``.  The Kraus loops are the per-operator sums that ``channel`` replaced with one
 broadcast product over the (count, d, d) stack, kept as its oracle.  The
 dense complex single-excitation Hamiltonian and its ``eigh`` are the oracle
-of the secular-equation solver in ``microscopic``.
+of the secular-equation solver in ``microscopic``.  ``factorization_report``
+is criterion 4's comparison of the exact chain against the Kraus iteration.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from timebins import operators
-from timebins.operators import StateVector
+from timebins.chain import ChainState, reduced_system
+from timebins.channel import DensityMatrix, KrausFamily, iterate_channel
+from timebins.operators import StateVector, vn_entropy
 
 _EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-class Operator(operators.Operator):
-    """timebins.operators.Operator with +, -, @ and scalar *."""
+@dataclass(frozen=True)
+class Operator:
+    """Square complex matrix tagged with the tensor factors it acts on, with
+    +, -, @ and scalar *."""
+
+    data: np.ndarray
+    dims: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        data = np.asarray(self.data, dtype=complex)
+        dims = tuple(int(d) for d in self.dims)
+        if data.shape != (math.prod(dims),) * 2:
+            raise ValueError(f"matrix shape {data.shape} does not match factors {dims}")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "dims", dims)
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[0]
 
     def _new(self, data: np.ndarray) -> "Operator":
         return Operator(data, self.dims)
@@ -148,3 +168,27 @@ def dense_survival(arrow, times: np.ndarray) -> np.ndarray:
     """|c_e(t)|^2 from one dense Hermitian eigendecomposition."""
     evals, weights = dense_spectrum(arrow)
     return np.abs(np.exp(-1j * np.outer(times, evals)) @ weights) ** 2
+
+
+@dataclass(frozen=True)
+class FactorizationReport:
+    """System-field entanglement entropy next to the Markov-recursion defect.
+
+    entropy > 0 says the global state does not factorize; markov_defect ~ 0
+    says the reduced dynamics nevertheless equals the memoryless Kraus
+    iteration.
+    """
+
+    entropy: float
+    markov_defect: float
+
+
+def factorization_report(
+    state: ChainState, family: KrausFamily, rho0: DensityMatrix
+) -> FactorizationReport:
+    """Compare the chain's reduced state after cursor collisions against the
+    Kraus iteration of the same family from rho0."""
+    reduced = reduced_system(state)
+    reference = iterate_channel(family, rho0, state.cursor)[-1]
+    defect = float(np.max(np.abs(reduced.matrix - reference)))
+    return FactorizationReport(entropy=vn_entropy(reduced.matrix), markov_defect=defect)

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from timebins.chain import factorization_report, init_chain, step_chain
+from timebins.chain import init_chain, step_chain
 from timebins.channel import (
     DensityMatrix,
     apply_channel,
@@ -41,7 +41,14 @@ from timebins.model import (
 from timebins.operators import expm
 from timebins.experiments import fit_order
 
-from oracle import Operator, basis_state, dagger, identity, partial_trace
+from oracle import (
+    Operator,
+    basis_state,
+    dagger,
+    factorization_report,
+    identity,
+    partial_trace,
+)
 
 EXCITED = DensityMatrix.pure([0.0, 1.0])
 PLUS = DensityMatrix.pure([1.0, 1.0])
@@ -179,7 +186,7 @@ def test_criterion_6_dephasing_variant():
     family = tls_family(dephasing=True)
     series = iterate_channel(family, PLUS, 100)
     pop_drift = max(
-        float(np.max(np.abs(np.diag(dm) - np.diag(PLUS.op.data))))
+        float(np.max(np.abs(np.diag(dm) - np.diag(PLUS.matrix))))
         for dm in series
     )
     coherence = abs(series[-1][1, 0])
@@ -217,19 +224,19 @@ def test_criterion_7_property_battery():
         m = m + 1j * rng.standard_normal(m.shape)
         rho_in = m @ m.conj().T
         rho_in /= np.trace(rho_in).real
-        rho = apply_channel(family, DensityMatrix(Operator(rho_in, (system.dim,))))
+        rho = apply_channel(family, DensityMatrix(rho_in))
 
         # trace preservation
-        assert abs(np.trace(rho.op.data).real - 1.0) <= family.completeness_defect + 1e-12
+        assert abs(np.trace(rho.matrix).real - 1.0) <= family.completeness_defect + 1e-12
         # positivity
-        assert float(np.linalg.eigvalsh(rho.op.data)[0]) >= -1e-10
+        assert float(np.linalg.eigvalsh(rho.matrix)[0]) >= -1e-10
         # Hermiticity
-        assert np.max(np.abs(rho.op.data - rho.op.data.conj().T)) == 0.0
+        assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) == 0.0
 
         # expm unitarity on a fresh anti-Hermitian generator
         n = int(rng.integers(2, 7))
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        u = expm(Operator(g - g.conj().T, (n,)))
+        u = Operator(expm(g - g.conj().T), (n,))
         assert np.max(np.abs((dagger(u) @ u - identity((n,))).data)) <= 1e-12
 
         # partial trace preserves the trace

@@ -7,7 +7,6 @@ import pytest
 
 from timebins.chain import (
     ChainState,
-    factorization_report,
     init_chain,
     reduced_system,
     step_chain,
@@ -22,7 +21,7 @@ from timebins.model import (
 )
 from timebins.operators import StateVector
 
-from oracle import basis_state
+from oracle import basis_state, factorization_report
 
 
 def tls_setup(gamma=1.0, dt=0.01, n_max=1, n_bins=3, dephasing=False, start=None):
@@ -44,7 +43,7 @@ def test_init_chain_product_state():
     assert state.cursor == 0
 
     reduced = reduced_system(state)
-    np.testing.assert_allclose(reduced.op.data, np.diag([0.0, 1.0]), atol=1e-15)
+    np.testing.assert_allclose(reduced.matrix, np.diag([0.0, 1.0]), atol=1e-15)
 
 
 def test_init_chain_overflow_guard():
@@ -88,6 +87,14 @@ def test_step_chain_exhausts_bins():
         step_chain(state, u)
 
 
+def test_step_chain_rejects_a_mis_shaped_map():
+    u, _, state = tls_setup(n_max=1)
+    u3 = coarse_map(two_level_system(), CoarseParams(1.0, 0.01, 2))
+    for bad in (u3, u[:, :2], u[0], np.eye(2)):
+        with pytest.raises(ValueError, match="does not match"):
+            step_chain(state, bad)
+
+
 def test_bins_ahead_of_cursor_stay_in_vacuum():
     u, _, state = tls_setup(gamma=1.0, dt=0.3, n_bins=5)
     for k in range(5):
@@ -115,7 +122,7 @@ def test_reduced_dynamics_equals_kraus_iteration():
         series = iterate_channel(family, rho0, 8)
         for k in range(1, 9):
             state = step_chain(state, u)
-            defect = float(np.max(np.abs(reduced_system(state).op.data - series[k])))
+            defect = float(np.max(np.abs(reduced_system(state).matrix - series[k])))
             assert defect <= 1e-10
 
 
@@ -124,7 +131,7 @@ def test_reduced_state_decays_to_ground():
     for _ in range(12):
         state = step_chain(state, u)
     reduced = reduced_system(state)
-    np.testing.assert_allclose(reduced.op.data, np.diag([1.0, 0.0]), atol=2e-2)
+    np.testing.assert_allclose(reduced.matrix, np.diag([1.0, 0.0]), atol=2e-2)
 
 
 def test_factorization_report_initial_state():

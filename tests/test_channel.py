@@ -25,7 +25,6 @@ from timebins.model import (
     truncated_oscillator,
     two_level_system,
 )
-from timebins.operators import Operator
 
 from oracle import kraus_completeness, kraus_map, kraus_step_matrix
 
@@ -43,19 +42,22 @@ PLUS = DensityMatrix.pure([1.0, 1.0])
 
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
-        DensityMatrix(Operator(np.array([[0.5, 0.5], [0.0, 0.5]]), (2,)))
+        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError):
-        DensityMatrix(Operator(np.diag([0.7, 0.7]).astype(complex), (2,)))
+        DensityMatrix(np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ValueError):
-        DensityMatrix(Operator(np.diag([1.5, -0.5]).astype(complex), (2,)))
-    m = EXCITED.op.data
+        DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+    for shape in [(2, 3), (4,), (1, 2, 2)]:
+        with pytest.raises(ValueError, match="must be a square matrix"):
+            DensityMatrix(np.zeros(shape))
+    m = EXCITED.matrix
     assert np.trace(m @ m).real == pytest.approx(1.0)
 
 
 def test_density_matrix_rejects_non_finite_entries():
     with pytest.raises(ValueError, match="non-finite entries"):
-        DensityMatrix(Operator(np.full((2, 2), np.nan), (2,)))
-    stack = np.stack([EXCITED.op.data] * 6)
+        DensityMatrix(np.full((2, 2), np.nan))
+    stack = np.stack([EXCITED.matrix] * 6)
     stack[3, 1, 1] = np.nan
     stack[5, 0, 0] = np.inf
     assert channel.first_invalid(stack) == (3, "density matrix has non-finite entries")
@@ -89,8 +91,9 @@ def test_extract_kraus_rotation_blocks():
 def test_extract_kraus_dimension_check():
     system = two_level_system()
     u = coarse_map(system, CoarseParams(1.0, 0.01, 2))
-    with pytest.raises(ValueError):
-        extract_kraus(u, 2, 1, 0.01)
+    for bad_u, sys_dim, n_max in [(u, 2, 1), (u, 3, 2), (u[:, :4], 2, 2), (u[0], 2, 2)]:
+        with pytest.raises(ValueError, match="map has shape"):
+            extract_kraus(bad_u, sys_dim, n_max, 0.01)
 
 
 def test_completeness_for_excitation_conserving_setups():
@@ -102,10 +105,10 @@ def test_completeness_for_excitation_conserving_setups():
 def test_apply_channel_rotation_and_fixed_point():
     family = tls_family()
     out = apply_channel(family, EXCITED)
-    np.testing.assert_allclose(out.op.data[1, 1].real, math.cos(0.1) ** 2, atol=1e-12)
+    np.testing.assert_allclose(out.matrix[1, 1].real, math.cos(0.1) ** 2, atol=1e-12)
 
     fixed = apply_channel(family, GROUND)
-    assert np.max(np.abs(fixed.op.data - GROUND.op.data)) <= 1e-14
+    assert np.max(np.abs(fixed.matrix - GROUND.matrix)) <= 1e-14
 
 
 def test_apply_channel_flags_truncation_loss():
@@ -134,7 +137,7 @@ def test_apply_channel_warns_on_small_trace_leak():
     top = DensityMatrix.pure([0.0, 0.0, 1.0])
     with pytest.warns(RuntimeWarning, match="trace deviation"):
         out = apply_channel(leaky, top)
-    loss = 1.0 - float(np.trace(out.op.data).real)
+    loss = 1.0 - float(np.trace(out.matrix).real)
     assert 1e-10 < loss < 1e-6
 
 
@@ -151,7 +154,7 @@ def test_iterate_channel_matches_cosine_power():
 def test_iterate_channel_zero_steps_returns_input():
     family = tls_family()
     series = iterate_channel(family, EXCITED, 0)
-    assert np.array_equal(series, EXCITED.op.data[None])
+    assert np.array_equal(series, EXCITED.matrix[None])
 
 
 def test_iterate_channel_purity_follows_scalar_recurrence():
@@ -259,7 +262,7 @@ def family_of(system, gamma=1.0, dt=0.01, n_max=2):
 def random_state(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = m @ m.conj().T
-    return DensityMatrix(Operator(rho / np.trace(rho).real, (dim,)))
+    return DensityMatrix(rho / np.trace(rho).real)
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
@@ -274,8 +277,8 @@ def test_kraus_stack_sums_equal_the_per_operator_loops(name):
             assert ops.shape == (n_max + 1, system.dim, system.dim)
 
             rho = random_state(rng, system.dim)
-            out = kraus_map(ops, rho.op.data)
-            got = apply_channel(family, rho).op.data
+            out = kraus_map(ops, rho.matrix)
+            got = apply_channel(family, rho).matrix
             assert np.array_equal(got, 0.5 * (out + out.conj().T))
             # every row but rho_00's is the plain sum bit for bit; that row is
             # completed to exact trace preservation, within two ulps of it
@@ -315,7 +318,7 @@ def test_iterate_channel_matches_repeated_apply_channel(name):
         slow = rho
         for k in range(1, 201):
             slow = apply_channel(family, slow)
-            assert np.max(np.abs(series[k] - slow.op.data)) <= 1e-12
+            assert np.max(np.abs(series[k] - slow.matrix)) <= 1e-12
 
 
 def test_long_driven_qubit_matches_extended_precision_kraus_iteration():
@@ -323,7 +326,7 @@ def test_long_driven_qubit_matches_extended_precision_kraus_iteration():
     steps = 10_000
     stack = iterate_channel(family, EXCITED, steps)
     ops = [k.astype(np.clongdouble) for k in family.ops]
-    rho = EXCITED.op.data.astype(np.clongdouble)
+    rho = EXCITED.matrix.astype(np.clongdouble)
     worst = 0.0
     for k in range(1, steps + 1):
         rho = sum(op @ rho @ op.conj().T for op in ops)
@@ -385,7 +388,7 @@ def test_guard_parity_accumulated_leak_fails_validation_at_the_same_step():
     family = family_of(system, dt=1e-3)
     leaky = KrausFamily(ops=family.ops[:2], dt=1e-3, n_max=2, completeness_defect=1e-6)
     p2 = 1.02e-10 / 9.993e-07  # one step leaks 9.993e-07 from |2><2|
-    rho = DensityMatrix(Operator(np.diag([1.0 - p2, 0.0, p2]).astype(complex), (3,)))
+    rho = DensityMatrix(np.diag([1.0 - p2, 0.0, p2]).astype(complex))
     slow = guard_record(lambda: stepwise(leaky, rho, 40))
     fast = guard_record(lambda: iterate_channel(leaky, rho, 40))
     assert fast == slow

@@ -14,7 +14,6 @@ from timebins.lindblad import (
     liouvillian_matrix,
 )
 from timebins.model import dephasing_variant, truncated_oscillator, two_level_system
-from timebins.operators import Operator
 
 EXCITED = DensityMatrix.pure([0.0, 1.0])
 GROUND = DensityMatrix.pure([1.0, 0.0])
@@ -27,8 +26,8 @@ def decay_model(gamma=1.0, omega0=0.0, drive=0.0):
 
 def rhs(model, r):
     """-i [H, r] + gamma (L r L^dag - 1/2 {L^dag L, r}) by matrix products."""
-    h = model.hamiltonian.data
-    c = model.collapse.data
+    h = model.hamiltonian
+    c = model.collapse
     cdc = c.conj().T @ c
     out = -1j * (h @ r - r @ h)
     out += model.gamma * (c @ r @ c.conj().T - 0.5 * (cdc @ r + r @ cdc))
@@ -37,13 +36,13 @@ def rhs(model, r):
 
 def act(model, rho):
     """The Liouvillian matrix applied to a density matrix."""
-    r = rho.op.data
+    r = rho.matrix
     return (liouvillian_matrix(model) @ r.ravel()).reshape(r.shape)
 
 
 def four_stage_rk4(model, rho0, dt, steps):
     """Classic four-stage RK4 on the matrix ODE, one step at a time."""
-    r = rho0.op.data
+    r = rho0.matrix
     series = [r]
     for k in range(steps):
         k1 = rhs(model, r)
@@ -80,22 +79,32 @@ def test_dissipator_traceless_hermitian():
 def test_liouvillian_reduces_to_dissipator_at_zero_hamiltonian():
     model = decay_model(gamma=0.6)
     out = act(model, PLUS)
-    np.testing.assert_allclose(out, rhs(model, PLUS.op.data), atol=1e-15)
+    np.testing.assert_allclose(out, rhs(model, PLUS.matrix), atol=1e-15)
 
 
 def test_liouvillian_coherence_rotation():
     # H = sigma_z / 2 with diag(+1/2, -1/2): d rho_eg / dt = +i rho_eg
-    h = Operator(np.diag([0.5, -0.5]).astype(complex), (2,))
+    h = np.diag([0.5, -0.5]).astype(complex)
     model = LindbladModel(h, two_level_system().lowering, 0.0)
     out = act(model, PLUS)
-    np.testing.assert_allclose(out[1, 0], 1j * PLUS.op.data[1, 0], atol=1e-15)
+    np.testing.assert_allclose(out[1, 0], 1j * PLUS.matrix[1, 0], atol=1e-15)
 
 
 def test_liouvillian_of_maximally_mixed_is_zero_without_decay():
-    h = Operator(np.array([[0.3, 0.2], [0.2, -0.1]], dtype=complex), (2,))
+    h = np.array([[0.3, 0.2], [0.2, -0.1]], dtype=complex)
     model = LindbladModel(h, two_level_system().lowering, 0.0)
-    mixed = DensityMatrix(Operator(np.eye(2, dtype=complex) / 2, (2,)))
+    mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
     assert np.max(np.abs(act(model, mixed))) == 0.0
+
+
+def test_lindblad_model_rejects_mis_shaped_operators():
+    sigma = two_level_system().lowering
+    with pytest.raises(ValueError, match="square matrix"):
+        LindbladModel(np.zeros((2, 3)), sigma, 1.0)
+    with pytest.raises(ValueError, match="does not match"):
+        LindbladModel(np.zeros((3, 3)), sigma, 1.0)
+    with pytest.raises(ValueError, match="does not match"):
+        LindbladModel(np.zeros((2, 2)), sigma[:, :1], 1.0)
 
 
 def test_liouvillian_fixed_point_ground_state():
@@ -144,7 +153,7 @@ def test_rk4_keeps_trace_and_hermiticity():
 def test_rk4_guard_aborts_on_broken_trace():
     rho = DensityMatrix.pure([0.0, 1.0])
     # bypass construction-time validation to emulate numerical corruption
-    rho.op.data[1, 1] += 2e-8
+    rho.matrix[1, 1] += 2e-8
     with pytest.raises(GuardError) as fast:
         integrate_rk4(decay_model(), rho, 0.01, 5)
     # the same message, naming the same step, as the four-stage loop
@@ -160,7 +169,7 @@ def test_rk4_rejects_bad_steps():
 
 def test_analytic_oracle_identity_and_limits():
     got = analytic_oracle("spontaneous", 1.0, [0.0], PLUS)[0]
-    np.testing.assert_allclose(got, PLUS.op.data, atol=1e-15)
+    np.testing.assert_allclose(got, PLUS.matrix, atol=1e-15)
 
     late = analytic_oracle("spontaneous", 1.0, [80.0], EXCITED)[0]
     np.testing.assert_allclose(late, np.diag([1.0, 0.0]), atol=1e-12)
@@ -178,7 +187,7 @@ def test_analytic_oracle_dephasing():
 def test_analytic_oracle_rejects_bad_input():
     with pytest.raises(ValueError):
         analytic_oracle("squeezed", 1.0, [1.0], PLUS)[0]
-    big = DensityMatrix(Operator(np.eye(3, dtype=complex) / 3, (3,)))
+    big = DensityMatrix(np.eye(3, dtype=complex) / 3)
     with pytest.raises(ValueError):
         analytic_oracle("spontaneous", 1.0, [1.0], big)[0]
 
@@ -199,7 +208,7 @@ def test_rk4_matches_the_four_stage_loop(system):
     shape = (system.dim, system.dim)
     m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rho = m @ m.conj().T
-    rho0 = DensityMatrix(Operator(rho / np.trace(rho).real, (system.dim,)))
+    rho0 = DensityMatrix(rho / np.trace(rho).real)
     fast = integrate_rk4(model, rho0, 0.01, 1000)
     slow = four_stage_rk4(model, rho0, 0.01, 1000)
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(fast, slow))

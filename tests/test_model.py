@@ -9,6 +9,7 @@ import scipy.linalg
 from timebins.channel import extract_kraus, propagate, step_matrix
 from timebins.model import (
     CoarseParams,
+    SystemModel,
     bin_generator,
     coarse_map,
     dephasing_variant,
@@ -23,26 +24,26 @@ from oracle import Operator, commutator, dagger, identity, kron
 
 def test_two_level_system_hamiltonians():
     free = two_level_system(0.0, 0.0)
-    assert np.max(np.abs(free.hamiltonian.data)) == 0.0
-    np.testing.assert_array_equal(free.lowering.data, [[0, 1], [0, 0]])
+    assert np.max(np.abs(free.hamiltonian)) == 0.0
+    np.testing.assert_array_equal(free.lowering, [[0, 1], [0, 0]])
 
     detuned = two_level_system(1.0, 0.0)
-    np.testing.assert_array_equal(detuned.hamiltonian.data, np.diag([0.0, 1.0]))
+    np.testing.assert_array_equal(detuned.hamiltonian, np.diag([0.0, 1.0]))
 
     driven = two_level_system(0.0, 0.5)
     np.testing.assert_array_equal(
-        driven.hamiltonian.data, 0.5 * np.array([[0, 1], [1, 0]])
+        driven.hamiltonian, 0.5 * np.array([[0, 1], [1, 0]])
     )
 
 
 def test_dephasing_variant_coupling():
     deph = dephasing_variant(two_level_system(0.3, 0.0))
-    np.testing.assert_array_equal(deph.lowering.data, np.diag([0.0, 1.0]))
+    np.testing.assert_array_equal(deph.lowering, np.diag([0.0, 1.0]))
     np.testing.assert_array_equal(
-        deph.lowering.data, dagger(deph.lowering).data
+        deph.lowering, dagger(Operator(deph.lowering, (2,))).data
     )
     np.testing.assert_array_equal(
-        deph.hamiltonian.data, two_level_system(0.3, 0.0).hamiltonian.data
+        deph.hamiltonian, two_level_system(0.3, 0.0).hamiltonian
     )
 
 
@@ -59,6 +60,20 @@ def test_bin_space_ladder():
     np.testing.assert_array_equal(db @ np.eye(4)[:, 0], np.zeros(4))
 
 
+def test_system_model_rejects_mis_shaped_operators():
+    sigma = lowering_matrix(2)
+    h = np.zeros((2, 2))
+    for lowering, hamiltonian in [
+        (np.zeros((2, 3)), h),
+        (sigma, np.zeros((2, 3))),
+        (lowering_matrix(3), h),
+        (sigma, np.zeros((3, 3))),
+        (np.zeros(4), h),
+    ]:
+        with pytest.raises(ValueError, match="do not match the system dimension"):
+            SystemModel(2, lowering, hamiltonian)
+
+
 def test_coarse_params_validation():
     with pytest.raises(ValueError):
         CoarseParams(-1.0, 0.1, 1)
@@ -72,8 +87,8 @@ def test_bin_generator_decoupled_limit():
     system = two_level_system(0.7, 0.2)
     params = CoarseParams(0.0, 0.05, 2)
     gen = bin_generator(system, params)
-    expected = (-1j * 0.05) * kron(system.hamiltonian, identity((3,)))
-    np.testing.assert_allclose(gen.data, expected.data, atol=1e-15)
+    expected = (-1j * 0.05) * kron(Operator(system.hamiltonian, (2,)), identity((3,)))
+    np.testing.assert_allclose(gen, expected.data, atol=1e-15)
 
 
 def test_bin_generator_hand_built_matrix():
@@ -83,8 +98,8 @@ def test_bin_generator_hand_built_matrix():
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 2] = 0.1  # <g,1| G |e,0>
     expected[2, 1] = -0.1
-    np.testing.assert_allclose(gen.data, expected, atol=1e-15)
-    assert gen.dims == (2, 2)
+    np.testing.assert_allclose(gen, expected, atol=1e-15)
+    assert gen.shape == (4, 4)
 
 
 def test_bin_generator_antihermitian():
@@ -95,14 +110,15 @@ def test_bin_generator_antihermitian():
         gen = bin_generator(
             two_level_system(omega0, drive), CoarseParams(gamma, dt, 3)
         )
-        assert np.max(np.abs((gen + dagger(gen)).data)) <= 1e-12
+        assert np.max(np.abs(gen + gen.conj().T)) <= 1e-12
 
 
 def test_excitation_conservation_for_diagonal_hamiltonian():
     system = two_level_system(1.3, 0.0)
     params = CoarseParams(0.8, 0.05, 3)
-    gen = bin_generator(system, params)
-    number_sys = dagger(system.lowering) @ system.lowering
+    gen = Operator(bin_generator(system, params), (2, 4))
+    lowering = Operator(system.lowering, (2,))
+    number_sys = dagger(lowering) @ lowering
     db = Operator(lowering_matrix(4), (4,))
     number_bin = dagger(db) @ db
     total = kron(number_sys, identity((4,))) + kron(identity((2,)), number_bin)
@@ -112,11 +128,11 @@ def test_excitation_conservation_for_diagonal_hamiltonian():
 def test_coarse_map_identity_and_rotation():
     system = two_level_system()
     u = coarse_map(system, CoarseParams(0.0, 0.1, 1))
-    np.testing.assert_array_equal(u.data, np.eye(4))
+    np.testing.assert_array_equal(u, np.eye(4))
 
     u = coarse_map(system, CoarseParams(1.0, 0.01, 1))
-    np.testing.assert_allclose(u.data[2, 2], math.cos(0.1), atol=1e-12)
-    np.testing.assert_allclose(u.data[1, 2], math.sin(0.1), atol=1e-12)
+    np.testing.assert_allclose(u[2, 2], math.cos(0.1), atol=1e-12)
+    np.testing.assert_allclose(u[1, 2], math.sin(0.1), atol=1e-12)
 
 
 def test_coarse_map_unitary():
@@ -124,7 +140,7 @@ def test_coarse_map_unitary():
     for _ in range(10):
         system = two_level_system(rng.uniform(-1, 1), rng.uniform(-1, 1))
         params = CoarseParams(rng.uniform(0.1, 2.0), rng.uniform(0.01, 0.5), 2)
-        u = coarse_map(system, params)
+        u = Operator(coarse_map(system, params), (2, 3))
         udu = dagger(u) @ u
         assert np.max(np.abs((udu - identity(u.dims)).data)) <= 1e-12
 
@@ -148,7 +164,7 @@ def test_long_collision_trajectory_matches_a_scipy_built_unitary(name):
     for n_max in (1, 2, 4):
         params = CoarseParams(1.0, dt, n_max)
         gen = bin_generator(system, params)
-        ref_u = Operator(scipy.linalg.expm(gen.data), gen.dims)
+        ref_u = scipy.linalg.expm(gen)
         got, ref = (
             propagate(step_matrix(extract_kraus(u, system.dim, n_max, dt)), rho0, 10_000)
             for u in (coarse_map(system, params), ref_u)
@@ -160,7 +176,7 @@ def test_coarse_map_depends_only_on_gamma_dt_product_without_hamiltonian():
     system = two_level_system()
     u1 = coarse_map(system, CoarseParams(2.0, 0.05, 2))
     u2 = coarse_map(system, CoarseParams(0.5, 0.2, 2))
-    np.testing.assert_allclose(u1.data, u2.data, atol=1e-14)
+    np.testing.assert_allclose(u1, u2, atol=1e-14)
 
 
 def test_coarse_map_block_is_planar_rotation():
@@ -169,17 +185,17 @@ def test_coarse_map_block_is_planar_rotation():
         theta = math.sqrt(gamma * dt)
         u = coarse_map(system, CoarseParams(gamma, dt, 2))
         # n_max=2: states ordered |g0 g1 g2 e0 e1 e2>; block {|e,0>, |g,1>}
-        np.testing.assert_allclose(u.data[3, 3], math.cos(theta), atol=1e-12)
-        np.testing.assert_allclose(u.data[1, 3], math.sin(theta), atol=1e-12)
-        np.testing.assert_allclose(u.data[3, 1], -math.sin(theta), atol=1e-12)
-        np.testing.assert_allclose(u.data[0, 0], 1.0, atol=1e-12)
+        np.testing.assert_allclose(u[3, 3], math.cos(theta), atol=1e-12)
+        np.testing.assert_allclose(u[1, 3], math.sin(theta), atol=1e-12)
+        np.testing.assert_allclose(u[3, 1], -math.sin(theta), atol=1e-12)
+        np.testing.assert_allclose(u[0, 0], 1.0, atol=1e-12)
 
 
 def test_truncated_oscillator_shape():
     osc = truncated_oscillator(3, 0.4)
     assert osc.dim == 3
-    np.testing.assert_allclose(osc.lowering.data, lowering_matrix(3))
-    np.testing.assert_allclose(osc.hamiltonian.data, np.diag([0.0, 0.4, 0.8]))
+    np.testing.assert_allclose(osc.lowering, lowering_matrix(3))
+    np.testing.assert_allclose(osc.hamiltonian, np.diag([0.0, 0.4, 0.8]))
 
 
 def test_ordering_residual_free_system_closed_form():

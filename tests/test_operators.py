@@ -35,15 +35,6 @@ def random_operator(rng, dims):
     return Operator(m, dims)
 
 
-def test_operator_validates_shape_and_dims():
-    with pytest.raises(ValueError):
-        Operator(np.zeros((2, 3)), (2,))
-    with pytest.raises(ValueError):
-        Operator(np.zeros((4, 4)), (2, 3))
-    with pytest.raises(ValueError):
-        Operator(np.zeros((2, 2)), (2, 0))
-
-
 def test_statevector_validates_length():
     with pytest.raises(ValueError):
         StateVector(np.zeros(3), (2, 2))
@@ -129,12 +120,12 @@ def test_commutator_truncated_ladder():
 
 
 def test_expm_zero_and_rotation():
-    np.testing.assert_array_equal(expm(Operator(np.zeros((3, 3)), (3,))).data, np.eye(3))
+    np.testing.assert_array_equal(expm(np.zeros((3, 3))), np.eye(3))
 
     # closed form: exp(-i theta sigma_x) = cos(theta) I - i sin(theta) sigma_x
     theta = math.pi / 2
-    got = expm(Operator(-1j * theta * SIGMA_X, (2,)))
-    np.testing.assert_allclose(got.data, -1j * SIGMA_X, atol=1e-13)
+    got = expm(-1j * theta * SIGMA_X)
+    np.testing.assert_allclose(got, -1j * SIGMA_X, atol=1e-13)
 
 
 def test_expm_excitation_block_rotation():
@@ -142,9 +133,9 @@ def test_expm_excitation_block_rotation():
     sigma = np.array([[0, 1], [0, 0]], dtype=complex)
     db = np.array([[0, 1], [0, 0]], dtype=complex)
     gen = 0.1 * (np.kron(sigma, db.conj().T) - np.kron(sigma.conj().T, db))
-    u = expm(Operator(gen, (2, 2)))
-    np.testing.assert_allclose(u.data[2, 2], math.cos(0.1), atol=1e-12)
-    np.testing.assert_allclose(u.data[1, 2], math.sin(0.1), atol=1e-12)
+    u = expm(gen)
+    np.testing.assert_allclose(u[2, 2], math.cos(0.1), atol=1e-12)
+    np.testing.assert_allclose(u[1, 2], math.sin(0.1), atol=1e-12)
 
 
 def test_expm_matches_scipy():
@@ -153,7 +144,7 @@ def test_expm_matches_scipy():
     for n in (2, 3, 6):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         m = m - m.conj().T
-        gens.append(Operator(m * (10.0 / np.linalg.norm(m, 1)), (n,)))
+        gens.append(m * (10.0 / np.linalg.norm(m, 1)))
     systems = (
         two_level_system(),
         two_level_system(0.0, 1.0),
@@ -165,8 +156,8 @@ def test_expm_matches_scipy():
             for dt in (0.01, 0.1):
                 gens.append(bin_generator(system, CoarseParams(1.0, dt, n_max)))
     for gen in gens:
-        got = expm(gen).data
-        ref = scipy.linalg.expm(gen.data)
+        got = expm(gen)
+        ref = scipy.linalg.expm(gen)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.linalg.norm(ref, 1)
 
 
@@ -174,25 +165,25 @@ def test_expm_rejects_a_generator_that_is_not_antihermitian():
     rng = np.random.default_rng(17)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     with pytest.raises(ValueError, match="anti-Hermitian"):
-        expm(Operator(m, (3,)))
+        expm(m)
     gen = m - m.conj().T
     gen[0, 1] += 1e-11
     with pytest.raises(ValueError, match="anti-Hermitian"):
-        expm(Operator(gen, (3,)))
+        expm(gen)
 
 
 def test_expm_unitary_for_antihermitian():
     rng = np.random.default_rng(19)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     gen = m - m.conj().T
-    u = expm(Operator(gen, (6,))).data
+    u = expm(gen)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-12)
 
 
 def test_expm_rejects_nonfinite():
     bad = np.array([[0.0, np.inf], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        expm(Operator(bad, (2,)))
+        expm(bad)
 
 
 def test_partial_trace_product_state():
@@ -258,15 +249,15 @@ def test_partial_trace_rejects_bad_indices():
 
 
 def test_vn_entropy_values():
-    pure = Operator(np.diag([1.0, 0.0]).astype(complex), (2,))
+    pure = np.diag([1.0, 0.0]).astype(complex)
     assert vn_entropy(pure) == 0.0
 
-    mixed = Operator(np.eye(2, dtype=complex) / 2, (2,))
+    mixed = np.eye(2, dtype=complex) / 2
     np.testing.assert_allclose(vn_entropy(mixed), math.log(2.0), rtol=1e-13)
 
     # scalar oracle evaluated in place
     p = math.exp(-1.0)
-    rho = Operator(np.diag([p, 1.0 - p]).astype(complex), (2,))
+    rho = np.diag([p, 1.0 - p]).astype(complex)
     expected = -(p * math.log(p) + (1 - p) * math.log(1 - p))
     np.testing.assert_allclose(vn_entropy(rho), expected, rtol=1e-12)
     np.testing.assert_allclose(expected, 0.657817, atol=5e-7)
@@ -277,8 +268,17 @@ def test_vn_entropy_bounds_and_errors():
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
-    s = vn_entropy(Operator(rho, (4,)))
+    s = vn_entropy(rho)
     assert -1e-12 <= s <= math.log(4.0) + 1e-12
 
     with pytest.raises(ValueError):
-        vn_entropy(Operator(m, (4,)))
+        vn_entropy(m)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_matrix_functions_reject_a_matrix_that_is_not_square(shape):
+    m = np.zeros(shape, dtype=complex)
+    with pytest.raises(ValueError, match="square matrix"):
+        expm(m)
+    with pytest.raises(ValueError, match="square matrix"):
+        vn_entropy(m)

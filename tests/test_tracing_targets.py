@@ -48,6 +48,8 @@ def test_cli_runs_go_through_the_traced_names(tmp_path, capsys):
         "convergence": "t_final = 0.2",
         "joint-chain": "n_bins = 4",
         "ordering-probe": "system = tls-driven",
+        "microscopic": "n_modes = 101\nt_final = 3",
+        "kraus-report": "",
     }
     runs = {}
     with tracing.Tracer() as tracer:
@@ -65,6 +67,14 @@ def test_cli_runs_go_through_the_traced_names(tmp_path, capsys):
         if experiment == "lindblad":
             assert counts["lindblad.rk4_steps"] == 50
             assert names.count("lindblad.integrate_rk4") == 1
+        elif experiment == "microscopic":
+            assert counts["microscopic.modes"] == 101
+            assert names.count("microscopic.evolve_microscopic") == 1
+        elif experiment == "kraus-report":
+            assert "operators.expm" in names
+            assert "channel.extract_kraus" in names
         else:
             assert "channel.iterate_channel" in names, experiment
     assert "lindblad.analytic_oracle" in [span[0] for span in runs["convergence"][0]]
+    # four collisions, each reading and writing 2 * 3**4 amplitudes of 16 bytes
+    assert runs["joint-chain"][1]["chain.step_chain.bytes"] == 4 * 32 * 2 * 3**4
