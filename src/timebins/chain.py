@@ -1,10 +1,11 @@
-"""Exact pure-state evolution of the system plus a finite chain of time bins.
+"""Exact pure-state evolution of the system plus the time bins it has met.
 
-The global state lives on system (x) bin_0 (x) ... (x) bin_{N-1} and a cursor
-marks the next bin to collide with.  Each bin is touched exactly once and
-never revisited, mirroring the causal input-output structure; this is what
-makes the reduced system dynamics reproduce the Kraus iteration exactly while
-the global state becomes entangled.
+Each bin arrives in vacuum and meets the system exactly once, mirroring the
+causal input-output structure; this is what makes the reduced system
+dynamics reproduce the Kraus iteration exactly while the global state becomes
+entangled.  So the state holds only the bins met so far, on
+bin_0 (x) ... (x) bin_{k-1} (x) system: each collision appends the cursor bin
+in vacuum just before the system, and the bins still ahead are never stored.
 """
 
 from __future__ import annotations
@@ -26,17 +27,17 @@ NORM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ChainState:
-    """Normalized state on system (x) N identical bins, plus the collision cursor."""
+    """Normalized state on the bins met so far (x) system, in a chain of
+    n_bins identical bins of dimension bin_dim."""
 
     vec: StateVector
-    cursor: int
+    bin_dim: int
+    n_bins: int
 
     def __post_init__(self) -> None:
-        if len(self.vec.dims) < 2:
-            raise ValueError("chain state needs a system factor and at least one bin")
-        bins = set(self.vec.dims[1:])
-        if len(bins) != 1:
-            raise ValueError(f"bins must share one dimension, got {self.vec.dims[1:]}")
+        bins = self.vec.dims[:-1]
+        if any(d != self.bin_dim for d in bins):
+            raise ValueError(f"bins must share dimension {self.bin_dim}, got {bins}")
         if not 0 <= self.cursor <= self.n_bins:
             raise ValueError(f"cursor {self.cursor} out of range for {self.n_bins} bins")
         drift = abs(self.vec.norm() - 1.0)
@@ -45,27 +46,25 @@ class ChainState:
 
     @property
     def sys_dim(self) -> int:
-        return self.vec.dims[0]
+        return self.vec.dims[-1]
 
     @property
-    def bin_dim(self) -> int:
-        return self.vec.dims[1]
-
-    @property
-    def n_bins(self) -> int:
+    def cursor(self) -> int:
+        """The number of bins met, which is the index of the next one."""
         return len(self.vec.dims) - 1
 
 
 def init_chain(sys_state: StateVector, n_bins: int, n_max: int) -> ChainState:
-    """Product state (system state) (x) |0...0> with the cursor at bin 0."""
+    """The system state before its first collision, with the cursor at bin 0."""
     if n_bins < 1:
         raise ValueError("need at least one bin")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     sys_dim = math.prod(sys_state.dims)
     d_bin = n_max + 1
-    # a count past 64 bits is over the cap whatever the sizes, and is named by
-    # its formula: forming and printing d_bin**n_bins can take minutes
+    # the cap is on the size after the last collision; a count past 64 bits
+    # is over it whatever the sizes, and is named by its formula: forming and
+    # printing d_bin**n_bins can take minutes
     bits = math.log2(sys_dim) + n_bins * math.log2(d_bin)
     total = sys_dim * d_bin**n_bins if bits <= 64 else f"{sys_dim}*{d_bin}**{n_bins}"
     if bits > 64 or total > MAX_AMPLITUDES:
@@ -73,35 +72,31 @@ def init_chain(sys_state: StateVector, n_bins: int, n_max: int) -> ChainState:
             f"chain would need {total} amplitudes (> {MAX_AMPLITUDES}); "
             "reduce n_bins or n_max"
         )
-    vacuum = np.zeros(d_bin**n_bins, dtype=complex)
-    vacuum[0] = 1.0
-    vec = np.kron(sys_state.data, vacuum)
-    dims = (sys_dim,) + (d_bin,) * n_bins
-    return ChainState(StateVector(vec, dims), 0)
+    return ChainState(StateVector(sys_state.data, (sys_dim,)), d_bin, n_bins)
 
 
 def step_chain(state: ChainState, u: np.ndarray) -> ChainState:
-    """Collide the system with the cursor bin: apply the (s d, s d) matrix u
-    on that pair, identity elsewhere, and advance the cursor."""
+    """Collide the system with the cursor bin, which enters in vacuum: apply
+    the (s d, s d) matrix u on (system, bin) and advance the cursor."""
     if state.cursor >= state.n_bins:
         raise GuardError("all bins have already interacted")
     s, d = state.sys_dim, state.bin_dim
     u = np.asarray(u, dtype=complex)
     if u.shape != (s * d, s * d):
         raise ValueError(f"map shape {u.shape} does not match (system, bin) = {(s, d)}")
-    before = d**state.cursor
-    after = d ** (state.n_bins - state.cursor - 1)
-    v4 = state.vec.data.reshape(s, before, d, after)
-    u4 = u.reshape(s, d, s, d)
-    out = np.einsum("iajb,jpbq->ipaq", u4, v4)
-    vec = StateVector(out.reshape(-1), state.vec.dims)
-    return ChainState(vec, state.cursor + 1)
+    fresh = np.zeros((state.vec.data.size // s, s, d), dtype=complex)
+    fresh[:, :, 0] = state.vec.data.reshape(-1, s)
+    # rows reordered from (system, bin) to (bin, system): the bin lands last
+    # among the bins met, just before the system
+    u_bin_first = u.reshape(s, d, s * d).swapaxes(0, 1).reshape(d * s, s * d)
+    out = fresh.reshape(-1, s * d) @ u_bin_first.T
+    vec = StateVector(out.reshape(-1), state.vec.dims[:-1] + (d, s))
+    return ChainState(vec, d, state.n_bins)
 
 
 def reduced_system(state: ChainState) -> DensityMatrix:
     """Partial trace over every bin, computed directly from the pure state."""
-    v = state.vec.data.reshape(state.sys_dim, -1)
-    rho = v @ v.conj().T
+    v = state.vec.data.reshape(-1, state.sys_dim)
+    rho = v.T @ v.conj()
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho)
-

@@ -90,7 +90,10 @@ ORDERING_MAX_EXACT = 1e-12
 ORDERING_SUBDIVISIONS = 8
 SWEEP_POINTS = 4
 # Beyond 2**53 steps the times k*dt no longer tell steps apart, and 16 bytes a
-# step is 2**57 bytes; shorter runs that do not fit fail at allocation.
+# step is 2**57 bytes; shorter runs that do not fit fail at allocation.  The
+# same bound holds the other sizes a config sets, before numpy can refuse
+# them with an error of its own: the modes of the microscopic grid and the
+# entries of the dense one-bin unitary.
 MAX_STEPS = 2**53
 # CSV rows formatted per block, so no full-length Python copy of the table is
 # ever built next to the CSV text.
@@ -194,8 +197,18 @@ def _steps(t_final: float, dt: float) -> int:
     return max(1, round(steps))
 
 
+def _coarse_params(system: SystemModel, cfg: RunConfig, dt: float) -> CoarseParams:
+    side = system.dim * (cfg.n_max + 1)
+    if not side * side < MAX_STEPS:
+        raise GuardError(
+            f"n_max = {cfg.n_max} needs a one-bin unitary of side {side}, "
+            "which cannot be held in memory"
+        )
+    return CoarseParams(cfg.gamma, dt, cfg.n_max)
+
+
 def _collision_family(system: SystemModel, cfg: RunConfig, dt: float) -> KrausFamily:
-    params = CoarseParams(cfg.gamma, dt, cfg.n_max)
+    params = _coarse_params(system, cfg, dt)
     return extract_kraus(coarse_map(system, params), system.dim, cfg.n_max, dt)
 
 
@@ -241,11 +254,12 @@ def _run_lindblad(cfg: RunConfig) -> tuple[str, str, int]:
 
 def _run_joint_chain(cfg: RunConfig) -> tuple[str, str, int]:
     system = _build_system(cfg)
+    vec = _initial_vector(cfg, system)
+    # the amplitude cap refuses an oversized chain before any unitary is built
+    state = init_chain(StateVector(vec, (system.dim,)), cfg.n_bins, cfg.n_max)
     unitary = coarse_map(system, CoarseParams(cfg.gamma, cfg.dt, cfg.n_max))
     family = extract_kraus(unitary, system.dim, cfg.n_max, cfg.dt)
-    vec = _initial_vector(cfg, system)
     rho0 = DensityMatrix.pure(vec)
-    state = init_chain(StateVector(vec, (system.dim,)), cfg.n_bins, cfg.n_max)
     reference = iterate_channel(family, rho0, cfg.n_bins)
 
     reduced = [reduced_system(state)]
@@ -280,6 +294,8 @@ def _run_microscopic(cfg: RunConfig) -> tuple[str, str, int]:
         raise ConfigError(
             f"fit window {window} holds fewer than three samples at dt = {cfg.dt:g}"
         )
+    if not cfg.n_modes < MAX_STEPS:
+        raise GuardError(f"n_modes = {cfg.n_modes} modes cannot be held in memory")
     grid = FrequencyGrid(cfg.n_modes, cfg.half_width)
     survival = evolve_microscopic(build_microscopic(grid, cfg.gamma), times)
 
@@ -373,7 +389,7 @@ def _run_ordering_probe(cfg: RunConfig) -> tuple[str, str, int]:
     system = _build_system(cfg)
 
     def residual(dt: float) -> tuple[float]:
-        params = CoarseParams(cfg.gamma, dt, cfg.n_max)
+        params = _coarse_params(system, cfg, dt)
         return (ordering_residual(system, params, ORDERING_SUBDIVISIONS),)
 
     table = _sweep(cfg, residual)

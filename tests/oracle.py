@@ -5,8 +5,11 @@ arithmetic the tests are written in; the package itself works on plain
 arrays, so tests hand it ``.data``.  The Kraus loops are the per-operator sums that ``channel`` replaced with one
 broadcast product over the (count, d, d) stack, kept as its oracle.  The
 dense complex single-excitation Hamiltonian and its ``eigh`` are the oracle
-of the secular-equation solver in ``microscopic``.  ``factorization_report``
-is criterion 4's comparison of the exact chain against the Kraus iteration.
+of the secular-equation solver in ``microscopic``.  ``dense_step_chain`` is
+the full-length collision on system (x) all N bins that ``chain.step_chain``
+replaced, and ``dense_vector`` embeds a chain state in that layout.
+``factorization_report`` is criterion 4's comparison of the exact chain
+against the Kraus iteration.
 """
 
 from __future__ import annotations
@@ -168,6 +171,29 @@ def dense_survival(arrow, times: np.ndarray) -> np.ndarray:
     """|c_e(t)|^2 from one dense Hermitian eigendecomposition."""
     evals, weights = dense_spectrum(arrow)
     return np.abs(np.exp(-1j * np.outer(times, evals)) @ weights) ** 2
+
+
+def dense_vector(state: ChainState) -> np.ndarray:
+    """The chain state on system (x) bin_0 (x) ... (x) bin_{N-1}, with the
+    bins not yet met in vacuum."""
+    s, d = state.sys_dim, state.bin_dim
+    met = state.vec.data.reshape(-1, s)
+    full = np.zeros((s, met.shape[0], d ** (state.n_bins - state.cursor)), dtype=complex)
+    full[:, :, 0] = met.T
+    return full.reshape(-1)
+
+
+def dense_step_chain(
+    vec: np.ndarray, u: np.ndarray, sys_dim: int, bin_dim: int, cursor: int
+) -> np.ndarray:
+    """Apply the (s d, s d) matrix u on (system, bin cursor) of a vector on
+    system (x) bin_0 (x) ... (x) bin_{N-1}, identity elsewhere."""
+    s, d = sys_dim, bin_dim
+    before = d**cursor
+    after = vec.size // (s * before * d)
+    v4 = vec.reshape(s, before, d, after)
+    u4 = u.reshape(s, d, s, d)
+    return np.einsum("iajb,jpbq->ipaq", u4, v4).reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Unit tests for the exact system-plus-bins pure-state chain."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,17 @@ from timebins.model import (
     CoarseParams,
     coarse_map,
     dephasing_variant,
+    truncated_oscillator,
     two_level_system,
 )
 from timebins.operators import StateVector
 
-from oracle import basis_state, factorization_report
+from oracle import (
+    basis_state,
+    dense_step_chain,
+    dense_vector,
+    factorization_report,
+)
 
 
 def tls_setup(gamma=1.0, dt=0.01, n_max=1, n_bins=3, dephasing=False, start=None):
@@ -36,8 +43,8 @@ def tls_setup(gamma=1.0, dt=0.01, n_max=1, n_bins=3, dephasing=False, start=None
 
 def test_init_chain_product_state():
     _, _, state = tls_setup()
-    assert state.vec.data.shape == (16,)
-    nonzero = np.flatnonzero(state.vec.data)
+    assert dense_vector(state).shape == (16,)
+    nonzero = np.flatnonzero(dense_vector(state))
     assert list(nonzero) == [8]  # |e> (x) |000> sits at index 1*2^3
     assert state.vec.norm() == pytest.approx(1.0)
     assert state.cursor == 0
@@ -51,10 +58,49 @@ def test_init_chain_overflow_guard():
         init_chain(basis_state(2, 1), n_bins=12, n_max=3)
 
 
+def test_init_chain_caps_the_final_size_without_allocating_it():
+    # 2 * 3**13 = 3 188 646 amplitudes fit under the 2**22 cap, 2 * 3**14 do not;
+    # both are decided before any collision, and nothing of size 3**n_bins is
+    # allocated up front
+    tracemalloc.start()
+    try:
+        state = init_chain(basis_state(2, 1), n_bins=13, n_max=2)
+        with pytest.raises(GuardError, match="9565938 amplitudes"):
+            init_chain(basis_state(2, 1), n_bins=14, n_max=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (state.cursor, state.n_bins, state.vec.data.size) == (0, 13, 2)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", ["tls-driven", "oscillator3", "dephasing"])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_step_chain_matches_the_full_length_oracle(name, n_max):
+    system = {
+        "tls-driven": two_level_system(omega0=0.4, drive=1.0),
+        "oscillator3": truncated_oscillator(3, omega0=0.2),
+        "dephasing": dephasing_variant(two_level_system(drive=0.7)),
+    }[name]
+    s, n_bins = system.dim, 4
+    u = coarse_map(system, CoarseParams(1.0, 0.3, n_max))
+    start = np.arange(1, s + 1) * np.exp(0.5j * np.arange(s))
+    state = init_chain(StateVector(start / np.linalg.norm(start), (s,)), n_bins, n_max)
+    dense = dense_vector(state)
+    for k in range(n_bins):
+        dense = dense_step_chain(dense, u, s, n_max + 1, k)
+        state = step_chain(state, u)
+        np.testing.assert_allclose(dense_vector(state), dense, rtol=0, atol=1e-14)
+        v = dense.reshape(s, -1)
+        np.testing.assert_allclose(
+            reduced_system(state).matrix, v @ v.conj().T, rtol=0, atol=1e-14
+        )
+
+
 def test_step_chain_identity_map_only_moves_cursor():
     u, _, state = tls_setup(gamma=0.0)
     stepped = step_chain(state, u)
-    np.testing.assert_array_equal(stepped.vec.data, state.vec.data)
+    np.testing.assert_array_equal(dense_vector(stepped), dense_vector(state))
     assert stepped.cursor == 1
 
 
@@ -62,7 +108,7 @@ def test_step_chain_first_collision_amplitudes():
     u, _, state = tls_setup()
     stepped = step_chain(state, u)
     theta = 0.1
-    v = stepped.vec.data.reshape(2, 2, 2, 2)  # (sys, bin0, bin1, bin2)
+    v = dense_vector(stepped).reshape(2, 2, 2, 2)  # (sys, bin0, bin1, bin2)
     np.testing.assert_allclose(v[1, 0, 0, 0], math.cos(theta), atol=1e-12)
     np.testing.assert_allclose(v[0, 1, 0, 0], math.sin(theta), atol=1e-12)
     assert stepped.vec.norm() == pytest.approx(1.0, abs=1e-12)
@@ -72,7 +118,7 @@ def test_step_chain_two_collisions():
     u, _, state = tls_setup()
     theta = 0.1
     state = step_chain(step_chain(state, u), u)
-    v = state.vec.data.reshape(2, 2, 2, 2)
+    v = dense_vector(state).reshape(2, 2, 2, 2)
     np.testing.assert_allclose(v[1, 0, 0, 0], math.cos(theta) ** 2, atol=1e-12)
     np.testing.assert_allclose(v[0, 1, 0, 0], math.sin(theta), atol=1e-12)
     np.testing.assert_allclose(
@@ -99,7 +145,7 @@ def test_bins_ahead_of_cursor_stay_in_vacuum():
     u, _, state = tls_setup(gamma=1.0, dt=0.3, n_bins=5)
     for k in range(5):
         state = step_chain(state, u)
-        v = state.vec.data.reshape(2, *([2] * 5))
+        v = dense_vector(state).reshape(2, *([2] * 5))
         for untouched in range(state.cursor, 5):
             excited_slice = np.take(v, 1, axis=1 + untouched)
             assert np.max(np.abs(excited_slice)) == 0.0
@@ -196,9 +242,10 @@ def test_entanglement_witness_unimodal():
 
 
 def test_chain_state_validation():
-    with pytest.raises(ValueError):
-        ChainState(StateVector(np.ones(8) / math.sqrt(8.0), (2, 2, 2)), cursor=5)
-    with pytest.raises(ValueError):
-        ChainState(StateVector(np.ones(8), (2, 2, 2)), cursor=0)
-    with pytest.raises(ValueError):
-        ChainState(StateVector(np.ones(12) / math.sqrt(12.0), (2, 2, 3)), cursor=0)
+    # two bins met (cursor 2) in a chain of one bin
+    with pytest.raises(ValueError, match="out of range"):
+        ChainState(StateVector(np.ones(8) / math.sqrt(8.0), (2, 2, 2)), 2, n_bins=1)
+    with pytest.raises(ValueError, match="norm"):
+        ChainState(StateVector(np.ones(8), (2, 2, 2)), 2, n_bins=2)
+    with pytest.raises(ValueError, match="share"):
+        ChainState(StateVector(np.ones(12) / math.sqrt(12.0), (2, 3, 2)), 2, n_bins=2)

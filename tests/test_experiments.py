@@ -298,6 +298,12 @@ def test_joint_chain_overflow_guard_exit_code(tmp_path, capsys):
         "experiment = convergence\nt_final = 1e14\n",
         # 1e15 sample times: a 7.1 PiB time grid
         "experiment = microscopic\ndt = 1e-15\nn_modes = 101\n",
+        # sizes numpy itself refuses to index, stopped before any array
+        "experiment = collision\nn_max = 1000000000000000000000\n",
+        "experiment = joint-chain\nn_max = 1000000000000000000000\n",
+        "experiment = ordering-probe\nn_max = 1000000000000000000000\n",
+        f"experiment = microscopic\nn_modes = {10**30 + 1}\n",
+        f"experiment = microscopic\nn_modes = {2**63 + 1}\n",
     ],
     ids=[
         "collision-alloc",
@@ -307,6 +313,11 @@ def test_joint_chain_overflow_guard_exit_code(tmp_path, capsys):
         "convergence-alloc",
         "convergence-index",
         "microscopic-alloc",
+        "collision-n-max",
+        "joint-chain-n-max",
+        "ordering-probe-n-max",
+        "microscopic-n-modes",
+        "microscopic-n-modes-past-int64",
     ],
 )
 def test_run_too_long_to_hold_exits_3(tmp_path, capsys, text):
@@ -314,7 +325,7 @@ def test_run_too_long_to_hold_exits_3(tmp_path, capsys, text):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric guard:")
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err) < 200
     assert not out.exists()
 
 

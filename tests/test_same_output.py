@@ -1,0 +1,58 @@
+"""The same-output tool records CLI runs and reports how two records differ."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
+
+
+def run_tool(*args):
+    return subprocess.run(
+        [sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300
+    )
+
+
+def record(**fields):
+    run = {"config": "experiment = collision\n", "exit": 0, "error": None,
+           "stdout": "ok\n", "stderr": "", "warnings": [],
+           "csv": "t,rho_ee\n0,1\n0.5,0.25\n# fitted_order = 1.5\n"}
+    run.update(fields)
+    return {"scan:1:s000_collision": run}
+
+
+def compare(tmp_path, a, b):
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a), encoding="utf-8")
+    pb.write_text(json.dumps(b), encoding="utf-8")
+    return run_tool("compare", str(pa), str(pb))
+
+
+def test_compare_reports_csv_columns_and_notes_apart(tmp_path):
+    moved = record(csv="t,rho_ee\n0,1\n0.5,0.2500000001\n# fitted_order = 1.6\n",
+                   stdout="ok again\n")
+    done = compare(tmp_path, record(), moved)
+    assert done.returncode == 0  # stdout and CSV text are left to the reader
+    assert "stdout, csv differ" in done.stdout
+    assert "# fitted_order = 1.5  ->  # fitted_order = 1.6" in done.stdout
+    assert "max |delta| per column: rho_ee 1e-10" in done.stdout
+    assert "1 differ, 0 in exit code" in done.stdout
+
+
+def test_compare_fails_on_exit_code_stderr_warnings_or_a_missing_run(tmp_path):
+    for changed in (record(exit=3), record(stderr="numeric guard: x\n"),
+                    record(warnings=["RuntimeWarning: trace deviation"]), {}):
+        done = compare(tmp_path, record(), changed)
+        assert done.returncode == 1, changed
+    assert compare(tmp_path, record(), record()).returncode == 0
+
+
+def test_record_runs_a_workload_through_the_cli(tmp_path):
+    out = tmp_path / "exact.json"
+    done = run_tool("record", str(out), "exact:1")
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(out.read_text(encoding="utf-8"))
+    assert len(runs) == 8
+    assert all(r["exit"] == 0 and r["csv"].startswith("t,") for r in runs.values())
+    assert run_tool("compare", str(out), str(out)).returncode == 0

@@ -76,5 +76,6 @@ def test_cli_runs_go_through_the_traced_names(tmp_path, capsys):
         else:
             assert "channel.iterate_channel" in names, experiment
     assert "lindblad.analytic_oracle" in [span[0] for span in runs["convergence"][0]]
-    # four collisions, each reading and writing 2 * 3**4 amplitudes of 16 bytes
-    assert runs["joint-chain"][1]["chain.step_chain.bytes"] == 4 * 32 * 2 * 3**4
+    # the state holds only the bins met: collision k reads 2 * 3**k amplitudes,
+    # and the counter charges 32 bytes for each
+    assert runs["joint-chain"][1]["chain.step_chain.bytes"] == 32 * 2 * (1 + 3 + 9 + 27)
