@@ -84,12 +84,11 @@ def step_chain(state: ChainState, u: np.ndarray) -> ChainState:
     u = np.asarray(u, dtype=complex)
     if u.shape != (s * d, s * d):
         raise ValueError(f"map shape {u.shape} does not match (system, bin) = {(s, d)}")
-    fresh = np.zeros((state.vec.data.size // s, s, d), dtype=complex)
-    fresh[:, :, 0] = state.vec.data.reshape(-1, s)
-    # rows reordered from (system, bin) to (bin, system): the bin lands last
-    # among the bins met, just before the system
-    u_bin_first = u.reshape(s, d, s * d).swapaxes(0, 1).reshape(d * s, s * d)
-    out = fresh.reshape(-1, s * d) @ u_bin_first.T
+    # the bin enters in vacuum, so only U's bin-0 input columns act; rows
+    # reordered from (system, bin) to (bin, system): the bin lands last among
+    # the bins met, just before the system
+    from_vacuum = u.reshape(s, d, s, d)[:, :, :, 0].swapaxes(0, 1).reshape(d * s, s)
+    out = state.vec.data.reshape(-1, s) @ from_vacuum.T
     vec = StateVector(out.reshape(-1), state.vec.dims[:-1] + (d, s))
     return ChainState(vec, d, state.n_bins)
 

@@ -13,9 +13,12 @@ independent of time bins, Kraus operators, and master equations alike.
 The arrowhead is never formed.  Its eigenvalues are the roots of the secular
 equation l = g^2 sum_j 1/(l - w_j), one in each gap of the grid and one past
 each edge, and the emitter's weight in eigenvector l is
-1/(1 + g^2 sum_j 1/(l - w_j)^2), so the survival amplitude
-c_e(t) = sum_l weight_l e^{-i l t} costs O(n^2) instead of a dense O(n^3)
-eigendecomposition.
+1/(1 + g^2 sum_j 1/(l - w_j)^2).  Each root sums the poles within NEAR
+indices of its own directly; the two tails past them lie on the uniform grid,
+where they are digamma (and trigamma) differences.  So the whole spectrum,
+and the survival amplitude c_e(t) = sum_l weight_l e^{-i l t}, cost O(n)
+time per iteration and a working set of a few (ROOT_BLOCK, 2 NEAR) arrays,
+instead of a dense O(n^3) eigendecomposition.
 
 The grid is finite, so the dynamics is quasi-periodic; evolution is guarded
 to times below the recurrence time 2 pi / d_omega.
@@ -39,13 +42,25 @@ __all__ = [
     "fit_decay_rate",
 ]
 
-# Roots are solved, and summed into the survival amplitude, this many at a
-# time, so the working set is a few (ROOT_BLOCK, n_modes) float arrays and
-# one (times, ROOT_BLOCK) complex one.
-ROOT_BLOCK = 32
+# Poles within NEAR indices of a root's origin pole are summed directly; the
+# two tails past them are digamma and trigamma differences at arguments above
+# NEAR, where the asymptotic series below are exact to rounding.
+NEAR = 16
+# Roots are solved this many at a time, so the solver's working set is a few
+# (ROOT_BLOCK, 2 NEAR) float arrays besides the grid.
+ROOT_BLOCK = 2048
+# The survival amplitude is summed over this many roots at a time: one
+# (times, SUM_BLOCK) complex array.
+SUM_BLOCK = 32
 # Iterations of safeguarded Newton steps before a block falls back to plain
 # bisection, which halves every bracket and so always ends.
 NEWTON_ITERATIONS = 40
+# psi(z) - ln z + 1/(2z) and z (psi'(z) - 1/z - 1/(2z^2)) are sums of
+# coefficient * z^(-2k), k = 1 ... 6, with the Bernoulli numbers B_2 ... B_12
+# (Abramowitz & Stegun 6.3.18 and 6.4.12): -B_2k/(2k) and B_2k, highest
+# power first.  At z > NEAR the next terms are below 1e-18.
+DIGAMMA_SERIES = (691 / 32760, -1 / 132, 1 / 240, -1 / 252, 1 / 120, -1 / 12)
+TRIGAMMA_SERIES = (-691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)
 
 
 @dataclass(frozen=True)
@@ -109,13 +124,18 @@ def emitter_spectrum(arrow: Arrowhead) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, n + 1, ROOT_BLOCK):
         block = slice(start, start + ROOT_BLOCK)
         energies[block], weights[block] = _secular_roots(
-            freqs, c, left[block], right[block], start
+            freqs, arrow.grid.spacing, c, left[block], right[block], start
         )
     return energies, weights
 
 
 def _secular_roots(
-    freqs: np.ndarray, c: float, left: np.ndarray, right: np.ndarray, first: int
+    freqs: np.ndarray,
+    spacing: float,
+    c: float,
+    left: np.ndarray,
+    right: np.ndarray,
+    first: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots first, first+1, ... of h(l) = l - c sum_j 1/(l - w_j), each in
     its bracket (left, right), with the emitter weights 1/h'(l).
@@ -127,19 +147,23 @@ def _secular_roots(
     no pole at the origin and the sign of h.  Every evaluation shrinks the
     bracket of tau; a step that would leave it bisects instead, and a step
     below one ulp is lengthened to one ulp so that the bracket closes.  A root
-    is done when its bracket is one ulp wide.
+    is done when its bracket is one ulp wide.  Each evaluation costs O(NEAR)
+    per root (``_pole_sums``).
     """
     n = freqs.size
     k = np.arange(first, first + left.size)
     outer = (k == 0) | (k == n)
     mid = 0.5 * (left + right)
-    h_mid = mid - c * (1.0 / (mid[:, None] - freqs)).sum(axis=1)
+    # h at mid, summed about the pole below it (the bottom root: above it)
+    ref = np.maximum(k - 1, 0)
+    t_mid = mid - freqs[ref]
+    h_mid = mid - c * (1.0 / t_mid + _pole_sums(t_mid, *_poles(freqs, ref), spacing)[0])
     # the top root has only its left pole, the bottom root only its right one
     from_left = np.where(outer, k == n, h_mid >= 0.0)
     origin = np.where(from_left, left, right)
     pole = np.where(from_left, k - 1, k)
     sign = np.where(from_left, 1.0, -1.0)
-    offsets = freqs - origin[:, None]
+    near, tails = _poles(freqs, pole)
     far = np.where(outer, np.where(from_left, right, left), mid) - origin
     lo = np.minimum(far, 0.0)
     hi = np.maximum(far, 0.0)
@@ -149,17 +173,17 @@ def _secular_roots(
 
     tau = 0.5 * far
     active = np.arange(k.size)
-    d = offsets
+    d, counts = near, tails
     iteration = 0
     while active.size:
         iteration += 1
         t = tau[active]
-        r = 1.0 / (t[:, None] - d)
-        r[np.arange(t.size), pole[active]] = 0.0  # the origin pole is in |tau|
-        rest = origin[active] + t - c * r.sum(axis=1)
+        # every pole but the origin, which is in |tau|
+        r_sum, r_squares = _pole_sums(t, d, counts, spacing)
+        rest = origin[active] + t - c * r_sum
         s = sign[active]
         p = s * (t * rest - c)
-        dp = s * rest + np.abs(t) * (1.0 + c * np.einsum("ij,ij->i", r, r))
+        dp = s * rest + np.abs(t) * (1.0 + c * r_squares)
 
         below, above = p <= 0.0, p >= 0.0
         a = np.where(below, t, lo[active])
@@ -178,12 +202,74 @@ def _secular_roots(
         open_ = b - a > np.spacing(np.maximum(np.abs(a), np.abs(b)))
         if not open_.all():
             active = active[open_]
-            d = offsets[active]
+            d, counts = near[active], tails[active]
 
     tau = np.where(p_lo <= p_hi, lo, hi)
-    r = 1.0 / (tau[:, None] - offsets)
-    weights = 1.0 / (1.0 + c * np.einsum("ij,ij->i", r, r))
+    r_squares = _pole_sums(tau, near, tails, spacing)[1]
+    weights = 1.0 / (1.0 + c * (r_squares + 1.0 / tau**2))
     return origin + tau, weights
+
+
+def _poles(freqs: np.ndarray, pole: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each origin pole: the offsets w_j - w_pole of the poles within NEAR
+    indices of it, itself left out and inf past the grid's edges, and the
+    number of poles further out below it and above it."""
+    n = freqs.size
+    steps = np.arange(-NEAR, NEAR + 1)
+    index = pole[:, None] + steps[steps != 0]
+    inside = (index >= 0) & (index < n)
+    near = freqs[np.clip(index, 0, n - 1)] - freqs[pole][:, None]
+    tails = np.maximum(np.stack([pole, n - 1 - pole], axis=1) - NEAR, 0)
+    return np.where(inside, near, np.inf), tails
+
+
+def _pole_sums(
+    t: np.ndarray, near: np.ndarray, tails: np.ndarray, spacing: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_j 1/(t - d_j) and sum_j 1/(t - d_j)^2 over every pole d_j but the
+    origin, for offsets t from it.
+
+    The near poles are summed directly from their offsets.  The tails lie on
+    the uniform grid: with x = t / spacing, the i-th pole past the near ones
+    contributes 1/(spacing (NEAR + 1 + x + i)) below the origin and
+    -1/(spacing (NEAR + 1 - x + i)) above it.  |x| stays below 1 except at
+    the outer roots, whose offset grows away from the one tail they have, so
+    every tail argument is above NEAR; an empty tail's argument is raised to
+    NEAR to keep it finite.
+    """
+    r = 1.0 / (t[:, None] - near)
+    x = t / spacing
+    start = np.maximum(NEAR + 1.0 + np.stack([x, -x], axis=1), NEAR)
+    first, second = _tail_sums(start, tails)
+    r_sum = r.sum(axis=1) + (first[:, 0] - first[:, 1]) / spacing
+    r_squares = np.einsum("ij,ij->i", r, r) + (second[:, 0] + second[:, 1]) / spacing**2
+    return r_sum, r_squares
+
+
+def _tail_sums(b: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i 1/(b + i) and sum_i 1/(b + i)^2 over i = 0 ... count-1, for
+    b > NEAR: psi(a) - psi(b) and psi'(b) - psi'(a) with a = b + count.  The
+    differences of the leading terms are formed from count, not by
+    subtraction, so a short tail keeps its relative precision; an empty tail
+    sums to exactly 0."""
+    inv_a, inv_b = 1.0 / (b + count), 1.0 / b
+    ratio = count * inv_a * inv_b  # 1/b - 1/a
+    (digamma_a, trigamma_a), (digamma_b, trigamma_b) = _series(inv_a), _series(inv_b)
+    digamma = np.log1p(count * inv_b) + 0.5 * ratio + digamma_a - digamma_b
+    trigamma = ratio * (1.0 + 0.5 * (inv_a + inv_b)) + trigamma_b - trigamma_a
+    return digamma, trigamma
+
+
+def _series(inv_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of psi(z) past ln z - 1/(2z), and of psi'(z) past
+    1/z + 1/(2z^2), from their asymptotic series in 1/z."""
+    w = inv_z * inv_z
+    digamma = np.zeros_like(w)
+    trigamma = np.zeros_like(w)
+    for d, t in zip(DIGAMMA_SERIES, TRIGAMMA_SERIES):
+        digamma = digamma * w + d
+        trigamma = trigamma * w + t
+    return digamma * w, trigamma * w * inv_z
 
 
 def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
@@ -195,15 +281,15 @@ def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
     """
     t_final = float(np.max(np.abs(times)))
     recurrence = 2.0 * math.pi / arrow.grid.spacing
-    if t_final >= recurrence:
+    if not t_final < recurrence:
         raise GuardError(
             f"t_final={t_final:g} reaches the grid recurrence time {recurrence:g}; "
             "increase n_modes or shorten the run"
         )
     energies, weights = emitter_spectrum(arrow)
     amplitude = np.zeros(np.shape(times), dtype=complex)
-    for start in range(0, energies.size, ROOT_BLOCK):
-        block = slice(start, start + ROOT_BLOCK)
+    for start in range(0, energies.size, SUM_BLOCK):
+        block = slice(start, start + SUM_BLOCK)
         amplitude += np.exp(-1j * np.outer(times, energies[block])) @ weights[block]
     return np.abs(amplitude) ** 2
 

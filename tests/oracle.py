@@ -5,9 +5,11 @@ arithmetic the tests are written in; the package itself works on plain
 arrays, so tests hand it ``.data``.  The Kraus loops are the per-operator sums that ``channel`` replaced with one
 broadcast product over the (count, d, d) stack, kept as its oracle.  The
 dense complex single-excitation Hamiltonian and its ``eigh`` are the oracle
-of the secular-equation solver in ``microscopic``.  ``dense_step_chain`` is
-the full-length collision on system (x) all N bins that ``chain.step_chain``
-replaced, and ``dense_vector`` embeds a chain state in that layout.
+of the secular-equation solver in ``microscopic``, and ``full_sum_spectrum``
+is that solver with every pole summed directly, the slow path it replaced.
+``dense_step_chain`` is the full-length collision on system (x) all N bins
+that ``chain.step_chain`` replaced, and ``dense_vector`` embeds a chain state
+in that layout.
 ``factorization_report`` is criterion 4's comparison of the exact chain
 against the Kraus iteration.
 """
@@ -171,6 +173,114 @@ def dense_survival(arrow, times: np.ndarray) -> np.ndarray:
     """|c_e(t)|^2 from one dense Hermitian eigendecomposition."""
     evals, weights = dense_spectrum(arrow)
     return np.abs(np.exp(-1j * np.outer(times, evals)) @ weights) ** 2
+
+
+# Roots the full-sum oracle solves at a time, and its Newton steps per
+# block before plain bisection.
+FULL_SUM_BLOCK = 32
+FULL_SUM_NEWTON_ITERATIONS = 40
+
+
+def full_sum_spectrum(arrow) -> tuple[np.ndarray, np.ndarray]:
+    """The secular-equation spectrum with every pole summed at every
+    evaluation: ascending eigenvalues of the arrowhead and the emitter's
+    weight in each, in O(n^2) time over blocks of FULL_SUM_BLOCK roots.
+
+    This is the solver that ``microscopic.emitter_spectrum`` replaced with
+    near-pole sums and digamma tails; the iteration is the same, so the two
+    agree to rounding.  With g = 0 the emitter decouples, and its own level 0
+    with weight 1 is the whole answer.
+    """
+    freqs = arrow.grid.frequencies
+    c = arrow.coupling**2
+    if c == 0.0:
+        return np.zeros(1), np.ones(1)
+    n = freqs.size
+    # every eigenvalue lies within ||diag|| + ||border|| of 0
+    bound = float(np.max(np.abs(freqs))) + math.sqrt(n * c) + 1.0
+    # root k lies between the poles k-1 and k, or between a pole and the bound
+    left = np.concatenate([[-bound], freqs])
+    right = np.concatenate([freqs, [bound]])
+    energies = np.empty(n + 1)
+    weights = np.empty(n + 1)
+    for start in range(0, n + 1, FULL_SUM_BLOCK):
+        block = slice(start, start + FULL_SUM_BLOCK)
+        energies[block], weights[block] = _full_sum_roots(
+            freqs, c, left[block], right[block], start
+        )
+    return energies, weights
+
+
+def _full_sum_roots(
+    freqs: np.ndarray, c: float, left: np.ndarray, right: np.ndarray, first: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots first, first+1, ... of h(l) = l - c sum_j 1/(l - w_j), each in
+    its bracket (left, right), with the emitter weights 1/h'(l).
+
+    Each root is solved as an offset tau from the pole nearer to it, so
+    l - w_j = tau - (w_j - origin) keeps the full relative precision of tau
+    however close the root is to that pole (Gu & Eisenstat 1995).  The
+    iteration is Newton's method on p(tau) = |tau| h(origin + tau), which has
+    no pole at the origin and the sign of h.  Every evaluation shrinks the
+    bracket of tau; a step that would leave it bisects instead, and a step
+    below one ulp is lengthened to one ulp so that the bracket closes.  A root
+    is done when its bracket is one ulp wide.
+    """
+    n = freqs.size
+    k = np.arange(first, first + left.size)
+    outer = (k == 0) | (k == n)
+    mid = 0.5 * (left + right)
+    h_mid = mid - c * (1.0 / (mid[:, None] - freqs)).sum(axis=1)
+    # the top root has only its left pole, the bottom root only its right one
+    from_left = np.where(outer, k == n, h_mid >= 0.0)
+    origin = np.where(from_left, left, right)
+    pole = np.where(from_left, k - 1, k)
+    sign = np.where(from_left, 1.0, -1.0)
+    offsets = freqs - origin[:, None]
+    far = np.where(outer, np.where(from_left, right, left), mid) - origin
+    lo = np.minimum(far, 0.0)
+    hi = np.maximum(far, 0.0)
+    # |p| at each end of the bracket; an end never evaluated is a pole or the bound
+    p_lo = np.full(k.size, np.inf)
+    p_hi = np.full(k.size, np.inf)
+
+    tau = 0.5 * far
+    active = np.arange(k.size)
+    d = offsets
+    iteration = 0
+    while active.size:
+        iteration += 1
+        t = tau[active]
+        r = 1.0 / (t[:, None] - d)
+        r[np.arange(t.size), pole[active]] = 0.0  # the origin pole is in |tau|
+        rest = origin[active] + t - c * r.sum(axis=1)
+        s = sign[active]
+        p = s * (t * rest - c)
+        dp = s * rest + np.abs(t) * (1.0 + c * np.einsum("ij,ij->i", r, r))
+
+        below, above = p <= 0.0, p >= 0.0
+        a = np.where(below, t, lo[active])
+        b = np.where(above, t, hi[active])
+        lo[active], hi[active] = a, b
+        p_lo[active] = np.where(below, np.abs(p), p_lo[active])
+        p_hi[active] = np.where(above, np.abs(p), p_hi[active])
+
+        step = -p / dp
+        ulp = np.abs(np.spacing(t))
+        step = np.where(np.abs(step) < ulp, np.copysign(ulp, step), step)
+        nxt = t + step
+        inside = (nxt > a) & (nxt < b) & (iteration <= FULL_SUM_NEWTON_ITERATIONS)
+        tau[active] = np.where(inside, nxt, 0.5 * (a + b))
+
+        open_ = b - a > np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        if not open_.all():
+            active = active[open_]
+            d = offsets[active]
+
+    tau = np.where(p_lo <= p_hi, lo, hi)
+    r = 1.0 / (tau[:, None] - offsets)
+    weights = 1.0 / (1.0 + c * np.einsum("ij,ij->i", r, r))
+    return origin + tau, weights
 
 
 def dense_vector(state: ChainState) -> np.ndarray:

@@ -15,7 +15,7 @@ from timebins.microscopic import (
     fit_decay_rate,
 )
 
-from oracle import dense_hamiltonian, dense_spectrum, dense_survival
+from oracle import dense_hamiltonian, dense_spectrum, dense_survival, full_sum_spectrum
 
 
 def test_grid_validation_and_spacing():
@@ -104,6 +104,13 @@ def test_recurrence_guard():
     assert times[-1] == 10.0
 
 
+def test_recurrence_guard_rejects_a_nan_time():
+    # nan >= recurrence is False, so the guard asks for t < recurrence instead
+    arrow = build_microscopic(FrequencyGrid(41, 1.0), 1.0)
+    with pytest.raises(GuardError):
+        evolve_microscopic(arrow, np.array([0.0, np.nan, 1.0]))
+
+
 def test_fit_window_needs_samples():
     with pytest.raises(ValueError):
         fit_decay_rate(np.array([0.0, 1.0]), np.array([1.0, 0.4]), window=(0.5, 2.5))
@@ -171,6 +178,30 @@ def test_secular_solver_at_vanishing_coupling(gamma):
         np.testing.assert_allclose(survival, 1.0, rtol=0, atol=1e-12 + gamma * times[-1])
 
 
+@pytest.mark.parametrize("half_width", [1.0, 20.0, 40.0])
+@pytest.mark.parametrize("gamma", [1e-30, 1e-8, 1.0, 50.0])
+@pytest.mark.parametrize("n_modes", [3, 33, 35, 101, 1601])
+def test_secular_solver_matches_the_full_sum_oracle(n_modes, half_width, gamma):
+    # The solver sums the poles within 16 indices of each root's origin
+    # directly and the rest as digamma tails.  At 3 modes there are no tails; at 33 the
+    # middle root has none and the edge roots one of 16 poles; at 35 the
+    # middle root has two tails of one pole each; 101 and 1601 have long tails
+    # on both sides of most roots.
+    arrow = build_microscopic(FrequencyGrid(n_modes, half_width), gamma)
+    energies, weights = emitter_spectrum(arrow)
+    full_energies, full_weights = full_sum_spectrum(arrow)
+    np.testing.assert_allclose(energies, full_energies, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(weights, full_weights, rtol=0, atol=1e-14)
+    # the two outer roots lie past the grid's edges, and the two next to them
+    # in its first and last gaps (on the poles, to rounding, at gamma = 1e-30)
+    freqs = arrow.grid.frequencies
+    ends = [0, 1, -2, -1]
+    np.testing.assert_allclose(energies[ends], full_energies[ends], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(weights[ends], full_weights[ends], rtol=0, atol=1e-14)
+    assert energies[0] <= freqs[0] <= energies[1] <= freqs[1]
+    assert freqs[-2] <= energies[-2] <= freqs[-1] <= energies[-1]
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes that tracemalloc sees allocated during fn(*args)."""
     tracemalloc.start()
@@ -198,6 +229,14 @@ def test_survival_sum_is_blocked_like_the_solver():
     assert traced_peak(evolve_microscopic, arrow, times) <= 1.5 * solve
 
 
+def test_secular_solver_memory_grows_linearly():
+    # 16 times the modes may take at most 2 x 16 times the memory: a solver
+    # that held (n, n) arrays would take 256 times
+    small = traced_peak(emitter_spectrum, build_microscopic(FrequencyGrid(1601, 20.0), 1.0))
+    large = traced_peak(emitter_spectrum, build_microscopic(FrequencyGrid(25601, 20.0), 1.0))
+    assert large <= 2 * 16 * small
+
+
 def continuum_amplitude(times, gamma, half_width, panels=400, order=20):
     """c_e(t) = integral of rho(w) e^{-i w t} over the flat band [-W, W],
     rho(w) = (gamma/2pi) / ((w - shift(w))^2 + (gamma/2)^2) with the band-edge
@@ -220,12 +259,12 @@ def continuum_band():
     return times, continuum_amplitude(times, 1.0, 20.0)
 
 
-@pytest.mark.parametrize("n_modes", [401, 1601, 6401])
+@pytest.mark.parametrize("n_modes", [401, 1601, 6401, 25601])
 def test_grid_converges_to_the_continuum_band(continuum_band, n_modes):
     # The grid differs from the flat continuum band at first order in the
     # spacing: 1.44e-3 * spacing in the survival and 7.6e-4 * spacing in the
-    # amplitude at each of these sizes.  6401 modes is out of reach of a
-    # dense eigensolver.
+    # amplitude at each of these sizes (1.445e-3 and 7.65e-4 at 25601).
+    # 6401 modes is out of reach of a dense eigensolver.
     times, reference = continuum_band
     arrow = build_microscopic(FrequencyGrid(n_modes, 20.0), 1.0)
     energies, weights = emitter_spectrum(arrow)
