@@ -8,10 +8,14 @@ is the operator-sum map rho -> sum_m K_m rho K_m^dag.
 The family is one (n_max+1, d, d) array K[m], and every sum over m is one
 broadcast product summed over its first axis.  Long trajectories run in
 Liouville space: with the row-major vec(rho) = rho.ravel(), one collision is
-the d^2 x d^2 step matrix S_c = sum_m K_m (x) conj(K_m), and ``propagate``
-fills a whole (steps+1, d, d) stack with one matrix-vector product per step.
-The stack is then checked in one pass (``first_invalid``) with the same
-thresholds as ``DensityMatrix``.
+the d^2 x d^2 step matrix S_c = sum_m K_m (x) conj(K_m).  ``propagate``
+stacks the powers S, S^2, ..., S^B (B = POWER_BLOCK) into one (B d^2, d^2)
+matrix and fills a whole (steps+1, d, d) stack B states at a time, each block
+one product with the state before it (a run of at most B steps takes one
+product per step).  The stack is then checked in one pass
+(``first_invalid``) with the same thresholds as ``DensityMatrix``; a stack
+that trips a guard is recomputed one product per step, and the guards report
+on that stack, as they would have step by step.
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ STEP_MATRIX_TOL = 1e-12
 # trace-preserving up to rounding (3e-15 at worst over the package's systems,
 # n_max <= 8, gamma dt <= 5), and is made exactly so.
 TRACE_ROUNDING = 1e-14
+# States filled per product in propagate: the stacked powers S .. S^B take
+# B d^4 complex entries (64 KiB for d = 4).
+POWER_BLOCK = 64
 
 
 def first_invalid(stack: np.ndarray, skip: np.ndarray | None = None) -> tuple[int, str]:
@@ -222,13 +229,48 @@ def step_matrix(family: KrausFamily) -> np.ndarray:
 
 def propagate(s: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
     """The (steps+1, d, d) stack rho_0, S rho_0, ..., S^steps rho_0 of a
-    row-major step matrix S."""
+    row-major step matrix S.
+
+    States k+1 .. k+B are the stacked powers S .. S^B times state k: one
+    product per block of B = POWER_BLOCK states.  A run of at most B steps
+    takes one product per step, since its powers would take as many.
+    """
+    if steps <= POWER_BLOCK:
+        return _propagate_by_steps(s, rho0, steps)
+    d = rho0.shape[0]
+    n = d * d
+    flat = np.empty((steps + 1, n), dtype=complex)
+    flat[0] = rho0.ravel()
+    powers = np.empty((POWER_BLOCK, n, n), dtype=complex)
+    powers[0] = s
+    for j in range(1, POWER_BLOCK):
+        np.dot(s, powers[j - 1], out=powers[j])
+    stacked = powers.reshape(POWER_BLOCK * n, n)
+    for k in range(0, steps, POWER_BLOCK):
+        rows = min(POWER_BLOCK, steps - k)
+        np.dot(stacked[: rows * n], flat[k], out=flat[k + 1 : k + 1 + rows].reshape(-1))
+    return flat.reshape(steps + 1, d, d)
+
+
+def _propagate_by_steps(s: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
+    """One matrix-vector product per step: a short run, or the stack the
+    guards report on once a trajectory trips one."""
     d = rho0.shape[0]
     flat = np.empty((steps + 1, d * d), dtype=complex)
     flat[0] = rho0.ravel()
     for k in range(steps):
         np.dot(s, flat[k], out=flat[k + 1])
     return flat.reshape(steps + 1, d, d)
+
+
+def _collision_faults(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, str]:
+    """Per-step trace deviations of steps 2 .. steps, which of them warn, and
+    first_invalid of the unwarned states from step 2 on."""
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    deviation = np.abs(np.diff(tr))[1:]
+    warned = deviation > TRACE_WARN
+    stop, message = first_invalid(stack[2:], skip=warned)
+    return deviation, warned, stop, message
 
 
 def iterate_channel(
@@ -241,24 +283,27 @@ def iterate_channel(
     and the step matrix must reproduce it to STEP_MATRIX_TOL.  The rest is
     propagated with the step matrix, then guarded as apply_channel guards
     each step: the same warnings, and the same error at the earliest step
-    that apply_channel would have refused.
+    that apply_channel would have refused.  A stack that trips a guard is
+    recomputed one product per step before the guards report, so their
+    messages quote the step-by-step traces to the last digit.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return rho0.matrix[None].copy()
     first = apply_channel(family, rho0)
-    stack = propagate(step_matrix(family), rho0.matrix, steps)
+    s = step_matrix(family)
+    stack = propagate(s, rho0.matrix, steps)
     gap = float(np.max(np.abs(stack[1] - first.matrix)))
     if gap > STEP_MATRIX_TOL:
         raise GuardError(
             f"step matrix differs from the Kraus map by {gap:.3e} on the first step"
         )
 
-    tr = np.trace(stack, axis1=1, axis2=2).real
-    deviation = np.abs(np.diff(tr))[1:]  # steps 2 .. steps
-    warned = deviation > TRACE_WARN
-    stop, message = first_invalid(stack[2:], skip=warned)
+    deviation, warned, stop, message = _collision_faults(stack)
+    if warned.any() or message:
+        stack = _propagate_by_steps(s, rho0.matrix, steps)
+        deviation, warned, stop, message = _collision_faults(stack)
     for k in np.flatnonzero(warned[:stop]):
         _guard_trace(float(deviation[k]), family.n_max)
     if message:

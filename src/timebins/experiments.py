@@ -95,8 +95,8 @@ SWEEP_POINTS = 4
 # them with an error of its own: the modes of the microscopic grid and the
 # entries of the dense one-bin unitary.
 MAX_STEPS = 2**53
-# CSV rows formatted per block, so no full-length Python copy of the table is
-# ever built next to the CSV text.
+# CSV rows formatted per block, one % per block, so no full-length Python
+# copy of the table is ever built next to the CSV text.
 CSV_BLOCK_ROWS = 1024
 
 
@@ -151,11 +151,11 @@ def _csv(
 ) -> str:
     """CSV text of a float table, ended by a '# name = value' line if a note
     is given.  17 significant digits round-trip doubles exactly."""
-    row = ",".join(["{:.17g}"] * table.shape[1])
+    row = ",".join(["%.17g"] * table.shape[1])
     blocks = [",".join(header)]
     for start in range(0, len(table), CSV_BLOCK_ROWS):
-        values = table[start : start + CSV_BLOCK_ROWS].tolist()
-        blocks.append("\n".join(row.format(*v) for v in values))
+        block = table[start : start + CSV_BLOCK_ROWS]
+        blocks.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
     if note is not None:
         blocks.append("# {} = {:.17g}".format(*note))
     return "\n".join(blocks) + "\n"

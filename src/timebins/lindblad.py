@@ -12,7 +12,9 @@ sweeps never rebuild operators.
 Everything runs on one row-major Liouvillian matrix L (vec(rho) = rho.ravel()).
 For this linear autonomous ODE one classic RK4 step is exactly the matrix
 polynomial S_rk4 = sum_{k<=4} (L dt)^k / k!, so a trajectory is one call to
-``channel.propagate``.
+``channel.propagate``, which fills it a block of powers of S_rk4 at a time.
+A trajectory that trips a guard is recomputed one product per step, and the
+guard reports on that stack.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix, first_invalid, propagate
+from .channel import DensityMatrix, _propagate_by_steps, first_invalid, propagate
 from .errors import GuardError
 from .model import SystemModel
 from .operators import HERMITICITY_TOL, square_matrix
@@ -91,10 +93,10 @@ def integrate_rk4(
     for k in (4, 3, 2, 1):
         step = one + (a @ step) / k
     stack = propagate(step, rho0.matrix, steps)
-
-    drift = np.abs(np.trace(stack[1:], axis1=1, axis2=2).real - 1.0)
-    stop, message = first_invalid(stack[1:])
-    drifted = np.flatnonzero(drift[: stop + 1] > TRACE_DRIFT_ABORT)
+    drift, drifted, message = _rk4_faults(stack)
+    if drifted.size or message:
+        stack = _propagate_by_steps(step, rho0.matrix, steps)
+        drift, drifted, message = _rk4_faults(stack)
     if drifted.size:
         k = int(drifted[0])
         raise GuardError(
@@ -103,6 +105,15 @@ def integrate_rk4(
     if message:
         raise ValueError(message)
     return stack
+
+
+def _rk4_faults(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+    """Trace drift of steps 1 .. steps, the steps up to the first invalid
+    state whose drift aborts, and that state's first_invalid message."""
+    drift = np.abs(np.trace(stack[1:], axis1=1, axis2=2).real - 1.0)
+    stop, message = first_invalid(stack[1:])
+    drifted = np.flatnonzero(drift[: stop + 1] > TRACE_DRIFT_ABORT)
+    return drift, drifted, message
 
 
 def analytic_oracle(

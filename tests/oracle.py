@@ -11,7 +11,10 @@ is that solver with every pole summed directly, the slow path it replaced.
 that ``chain.step_chain`` replaced, and ``dense_vector`` embeds a chain state
 in that layout.
 ``factorization_report`` is criterion 4's comparison of the exact chain
-against the Kraus iteration.
+against the Kraus iteration.  ``stepwise_propagate`` is ``channel.propagate``
+with one matrix-vector product per step, the loop its blocked powers
+replaced, and ``csv_text`` is ``experiments._csv`` formatting one row at a
+time with ``str.format``.
 """
 
 from __future__ import annotations
@@ -149,6 +152,26 @@ def kraus_completeness(ops: np.ndarray) -> np.ndarray:
     for k in ops:
         acc += k.conj().T @ k
     return acc
+
+
+def stepwise_propagate(s: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
+    """The (steps+1, d, d) stack rho_0 .. S^steps rho_0, one product per step."""
+    d = rho0.shape[0]
+    flat = np.empty((steps + 1, d * d), dtype=complex)
+    flat[0] = rho0.ravel()
+    for k in range(steps):
+        np.dot(s, flat[k], out=flat[k + 1])
+    return flat.reshape(steps + 1, d, d)
+
+
+def csv_text(header, table: np.ndarray, note=None) -> str:
+    """A header line, one '{:.17g}' line per table row, and the optional
+    '# name = value' line."""
+    lines = [",".join(header)]
+    lines += [",".join("{:.17g}".format(x) for x in row) for row in table.tolist()]
+    if note is not None:
+        lines.append("# {} = {:.17g}".format(*note))
+    return "\n".join(lines) + "\n"
 
 
 def dense_hamiltonian(arrow) -> np.ndarray:

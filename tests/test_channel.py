@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import timebins.channel as channel
+import timebins.lindblad as lindblad
 from timebins.channel import (
     DensityMatrix,
     KrausFamily,
@@ -14,10 +15,11 @@ from timebins.channel import (
     expansion_report,
     extract_kraus,
     iterate_channel,
+    propagate,
     step_matrix,
 )
 from timebins.errors import GuardError
-from timebins.lindblad import analytic_oracle
+from timebins.lindblad import LindbladModel, analytic_oracle, liouvillian_matrix
 from timebins.model import (
     CoarseParams,
     coarse_map,
@@ -26,7 +28,7 @@ from timebins.model import (
     two_level_system,
 )
 
-from oracle import kraus_completeness, kraus_map, kraus_step_matrix
+from oracle import kraus_completeness, kraus_map, kraus_step_matrix, stepwise_propagate
 
 
 def tls_family(gamma=1.0, dt=0.01, n_max=2, omega0=0.0, drive=0.0):
@@ -334,17 +336,71 @@ def test_long_driven_qubit_matches_extended_precision_kraus_iteration():
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("n_max", [2, 4])
-def test_undriven_dephasing_keeps_its_trace_over_long_runs(n_max):
+BENCH_DEPHASING = (0.7444133524538041, 0.008141657627719808)
+
+
+@pytest.mark.parametrize(
+    "gamma, dt, n_max",
+    [
+        pytest.param(1.0, 0.01, 2, id="2"),
+        pytest.param(1.0, 0.01, 4, id="4"),
+        *(pytest.param(*BENCH_DEPHASING, n, id=f"bench-{n}") for n in (1, 2, 4)),
+        # the first four draws of default_rng(11) (gamma, dt within 2^(+-1/2)
+        # of (1, 0.01), n_max of 1, 2, 4) that one product per step drifted
+        pytest.param(1.2455098542517398, 0.01034601557762391, 2, id="draw-8"),
+        pytest.param(0.978679349342737, 0.013251304029735365, 2, id="draw-18"),
+        pytest.param(0.7899447700260368, 0.014107241123994642, 1, id="draw-20"),
+        pytest.param(0.7192604129028499, 0.012649890076125905, 1, id="draw-25"),
+    ],
+)
+def test_undriven_dephasing_keeps_its_trace_over_long_runs(gamma, dt, n_max):
     # sum_m K_m^dag K_m is 1 only to an ulp, so a step matrix that is the
-    # plain Kraus sum drifts the trace by 1.1e-12 over these 10^4 steps
+    # plain Kraus sum drifts the trace by 1.1e-12 over these 10^4 steps.  With
+    # the trace functional exact, one product per step still drifted by
+    # 5.6e-13 at bench-2 and the draw cases: rho_11 lost half an ulp of 0.5
+    # a step that rho_00 rounded away.  A block of powers moves rho_00 by many
+    # ulps at once and rounds once a block.
     system = dephasing_variant(two_level_system())
-    stack = iterate_channel(family_of(system, n_max=n_max), PLUS, 10_000)
+    family = family_of(system, gamma=gamma, dt=dt, n_max=n_max)
+    stack = iterate_channel(family, PLUS, 10_000)
     trace = np.trace(stack, axis1=1, axis2=2).real
     assert np.max(np.abs(trace - 1.0)) <= 1e-15
-    s = step_matrix(family_of(system, n_max=n_max))
+    s = step_matrix(family)
     identity = np.eye(system.dim).ravel()
     assert np.max(np.abs(identity @ s - identity)) <= 2.3e-16
+
+
+def rk4_step_matrix(system, gamma=1.0, dt=0.01):
+    """sum_{k<=4} (L dt)^k / k!, power by power."""
+    a = liouvillian_matrix(LindbladModel.from_system(system, gamma)) * dt
+    return sum(np.linalg.matrix_power(a, k) / math.factorial(k) for k in range(5))
+
+
+@pytest.mark.parametrize("kind", ["collision", "rk4"])
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_propagate_matches_one_product_per_step(name, kind):
+    system = SYSTEMS[name]()
+    s = step_matrix(family_of(system)) if kind == "collision" else rk4_step_matrix(system)
+    rho = random_state(np.random.default_rng(sum(map(ord, name + kind))), system.dim)
+    for steps in (0, 1, 63, 64, 65, 128, 10_000):
+        fast = propagate(s, rho.matrix, steps)
+        slow = stepwise_propagate(s, rho.matrix, steps)
+        assert fast.shape == (steps + 1, system.dim, system.dim)
+        assert np.array_equal(fast[0], rho.matrix)
+        assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+def test_clean_trajectories_are_not_recomputed_step_by_step(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a clean trajectory was recomputed step by step")
+
+    monkeypatch.setattr(channel, "_propagate_by_steps", refuse)
+    monkeypatch.setattr(lindblad, "_propagate_by_steps", refuse)
+    system = SYSTEMS["oscillator3"]()
+    rho = DensityMatrix.pure([0.0, 0.0, 1.0])
+    assert len(iterate_channel(family_of(system), rho, 500)) == 501
+    model = LindbladModel.from_system(system, 1.0)
+    assert len(lindblad.integrate_rk4(model, rho, 0.01, 500)) == 501
 
 
 def test_first_step_cross_check_rejects_a_wrong_step_matrix(monkeypatch):
@@ -394,3 +450,17 @@ def test_guard_parity_accumulated_leak_fails_validation_at_the_same_step():
     assert fast == slow
     assert len(slow[0]) >= 5 and slow[1][0] == "ValueError"
     assert "trace" in slow[1][1]
+
+
+def test_guard_parity_holds_past_one_block_of_powers():
+    # the accumulated-leak run above over three blocks of powers: the guards
+    # must report on the step-by-step recompute to match apply_channel
+    family = family_of(truncated_oscillator(3), dt=1e-3)
+    leaky = KrausFamily(ops=family.ops[:2], dt=1e-3, n_max=2, completeness_defect=1e-6)
+    p2 = 1.02e-10 / 9.993e-07
+    rho = DensityMatrix(np.diag([1.0 - p2, 0.0, p2]).astype(complex))
+    steps = 3 * channel.POWER_BLOCK
+    slow = guard_record(lambda: stepwise(leaky, rho, steps))
+    fast = guard_record(lambda: iterate_channel(leaky, rho, steps))
+    assert fast == slow
+    assert len(slow[0]) >= 5 and slow[1][0] == "ValueError"

@@ -10,6 +10,8 @@ from timebins.cli import main
 from timebins.errors import GuardError
 from timebins.experiments import fit_order
 
+from oracle import csv_text
+
 
 def run_cli(tmp_path, config_text, name="run"):
     cfg = tmp_path / f"{name}.cfg"
@@ -430,3 +432,18 @@ def test_out_path_from_config(tmp_path, capsys, monkeypatch):
     assert main(["--config", str(cfg)]) == 0
     capsys.readouterr()
     assert (tmp_path / "named.csv").exists()
+
+
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("rows", [0, 1023, 1024, 1025])
+def test_csv_text_matches_row_by_row_formatting(rows):
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 7)) * 10.0 ** rng.integers(-300, 300, (rows, 7))
+    if rows:
+        table[0, 1:] = SPECIAL_VALUES
+        table[-1, :-1] = SPECIAL_VALUES[::-1]
+    header = ["t", "a", "b", "c", "d", "e", "f"]
+    for note in (None, ("fitted_order", 1.0000000123), ("residual_max", 5e-324)):
+        assert experiments._csv(header, table, note) == csv_text(header, table, note)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import timebins.lindblad as lindblad
 from timebins.channel import DensityMatrix
 from timebins.errors import GuardError
 from timebins.lindblad import (
@@ -14,6 +15,9 @@ from timebins.lindblad import (
     liouvillian_matrix,
 )
 from timebins.model import dephasing_variant, truncated_oscillator, two_level_system
+
+from oracle import stepwise_propagate
+
 
 EXCITED = DensityMatrix.pure([0.0, 1.0])
 GROUND = DensityMatrix.pure([1.0, 0.0])
@@ -160,6 +164,21 @@ def test_rk4_guard_aborts_on_broken_trace():
     with pytest.raises(GuardError) as slow:
         four_stage_rk4(decay_model(), rho, 0.01, 5)
     assert str(fast.value) == str(slow.value)
+
+
+def test_rk4_guard_reports_on_the_step_by_step_stack(monkeypatch):
+    calls = []
+
+    def by_steps(s, rho0, steps):
+        calls.append(steps)
+        return stepwise_propagate(s, rho0, steps)
+
+    monkeypatch.setattr(lindblad, "_propagate_by_steps", by_steps)
+    rho = DensityMatrix.pure([0.0, 1.0])
+    rho.matrix[1, 1] += 2e-8
+    with pytest.raises(GuardError, match="at step 1 "):
+        integrate_rk4(decay_model(), rho, 0.01, 200)
+    assert calls == [200]
 
 
 def test_rk4_rejects_bad_steps():

@@ -56,3 +56,21 @@ def test_record_runs_a_workload_through_the_cli(tmp_path):
     assert len(runs) == 8
     assert all(r["exit"] == 0 and r["csv"].startswith("t,") for r in runs.values())
     assert run_tool("compare", str(out), str(out)).returncode == 0
+
+
+def test_compare_names_the_largest_column_difference_over_all_runs(tmp_path):
+    (run,) = record().values()
+    a = {"scan:1:s000": run, "scan:2:s001": run}
+    b = {
+        "scan:1:s000": {**run, "csv": "t,rho_ee\n0,1.000001\n0.5,0.25\n# fitted_order = 9\n"},
+        "scan:2:s001": {**run, "csv": "t,rho_ee\n0,1\n0.5001,0.25\n# fitted_order = 1.5\n"},
+    }
+    done = compare(tmp_path, a, b)
+    assert done.returncode == 0
+    # the '#' line moved by 7.5, but only the table's columns count
+    assert "largest CSV column |delta|: 0.0001 in scan:2:s001, column t\n" in done.stdout
+    nan = record(csv="t,rho_ee\n0,nan\n0.5,0.25\n# fitted_order = 1.5\n")
+    assert "largest CSV column |delta|: inf in scan:1:s000_collision, column rho_ee" in (
+        compare(tmp_path, record(), nan).stdout
+    )
+    assert "largest CSV column |delta|: 0\n" in compare(tmp_path, record(), record()).stdout

@@ -14,9 +14,11 @@ lists.  Nothing under ``perfbench/`` is written.
 ``compare`` prints every run that differs: the fields that differ, the
 largest absolute difference in each numeric CSV column, and the CSV's ``#``
 lines apart, since a fitted value there can move more than the columns it is
-fitted to.  It exits 1 when a run is missing from one record, or when an
-exit code, stderr or warning differs; a difference only in stdout or CSV
-text is printed for the reader to judge and exits 0.
+fitted to.  Its last lines name the largest column difference over all runs,
+with its run and column (the ``#`` lines left out), and count the runs that
+differ.  It exits 1 when a run is missing from one record, or when an exit
+code, stderr or warning differs; a difference only in stdout or CSV text is
+printed for the reader to judge and exits 0.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -88,8 +91,9 @@ def record(path: str, specs: list[str], src: str) -> int:
     return 0
 
 
-def _csv_diff(a: str, b: str) -> list[str]:
-    """Lines describing how two CSV texts differ."""
+def _csv_diff(a: str, b: str) -> tuple[list[str], dict[str, float]]:
+    """Lines describing how two CSV texts differ, and the largest absolute
+    difference in each column of two tables of the same shape."""
     (a_notes, a_rows), (b_notes, b_rows) = (
         ([ln for ln in t.splitlines() if ln.startswith("#")],
          [ln.split(",") for ln in t.splitlines() if not ln.startswith("#")])
@@ -99,26 +103,29 @@ def _csv_diff(a: str, b: str) -> list[str]:
     if len(a_notes) != len(b_notes):
         lines.append(f"  # lines: {len(a_notes)} -> {len(b_notes)}")
     if len(a_rows) != len(b_rows) or not a_rows or a_rows[0] != b_rows[0]:
-        return lines + [f"  table shape or header differs: {len(a_rows)} -> {len(b_rows)} rows"]
+        lines.append(f"  table shape or header differs: {len(a_rows)} -> {len(b_rows)} rows")
+        return lines, {}
     worst = dict.fromkeys(a_rows[0], 0.0)
     for ra, rb in zip(a_rows[1:], b_rows[1:]):
         if len(ra) != len(rb):
-            return lines + ["  a row has a different number of entries"]
+            return lines + ["  a row has a different number of entries"], {}
         for col, x, y in zip(a_rows[0], ra, rb):
             if x != y:
                 try:
                     delta = abs(float(x) - float(y))
                 except ValueError:
-                    delta = float("inf")
-                worst[col] = max(worst[col], delta)
+                    delta = math.inf
+                # a NaN against a number counts as an infinite difference
+                worst[col] = max(worst[col], delta if delta >= 0.0 else math.inf)
     moved = ", ".join(f"{col} {d:.2g}" for col, d in worst.items() if d)
-    return lines + ([f"  max |delta| per column: {moved}"] if moved else [])
+    return lines + ([f"  max |delta| per column: {moved}"] if moved else []), worst
 
 
 def compare(path_a: str, path_b: str) -> int:
     a = json.loads(Path(path_a).read_text(encoding="utf-8"))
     b = json.loads(Path(path_b).read_text(encoding="utf-8"))
     failed = differing = 0
+    largest = (0.0, "", "")  # (|delta|, run, column)
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
             print(f"{name}: only in {path_a if name in a else path_b}")
@@ -134,9 +141,14 @@ def compare(path_a: str, path_b: str) -> int:
         print(f"{name}: {', '.join(fields)} differ")
         for f in fields:
             if f == "csv" and ra[f] is not None and rb[f] is not None:
-                print("\n".join(_csv_diff(ra[f], rb[f])))
+                lines, worst = _csv_diff(ra[f], rb[f])
+                print("\n".join(lines))
+                largest = max([largest, *((d, name, col) for col, d in worst.items())])
             else:
                 print(f"  {f}: {ra[f]!r}  ->  {rb[f]!r}")
+    delta, run, column = largest
+    where = f" in {run}, column {column}" if delta else ""
+    print(f"largest CSV column |delta|: {delta:.3g}{where}")
     print(f"{len(set(a) | set(b))} runs: {differing} differ, {failed} in exit code, "
           "stderr, warnings or presence")
     return 1 if failed else 0
