@@ -20,27 +20,20 @@ on that stack, as they would have step by step.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import GuardError, StateError
 from .operators import square_matrix
-
-if TYPE_CHECKING:
-    from .model import SystemModel
 
 __all__ = [
     "DensityMatrix",
     "KrausFamily",
-    "ExpansionReport",
     "extract_kraus",
     "apply_channel",
     "iterate_channel",
-    "expansion_report",
     "step_matrix",
     "propagate",
     "first_invalid",
@@ -111,7 +104,7 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         _, message = first_invalid(m[None])
         if message:
-            raise ValueError(message)
+            raise StateError(message)
 
     @classmethod
     def pure(cls, amplitudes) -> "DensityMatrix":
@@ -235,31 +228,23 @@ def propagate(s: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
     product per block of B = POWER_BLOCK states.  A run of at most B steps
     takes one product per step, since its powers would take as many.
     """
-    if steps <= POWER_BLOCK:
-        return _propagate_by_steps(s, rho0, steps)
+    return _propagate(s, rho0, steps, POWER_BLOCK if steps > POWER_BLOCK else 1)
+
+
+def _propagate(s: np.ndarray, rho0: np.ndarray, steps: int, block: int) -> np.ndarray:
+    """``propagate`` with ``block`` states per product (1: one per step)."""
     d = rho0.shape[0]
     n = d * d
     flat = np.empty((steps + 1, n), dtype=complex)
     flat[0] = rho0.ravel()
-    powers = np.empty((POWER_BLOCK, n, n), dtype=complex)
+    powers = np.empty((block, n, n), dtype=complex)
     powers[0] = s
-    for j in range(1, POWER_BLOCK):
+    for j in range(1, block):
         np.dot(s, powers[j - 1], out=powers[j])
-    stacked = powers.reshape(POWER_BLOCK * n, n)
-    for k in range(0, steps, POWER_BLOCK):
-        rows = min(POWER_BLOCK, steps - k)
+    stacked = powers.reshape(block * n, n)
+    for k in range(0, steps, block):
+        rows = min(block, steps - k)
         np.dot(stacked[: rows * n], flat[k], out=flat[k + 1 : k + 1 + rows].reshape(-1))
-    return flat.reshape(steps + 1, d, d)
-
-
-def _propagate_by_steps(s: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
-    """One matrix-vector product per step: a short run, or the stack the
-    guards report on once a trajectory trips one."""
-    d = rho0.shape[0]
-    flat = np.empty((steps + 1, d * d), dtype=complex)
-    flat[0] = rho0.ravel()
-    for k in range(steps):
-        np.dot(s, flat[k], out=flat[k + 1])
     return flat.reshape(steps + 1, d, d)
 
 
@@ -302,44 +287,10 @@ def iterate_channel(
 
     deviation, warned, stop, message = _collision_faults(stack)
     if warned.any() or message:
-        stack = _propagate_by_steps(s, rho0.matrix, steps)
+        stack = _propagate(s, rho0.matrix, steps, 1)
         deviation, warned, stop, message = _collision_faults(stack)
     for k in np.flatnonzero(warned[:stop]):
         _guard_trace(float(deviation[k]), family.n_max)
     if message:
-        raise ValueError(message)
+        raise StateError(message)
     return stack
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Residuals of the small-dt expansion of the first three Kraus operators."""
-
-    dt: float
-    r0: float
-    r1: float
-    r2: float
-
-
-def expansion_report(
-    family: KrausFamily, system: "SystemModel", gamma: float
-) -> ExpansionReport:
-    """Distance of K_0, K_1, K_2 from their leading small-dt forms.
-
-    r0 = ||K0 - (1 + dt(-i H - gamma/2 n))||, r1 = ||K1 - sqrt(gamma dt) sigma||,
-    r2 = ||K2||, all in the max norm; n = sigma^dag sigma.
-    """
-    k = family.ops
-    if len(k) < 3:
-        raise ValueError("expansion_report needs n_max >= 2 so that K_2 exists")
-    dt = family.dt
-    sigma = system.lowering
-    number = sigma.conj().T @ sigma
-    k0_ref = np.eye(system.dim) + dt * (
-        -1j * system.hamiltonian - (gamma / 2.0) * number
-    )
-    k1_ref = math.sqrt(gamma * dt) * sigma
-    r0, r1, r2 = (
-        float(np.max(np.abs(x))) for x in (k[0] - k0_ref, k[1] - k1_ref, k[2])
-    )
-    return ExpansionReport(dt=dt, r0=r0, r1=r1, r2=r2)

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .errors import GuardError
+from .errors import GuardError, StateError
 from .experiments import EXIT_CONFIG, EXIT_GUARD, run_experiment
 
 __all__ = ["main"]
@@ -34,12 +34,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GuardError, MemoryError, ValueError) as exc:
-        # a MemoryError is a run too long to allocate, e.g. a huge t_final/dt,
-        # and the one ValueError expected is a computed state that fails a
-        # density-matrix check (channel.first_invalid)
-        if isinstance(exc, ValueError) and not str(exc).startswith("density matrix"):
-            raise
+    except (GuardError, StateError, MemoryError) as exc:
+        # a MemoryError is a run too long to allocate, e.g. a huge t_final/dt
         print(f"numeric guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except OSError as exc:

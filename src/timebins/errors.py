@@ -1,7 +1,11 @@
 """Exception types shared across the package."""
 
-__all__ = ["GuardError"]
+__all__ = ["GuardError", "StateError"]
 
 
 class GuardError(RuntimeError):
     """A numeric guard tripped: truncation loss, recurrence, overflow, or drift."""
+
+
+class StateError(ValueError):
+    """A state failed a density-matrix check (``channel.first_invalid``)."""

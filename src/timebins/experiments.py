@@ -19,13 +19,12 @@ from .chain import init_chain, reduced_system, step_chain
 from .channel import (
     DensityMatrix,
     KrausFamily,
-    expansion_report,
     extract_kraus,
     first_invalid,
     iterate_channel,
 )
 from .config import ConfigError, RunConfig
-from .errors import GuardError
+from .errors import GuardError, StateError
 from .lindblad import LindbladModel, analytic_oracle, integrate_rk4
 from .microscopic import (
     FrequencyGrid,
@@ -38,6 +37,7 @@ from .model import (
     SystemModel,
     coarse_map,
     dephasing_variant,
+    expansion_report,
     ordering_residual,
     truncated_oscillator,
     two_level_system,
@@ -158,7 +158,8 @@ def _csv(
         blocks.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
     if note is not None:
         blocks.append("# {} = {:.17g}".format(*note))
-    return "\n".join(blocks) + "\n"
+    blocks.append("")  # the final newline, joined in rather than appended to a copy
+    return "\n".join(blocks)
 
 
 def _timeseries_csv(
@@ -245,7 +246,7 @@ def _run_collision(cfg: RunConfig) -> tuple[str, str, int]:
 
 def _run_lindblad(cfg: RunConfig) -> tuple[str, str, int]:
     system = _build_system(cfg)
-    model = LindbladModel.from_system(system, cfg.gamma)
+    model = LindbladModel(system, cfg.gamma)
     rho0 = DensityMatrix.pure(_initial_vector(cfg, system))
     stack = integrate_rk4(model, rho0, cfg.dt, _steps(cfg.t_final, cfg.dt))
     tol = max(LINDBLAD_TOL_FLOOR, LINDBLAD_TOL_FACTOR * (cfg.gamma * cfg.dt) ** 4)
@@ -285,7 +286,7 @@ def _run_joint_chain(cfg: RunConfig) -> tuple[str, str, int]:
 
 
 def _run_microscopic(cfg: RunConfig) -> tuple[str, str, int]:
-    if cfg.system not in ("tls", "tls-driven") or cfg.omega0 != 0.0 or cfg.drive != 0.0:
+    if _oracle_kind(cfg) != "spontaneous":
         raise ConfigError("microscopic covers the undriven two-level emitter only")
     steps = _steps(cfg.t_final, cfg.dt)
     window = (0.5 / cfg.gamma, min(2.5 / cfg.gamma, cfg.t_final))
@@ -305,7 +306,7 @@ def _run_microscopic(cfg: RunConfig) -> tuple[str, str, int]:
     stack[:, 1, 1] = survival
     _, message = first_invalid(stack)
     if message:
-        raise ValueError(message)
+        raise StateError(message)
     csv = _timeseries_csv(times, stack)
 
     rate = -fit_decay_rate(times, survival, window)

@@ -6,8 +6,9 @@ The Liouvillian of the master equation
 
 a fixed-step RK4 integrator on the matrix ODE, and closed-form solutions for
 undriven two-level spontaneous emission and pure dephasing used as oracles.
-The collapse operator is stored unscaled with gamma kept separate, so rate
-sweeps never rebuild operators.
+A model is a ``SystemModel`` at rate gamma: the collision model's system and
+bath coupling, with the lowering operator as the unscaled collapse operator,
+so rate sweeps never rebuild operators.
 
 Everything runs on one row-major Liouvillian matrix L (vec(rho) = rho.ravel()).
 For this linear autonomous ODE one classic RK4 step is exactly the matrix
@@ -23,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix, _propagate_by_steps, first_invalid, propagate
-from .errors import GuardError
+from .channel import DensityMatrix, _propagate, first_invalid, propagate
+from .errors import GuardError, StateError
 from .model import SystemModel
-from .operators import HERMITICITY_TOL, square_matrix
 
 __all__ = [
     "LindbladModel",
@@ -40,33 +40,21 @@ TRACE_DRIFT_ABORT = 1e-8
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian plus one collapse channel at rate gamma."""
+    """A system's master equation: its Hamiltonian, and its lowering operator
+    as the one collapse channel, at rate gamma."""
 
-    hamiltonian: np.ndarray
-    collapse: np.ndarray
+    system: SystemModel
     gamma: float
 
     def __post_init__(self) -> None:
-        h = square_matrix(self.hamiltonian, "Hamiltonian")
-        c = np.asarray(self.collapse, dtype=complex)
-        if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("Hamiltonian must be Hermitian")
-        if c.shape != h.shape:
-            raise ValueError("collapse operator dimension does not match Hamiltonian")
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "collapse", c)
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-
-    @classmethod
-    def from_system(cls, system: SystemModel, gamma: float) -> "LindbladModel":
-        return cls(system.hamiltonian, system.lowering, gamma)
 
 
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     """Row-major matrix of -i [H, rho] + gamma (L rho L^dag - 1/2 {L^dag L, rho})."""
-    h = model.hamiltonian
-    c = model.collapse
+    h = model.system.hamiltonian
+    c = model.system.lowering
     one = np.eye(h.shape[0])
     cdc = c.conj().T @ c
     dissipator = np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, one) + np.kron(one, cdc.T))
@@ -81,7 +69,7 @@ def integrate_rk4(
     Aborts with GuardError at the first step whose trace drifts from 1 by more
     than TRACE_DRIFT_ABORT, which for this trace-preserving generator can only
     signal a genuinely broken input, unless an earlier state fails a
-    DensityMatrix check (ValueError).
+    DensityMatrix check (StateError).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -95,7 +83,7 @@ def integrate_rk4(
     stack = propagate(step, rho0.matrix, steps)
     drift, drifted, message = _rk4_faults(stack)
     if drifted.size or message:
-        stack = _propagate_by_steps(step, rho0.matrix, steps)
+        stack = _propagate(step, rho0.matrix, steps, 1)
         drift, drifted, message = _rk4_faults(stack)
     if drifted.size:
         k = int(drifted[0])
@@ -103,7 +91,7 @@ def integrate_rk4(
             f"RK4 trace drifted by {drift[k]:.3e} at step {k + 1} (dt={dt:g})"
         )
     if message:
-        raise ValueError(message)
+        raise StateError(message)
     return stack
 
 
@@ -143,5 +131,5 @@ def analytic_oracle(
     out[:, 1, 1] = ee
     _, message = first_invalid(out)
     if message:
-        raise ValueError(message)
+        raise StateError(message)
     return out

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix, apply_channel, extract_kraus, iterate_channel
+from .channel import DensityMatrix, KrausFamily, apply_channel, extract_kraus, iterate_channel
 from .operators import HERMITICITY_TOL, expm
 
 __all__ = [
     "SystemModel",
     "CoarseParams",
+    "ExpansionReport",
     "lowering_matrix",
     "two_level_system",
     "truncated_oscillator",
@@ -30,6 +31,7 @@ __all__ = [
     "bin_generator",
     "coarse_map",
     "ordering_residual",
+    "expansion_report",
 ]
 
 
@@ -44,19 +46,23 @@ def lowering_matrix(dim: int) -> np.ndarray:
 class SystemModel:
     """A local quantum system: bath-coupling operator plus its Hamiltonian."""
 
-    dim: int
     lowering: np.ndarray
     hamiltonian: np.ndarray
 
     def __post_init__(self) -> None:
         lowering = np.asarray(self.lowering, dtype=complex)
         h = np.asarray(self.hamiltonian, dtype=complex)
-        if lowering.shape != (self.dim, self.dim) or h.shape != (self.dim, self.dim):
+        n = lowering.shape[0] if lowering.ndim else 0
+        if lowering.shape != (n, n) or h.shape != (n, n):
             raise ValueError("operator dimensions do not match the system dimension")
         object.__setattr__(self, "lowering", lowering)
         object.__setattr__(self, "hamiltonian", h)
         if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
             raise ValueError("system Hamiltonian must be Hermitian")
+
+    @property
+    def dim(self) -> int:
+        return self.lowering.shape[0]
 
 
 def two_level_system(omega0: float = 0.0, drive: float = 0.0) -> SystemModel:
@@ -64,14 +70,14 @@ def two_level_system(omega0: float = 0.0, drive: float = 0.0) -> SystemModel:
     H = omega0 |e><e| + drive (sigma + sigma^dag)."""
     sigma = lowering_matrix(2)
     h = omega0 * np.diag([0.0, 1.0]).astype(complex) + drive * (sigma + sigma.conj().T)
-    return SystemModel(2, sigma, h)
+    return SystemModel(sigma, h)
 
 
 def truncated_oscillator(levels: int = 3, omega0: float = 0.0) -> SystemModel:
     """Harmonic oscillator truncated to ``levels`` states, coupling via a."""
     a = lowering_matrix(levels)
     h = omega0 * np.diag(np.arange(levels, dtype=float)).astype(complex)
-    return SystemModel(levels, a, h)
+    return SystemModel(a, h)
 
 
 def dephasing_variant(base: SystemModel) -> SystemModel:
@@ -81,7 +87,7 @@ def dephasing_variant(base: SystemModel) -> SystemModel:
     the number basis fixed and damps coherences.
     """
     sigma = base.lowering
-    return SystemModel(base.dim, sigma.conj().T @ sigma, base.hamiltonian)
+    return SystemModel(sigma.conj().T @ sigma, base.hamiltonian)
 
 
 @dataclass(frozen=True)
@@ -147,3 +153,37 @@ def ordering_residual(
     one_step = apply_channel(coarse, rho).matrix
     reference = iterate_channel(fine, rho, subdivisions)[-1]
     return float(np.max(np.abs(one_step - reference)))
+
+
+@dataclass(frozen=True)
+class ExpansionReport:
+    """Residuals of the small-dt expansion of the first three Kraus operators."""
+
+    dt: float
+    r0: float
+    r1: float
+    r2: float
+
+
+def expansion_report(
+    family: KrausFamily, system: SystemModel, gamma: float
+) -> ExpansionReport:
+    """Distance of K_0, K_1, K_2 from their leading small-dt forms.
+
+    r0 = ||K0 - (1 + dt(-i H - gamma/2 n))||, r1 = ||K1 - sqrt(gamma dt) sigma||,
+    r2 = ||K2||, all in the max norm; n = sigma^dag sigma.
+    """
+    k = family.ops
+    if len(k) < 3:
+        raise ValueError("expansion_report needs n_max >= 2 so that K_2 exists")
+    dt = family.dt
+    sigma = system.lowering
+    number = sigma.conj().T @ sigma
+    k0_ref = np.eye(system.dim) + dt * (
+        -1j * system.hamiltonian - (gamma / 2.0) * number
+    )
+    k1_ref = math.sqrt(gamma * dt) * sigma
+    r0, r1, r2 = (
+        float(np.max(np.abs(x))) for x in (k[0] - k0_ref, k[1] - k1_ref, k[2])
+    )
+    return ExpansionReport(dt=dt, r0=r0, r1=r1, r2=r2)

@@ -19,7 +19,6 @@ from timebins.chain import init_chain, step_chain
 from timebins.channel import (
     DensityMatrix,
     apply_channel,
-    expansion_report,
     extract_kraus,
     iterate_channel,
 )
@@ -34,6 +33,7 @@ from timebins.model import (
     CoarseParams,
     coarse_map,
     dephasing_variant,
+    expansion_report,
     ordering_residual,
     truncated_oscillator,
     two_level_system,

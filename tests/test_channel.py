@@ -12,7 +12,6 @@ from timebins.channel import (
     DensityMatrix,
     KrausFamily,
     apply_channel,
-    expansion_report,
     extract_kraus,
     iterate_channel,
     propagate,
@@ -24,6 +23,7 @@ from timebins.model import (
     CoarseParams,
     coarse_map,
     dephasing_variant,
+    expansion_report,
     truncated_oscillator,
     two_level_system,
 )
@@ -372,7 +372,7 @@ def test_undriven_dephasing_keeps_its_trace_over_long_runs(gamma, dt, n_max):
 
 def rk4_step_matrix(system, gamma=1.0, dt=0.01):
     """sum_{k<=4} (L dt)^k / k!, power by power."""
-    a = liouvillian_matrix(LindbladModel.from_system(system, gamma)) * dt
+    a = liouvillian_matrix(LindbladModel(system, gamma)) * dt
     return sum(np.linalg.matrix_power(a, k) / math.factorial(k) for k in range(5))
 
 
@@ -391,15 +391,19 @@ def test_propagate_matches_one_product_per_step(name, kind):
 
 
 def test_clean_trajectories_are_not_recomputed_step_by_step(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a clean trajectory was recomputed step by step")
+    blocked = channel._propagate
 
-    monkeypatch.setattr(channel, "_propagate_by_steps", refuse)
-    monkeypatch.setattr(lindblad, "_propagate_by_steps", refuse)
+    def refuse(s, rho0, steps, block):
+        if block == 1:
+            raise AssertionError("a clean trajectory was recomputed step by step")
+        return blocked(s, rho0, steps, block)
+
+    monkeypatch.setattr(channel, "_propagate", refuse)
+    monkeypatch.setattr(lindblad, "_propagate", refuse)
     system = SYSTEMS["oscillator3"]()
     rho = DensityMatrix.pure([0.0, 0.0, 1.0])
     assert len(iterate_channel(family_of(system), rho, 500)) == 501
-    model = LindbladModel.from_system(system, 1.0)
+    model = LindbladModel(system, 1.0)
     assert len(lindblad.integrate_rk4(model, rho, 0.01, 500)) == 501
 
 
@@ -448,7 +452,7 @@ def test_guard_parity_accumulated_leak_fails_validation_at_the_same_step():
     slow = guard_record(lambda: stepwise(leaky, rho, 40))
     fast = guard_record(lambda: iterate_channel(leaky, rho, 40))
     assert fast == slow
-    assert len(slow[0]) >= 5 and slow[1][0] == "ValueError"
+    assert len(slow[0]) >= 5 and slow[1][0] == "StateError"
     assert "trace" in slow[1][1]
 
 
@@ -463,4 +467,4 @@ def test_guard_parity_holds_past_one_block_of_powers():
     slow = guard_record(lambda: stepwise(leaky, rho, steps))
     fast = guard_record(lambda: iterate_channel(leaky, rho, steps))
     assert fast == slow
-    assert len(slow[0]) >= 5 and slow[1][0] == "ValueError"
+    assert len(slow[0]) >= 5 and slow[1][0] == "StateError"

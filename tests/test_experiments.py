@@ -1,14 +1,19 @@
 """End-to-end tests of the CLI experiments, CSV formats, and exit codes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import timebins.experiments as experiments
+from timebins.channel import DensityMatrix, KrausFamily, iterate_channel
 from timebins.cli import main
-from timebins.errors import GuardError
+from timebins.config import parse_config
+from timebins.errors import GuardError, StateError
 from timebins.experiments import fit_order
+from timebins.lindblad import LindbladModel, analytic_oracle, integrate_rk4
+from timebins.model import two_level_system
 
 from oracle import csv_text
 
@@ -340,6 +345,71 @@ def test_invalid_computed_state_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def _bad_density_matrix(monkeypatch):
+    DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+def _bad_collision(monkeypatch):
+    # each step gains 2e-11 of trace: no warning, but the trace is off by
+    # more than 1e-10 after six steps
+    ops = (1.0 + 1e-11) * np.eye(2, dtype=complex)[None]
+    grow = KrausFamily(ops, dt=0.01, n_max=0, completeness_defect=0.0)
+    iterate_channel(grow, DensityMatrix.pure([0.0, 1.0]), 10)
+
+
+def _bad_rk4(monkeypatch):
+    # one RK4 step of gamma dt = 5 leaves a negative population
+    model = LindbladModel(two_level_system(), 1.0)
+    integrate_rk4(model, DensityMatrix.pure([0.0, 1.0]), 5.0, 2)
+
+
+def _bad_closed_form(monkeypatch):
+    # a negative rate grows the excited population past 1
+    analytic_oracle("spontaneous", -1.0, [1.0], DensityMatrix.pure([0.0, 1.0]))
+
+
+def _bad_microscopic(monkeypatch):
+    def survival(system, times):
+        return np.full(len(times), 1.5)
+
+    monkeypatch.setattr(experiments, "evolve_microscopic", survival)
+    cfg = parse_config("experiment = microscopic\nn_modes = 41\nt_final = 3\n")
+    experiments._RUNNERS["microscopic"](cfg)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_bad_density_matrix, _bad_collision, _bad_rk4, _bad_closed_form, _bad_microscopic],
+    ids=["DensityMatrix", "iterate_channel", "rk4", "analytic_oracle", "microscopic"],
+)
+def test_every_failed_state_check_is_a_state_error(monkeypatch, run):
+    with pytest.raises(StateError, match="^density matrix") as caught:
+        run(monkeypatch)
+    assert isinstance(caught.value, ValueError)
+
+
+def test_a_state_error_exits_3(tmp_path, capsys, monkeypatch):
+    def runner(cfg):
+        raise StateError("density matrix has negative eigenvalue -1.000e+00")
+
+    monkeypatch.setitem(experiments._RUNNERS, "collision", runner)
+    code, out = run_cli(tmp_path, "experiment = collision\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "numeric guard: density matrix has negative eigenvalue -1.000e+00\n"
+    assert not out.exists()
+
+
+def test_a_plain_value_error_is_not_read_as_a_failed_state(tmp_path, monkeypatch):
+    # only the type marks a failed state check, not the text of the message
+    def runner(cfg):
+        raise ValueError("density matrix has negative eigenvalue -1.000e+00")
+
+    monkeypatch.setitem(experiments._RUNNERS, "collision", runner)
+    with pytest.raises(ValueError, match="density matrix"):
+        run_cli(tmp_path, "experiment = collision\n")
+
+
 def test_kraus_report_needs_two_bin_photons(tmp_path, capsys):
     code, out = run_cli(tmp_path, "experiment = kraus-report\nn_max = 1\n")
     assert code == 2
@@ -447,3 +517,19 @@ def test_csv_text_matches_row_by_row_formatting(rows):
     header = ["t", "a", "b", "c", "d", "e", "f"]
     for note in (None, ("fitted_order", 1.0000000123), ("residual_max", 5e-324)):
         assert experiments._csv(header, table, note) == csv_text(header, table, note)
+
+
+def test_csv_text_is_joined_without_a_further_copy():
+    # a 10001-row table, the length of a long trajectory: the formatted
+    # blocks and the joined text are two copies; adding the final newline to
+    # the joined text would make a third
+    table = np.random.default_rng(7).standard_normal((10001, 7))
+    header = ["t", "a", "b", "c", "d", "e", "f"]
+    tracemalloc.start()
+    try:
+        text = experiments._csv(header, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert peak <= 2.5 * len(text)

@@ -14,7 +14,12 @@ from timebins.lindblad import (
     integrate_rk4,
     liouvillian_matrix,
 )
-from timebins.model import dephasing_variant, truncated_oscillator, two_level_system
+from timebins.model import (
+    SystemModel,
+    dephasing_variant,
+    truncated_oscillator,
+    two_level_system,
+)
 
 from oracle import stepwise_propagate
 
@@ -25,13 +30,13 @@ PLUS = DensityMatrix.pure([1.0, 1.0])
 
 
 def decay_model(gamma=1.0, omega0=0.0, drive=0.0):
-    return LindbladModel.from_system(two_level_system(omega0, drive), gamma)
+    return LindbladModel(two_level_system(omega0, drive), gamma)
 
 
 def rhs(model, r):
     """-i [H, r] + gamma (L r L^dag - 1/2 {L^dag L, r}) by matrix products."""
-    h = model.hamiltonian
-    c = model.collapse
+    h = model.system.hamiltonian
+    c = model.system.lowering
     cdc = c.conj().T @ c
     out = -1j * (h @ r - r @ h)
     out += model.gamma * (c @ r @ c.conj().T - 0.5 * (cdc @ r + r @ cdc))
@@ -89,26 +94,26 @@ def test_liouvillian_reduces_to_dissipator_at_zero_hamiltonian():
 def test_liouvillian_coherence_rotation():
     # H = sigma_z / 2 with diag(+1/2, -1/2): d rho_eg / dt = +i rho_eg
     h = np.diag([0.5, -0.5]).astype(complex)
-    model = LindbladModel(h, two_level_system().lowering, 0.0)
+    model = LindbladModel(SystemModel(two_level_system().lowering, h), 0.0)
     out = act(model, PLUS)
     np.testing.assert_allclose(out[1, 0], 1j * PLUS.matrix[1, 0], atol=1e-15)
 
 
 def test_liouvillian_of_maximally_mixed_is_zero_without_decay():
     h = np.array([[0.3, 0.2], [0.2, -0.1]], dtype=complex)
-    model = LindbladModel(h, two_level_system().lowering, 0.0)
+    model = LindbladModel(SystemModel(two_level_system().lowering, h), 0.0)
     mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
     assert np.max(np.abs(act(model, mixed))) == 0.0
 
 
 def test_lindblad_model_rejects_mis_shaped_operators():
     sigma = two_level_system().lowering
-    with pytest.raises(ValueError, match="square matrix"):
-        LindbladModel(np.zeros((2, 3)), sigma, 1.0)
-    with pytest.raises(ValueError, match="does not match"):
-        LindbladModel(np.zeros((3, 3)), sigma, 1.0)
-    with pytest.raises(ValueError, match="does not match"):
-        LindbladModel(np.zeros((2, 2)), sigma[:, :1], 1.0)
+    with pytest.raises(ValueError, match="do not match"):
+        LindbladModel(SystemModel(sigma, np.zeros((2, 3))), 1.0)
+    with pytest.raises(ValueError, match="do not match"):
+        LindbladModel(SystemModel(sigma, np.zeros((3, 3))), 1.0)
+    with pytest.raises(ValueError, match="do not match"):
+        LindbladModel(SystemModel(sigma[:, :1], np.zeros((2, 2))), 1.0)
 
 
 def test_liouvillian_fixed_point_ground_state():
@@ -129,7 +134,7 @@ def test_rk4_coherence_decay():
 
 
 def test_rk4_dephasing():
-    model = LindbladModel.from_system(dephasing_variant(two_level_system()), 1.0)
+    model = LindbladModel(dephasing_variant(two_level_system()), 1.0)
     series = integrate_rk4(model, PLUS, 0.01, 100)
     final = series[-1]
     np.testing.assert_allclose(np.diag(final).real, [0.5, 0.5], atol=1e-12)
@@ -169,16 +174,16 @@ def test_rk4_guard_aborts_on_broken_trace():
 def test_rk4_guard_reports_on_the_step_by_step_stack(monkeypatch):
     calls = []
 
-    def by_steps(s, rho0, steps):
-        calls.append(steps)
+    def by_steps(s, rho0, steps, block):
+        calls.append((steps, block))
         return stepwise_propagate(s, rho0, steps)
 
-    monkeypatch.setattr(lindblad, "_propagate_by_steps", by_steps)
+    monkeypatch.setattr(lindblad, "_propagate", by_steps)
     rho = DensityMatrix.pure([0.0, 1.0])
     rho.matrix[1, 1] += 2e-8
     with pytest.raises(GuardError, match="at step 1 "):
         integrate_rk4(decay_model(), rho, 0.01, 200)
-    assert calls == [200]
+    assert calls == [(200, 1)]
 
 
 def test_rk4_rejects_bad_steps():
@@ -222,7 +227,7 @@ def test_analytic_oracle_rejects_bad_input():
     ids=["decay", "driven", "dephasing", "oscillator3"],
 )
 def test_rk4_matches_the_four_stage_loop(system):
-    model = LindbladModel.from_system(system, 1.3)
+    model = LindbladModel(system, 1.3)
     rng = np.random.default_rng(system.dim)
     shape = (system.dim, system.dim)
     m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

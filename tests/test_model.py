@@ -71,7 +71,7 @@ def test_system_model_rejects_mis_shaped_operators():
         (np.zeros(4), h),
     ]:
         with pytest.raises(ValueError, match="do not match the system dimension"):
-            SystemModel(2, lowering, hamiltonian)
+            SystemModel(lowering, hamiltonian)
 
 
 def test_coarse_params_validation():
