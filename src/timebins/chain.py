@@ -6,12 +6,17 @@ dynamics reproduce the Kraus iteration exactly while the global state becomes
 entangled.  So the state holds only the bins met so far, on
 bin_0 (x) ... (x) bin_{k-1} (x) system: each collision appends the cursor bin
 in vacuum just before the system, and the bins still ahead are never stored.
+
+A state is read once after each collision: its amplitudes, viewed as real
+pairs in rows of the system index, give the real Gram matrix of the system's
+columns, and both the norm check and the reduced system state are read off
+that (2 s, 2 s) matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,11 +33,17 @@ NORM_TOL = 1e-10
 @dataclass(frozen=True)
 class ChainState:
     """Normalized state on the bins met so far (x) system, in a chain of
-    n_bins identical bins of dimension bin_dim."""
+    n_bins identical bins of dimension bin_dim.
+
+    ``gram`` is w^T w for the real view w of the amplitudes, one row per
+    index of the bins and 2 s columns (the real and imaginary part of each
+    system amplitude); its trace is the squared norm.
+    """
 
     vec: StateVector
     bin_dim: int
     n_bins: int
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bins = self.vec.dims[:-1]
@@ -40,7 +51,10 @@ class ChainState:
             raise ValueError(f"bins must share dimension {self.bin_dim}, got {bins}")
         if not 0 <= self.cursor <= self.n_bins:
             raise ValueError(f"cursor {self.cursor} out of range for {self.n_bins} bins")
-        drift = abs(self.vec.norm() - 1.0)
+        w = self.vec.data.view(float).reshape(-1, 2 * self.sys_dim)
+        gram = w.T @ w
+        object.__setattr__(self, "gram", gram)
+        drift = abs(math.sqrt(float(np.trace(gram))) - 1.0)
         if drift > NORM_TOL:
             raise ValueError(f"chain state norm drifted by {drift:.3e}")
 
@@ -94,8 +108,10 @@ def step_chain(state: ChainState, u: np.ndarray) -> ChainState:
 
 
 def reduced_system(state: ChainState) -> DensityMatrix:
-    """Partial trace over every bin, computed directly from the pure state."""
-    v = state.vec.data.reshape(-1, state.sys_dim)
-    rho = v.T @ v.conj()
+    """Partial trace over every bin, read off the state's Gram matrix:
+    rho_ij = sum over the bins of v_i conj(v_j), whose real part is
+    re_i re_j + im_i im_j and imaginary part im_i re_j - re_i im_j."""
+    g = state.gram
+    rho = g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho)

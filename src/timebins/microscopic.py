@@ -15,10 +15,16 @@ equation l = g^2 sum_j 1/(l - w_j), one in each gap of the grid and one past
 each edge, and the emitter's weight in eigenvector l is
 1/(1 + g^2 sum_j 1/(l - w_j)^2).  Each root sums the poles within NEAR
 indices of its own directly; the two tails past them lie on the uniform grid,
-where they are digamma (and trigamma) differences.  So the whole spectrum,
-and the survival amplitude c_e(t) = sum_l weight_l e^{-i l t}, cost O(n)
-time per iteration and a working set of a few (ROOT_BLOCK, 2 NEAR) arrays,
-instead of a dense O(n^3) eigendecomposition.
+where they are digamma (and trigamma) differences.  So the whole spectrum
+costs O(n) time per iteration and a working set of a few (ROOT_BLOCK, 2 NEAR)
+arrays, instead of a dense O(n^3) eigendecomposition.
+
+The survival amplitude c_e(t) = sum_l weight_l e^{-i l t} at equally spaced
+times is a chirp-z transform (Rabiner, Schafer & Rader 1969): every interior
+root lies within half a spacing of a grid frequency, so a short Taylor
+series in that offset leaves sums over the uniform grid, each one FFT
+convolution (Bluestein 1970).  That is O((n + times) log(n + times)) time
+per Taylor term instead of times x modes complex exponentials.
 
 The grid is finite, so the dynamics is quasi-periodic; evolution is guarded
 to times below the recurrence time 2 pi / d_omega.
@@ -49,9 +55,9 @@ NEAR = 16
 # Roots are solved this many at a time, so the solver's working set is a few
 # (ROOT_BLOCK, 2 NEAR) float arrays besides the grid.
 ROOT_BLOCK = 2048
-# The survival amplitude is summed over this many roots at a time: one
-# (times, SUM_BLOCK) complex array.
-SUM_BLOCK = 32
+# The survival sum keeps the Taylor terms of e^{-i sigma t} up to the first
+# whose bound (spacing t_final / 2)^q / q! is below this.
+TAYLOR_TOL = 1e-17
 # Iterations of safeguarded Newton steps before a block falls back to plain
 # bisection, which halves every bracket and so always ends.
 NEWTON_ITERATIONS = 40
@@ -273,24 +279,88 @@ def _series(inv_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
-    """Survival probability |c_e(t)|^2 from c_e(0) = 1 at the given times.
+    """Survival probability |c_e(t)|^2 from c_e(0) = 1 at equally spaced
+    times t_j = j dt from 0.
 
     c_e(t) = sum_l weight_l e^{-i l t} over the spectrum of
     ``emitter_spectrum``.  The recurrence guard needs every |t| below
-    2 pi / spacing; beyond it the finite grid revives.
+    2 pi / spacing; beyond it the finite grid revives.  Times that are not
+    one-dimensional, equally spaced from 0 to rounding, are a ValueError.
+
+    The two outer roots, and the emitter's own level when it decouples, are
+    summed directly.  Every interior root is l = p spacing + sigma with
+    |sigma| <= spacing / 2, so with x = spacing t / 2 and s = 2 sigma / spacing
+
+        sum_l weight_l e^{-i l t} = sum_q (-i x)^q / q! sum_p a_pq e^{-i p spacing t},
+        a_pq = sum_{l -> p} weight_l s^q,
+
+    for q below Q, the first power whose bound (spacing t_final / 2)^Q / Q!
+    is below TAYLOR_TOL.  With theta = spacing dt and pj = (p^2 + j^2 -
+    (j - p)^2) / 2, each sum over p is the convolution of a_pq e^{-i theta
+    p^2/2} with e^{i theta m^2/2}, one FFT product of a size past
+    n + len(times), times e^{-i theta j^2/2}.  Offsets p are counted from
+    the middle of the grid, so the largest chirp phases go with the far
+    poles, whose weights are smallest.
     """
     t_final = float(np.max(np.abs(times)))
-    recurrence = 2.0 * math.pi / arrow.grid.spacing
+    spacing = arrow.grid.spacing
+    recurrence = 2.0 * math.pi / spacing
     if not t_final < recurrence:
         raise GuardError(
             f"t_final={t_final:g} reaches the grid recurrence time {recurrence:g}; "
             "increase n_modes or shorten the run"
         )
+    times = np.asarray(times, dtype=float)
+    uniform = "times must be one-dimensional and equally spaced from 0"
+    if times.ndim != 1:
+        raise ValueError(uniform)
+    count = times.size
+    dt = times[-1] / (count - 1) if count > 1 else 0.0
+    j = np.arange(count)
+    if np.max(np.abs(times - j * dt)) > 4.0 * np.spacing(t_final):
+        raise ValueError(uniform)
+
     energies, weights = emitter_spectrum(arrow)
-    amplitude = np.zeros(np.shape(times), dtype=complex)
-    for start in range(0, energies.size, SUM_BLOCK):
-        block = slice(start, start + SUM_BLOCK)
-        amplitude += np.exp(-1j * np.outer(times, energies[block])) @ weights[block]
+    # the two outer roots, or the decoupled emitter's own level, directly
+    outer = [0, -1] if energies.size > 1 else [0]
+    amplitude = np.exp(-1j * np.outer(times, energies[outer])) @ weights[outer]
+    if energies.size == 1:
+        return np.abs(amplitude) ** 2
+
+    n = arrow.grid.n_modes
+    middle = (n - 1) // 2
+    levels = energies[1:-1]
+    offset = np.clip(np.rint(levels / spacing), -middle, middle)
+    scaled = (levels - offset * spacing) / (0.5 * spacing)
+    pole = offset.astype(np.intp) + middle
+
+    x = 0.5 * spacing * t_final
+    terms, bound = 1, x
+    while bound >= TAYLOR_TOL:
+        terms += 1
+        bound *= x / terms
+
+    theta = spacing * dt
+    size = 1 << (n + count - 2).bit_length()
+    p = np.arange(n) - middle
+    pre = np.exp(-0.5j * theta * (p * p))
+    m = np.arange(-middle, middle + count)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[m] = np.exp(0.5j * theta * (m * m))
+    kernel = np.fft.fft(kernel)
+    sums = np.empty((terms, count), dtype=complex)
+    padded = np.zeros(size, dtype=complex)
+    power = weights[1:-1]
+    for q in range(terms):
+        padded[:n] = np.bincount(pole, weights=power, minlength=n) * pre
+        sums[q] = np.fft.ifft(np.fft.fft(padded) * kernel)[middle : middle + count]
+        power = power * scaled
+    # Horner in z = -i x_j over the Taylor terms
+    z = -0.5j * spacing * times
+    series = sums[-1]
+    for q in range(terms - 1, 0, -1):
+        series = sums[q - 1] + series * z / q
+    amplitude += np.exp(-0.5j * theta * (j * j)) * series
     return np.abs(amplitude) ** 2
 
 

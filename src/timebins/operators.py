@@ -54,7 +54,11 @@ class StateVector:
             raise ValueError(
                 f"vector length {data.shape} does not match factor dimensions {dims}"
             )
-        if not np.all(np.isfinite(data)):
+        # one dot product finds any NaN or inf; a sum of finite squares that
+        # overflows is told apart from them elementwise
+        with np.errstate(over="ignore"):
+            squares = data.view(float) @ data.view(float)
+        if not math.isfinite(squares) and not np.all(np.isfinite(data)):
             raise ValueError("state vector has non-finite amplitudes")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "dims", dims)

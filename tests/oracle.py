@@ -7,9 +7,14 @@ broadcast product over the (count, d, d) stack, kept as its oracle.  The
 dense complex single-excitation Hamiltonian and its ``eigh`` are the oracle
 of the secular-equation solver in ``microscopic``, and ``full_sum_spectrum``
 is that solver with every pole summed directly, the slow path it replaced.
+``direct_survival`` is ``microscopic.evolve_microscopic`` summing
+weight_l e^{-i l t} directly over blocks of roots, the sum its chirp-z
+transform replaced.
 ``dense_step_chain`` is the full-length collision on system (x) all N bins
-that ``chain.step_chain`` replaced, and ``dense_vector`` embeds a chain state
-in that layout.
+that ``chain.step_chain`` replaced, ``dense_vector`` embeds a chain state
+in that layout, and ``conj_reduced_system`` is the reduced state formed as
+v^T conj(v) from the complex amplitudes, which ``chain.reduced_system``'s
+Gram matrix replaced.
 ``factorization_report`` is criterion 4's comparison of the exact chain
 against the Kraus iteration.  ``stepwise_propagate`` is ``channel.propagate``
 with one matrix-vector product per step, the loop its blocked powers
@@ -27,6 +32,7 @@ import numpy as np
 
 from timebins.chain import ChainState, reduced_system
 from timebins.channel import DensityMatrix, KrausFamily, iterate_channel
+from timebins.microscopic import emitter_spectrum
 from timebins.operators import StateVector, vn_entropy
 
 _EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -198,6 +204,22 @@ def dense_survival(arrow, times: np.ndarray) -> np.ndarray:
     return np.abs(np.exp(-1j * np.outer(times, evals)) @ weights) ** 2
 
 
+# Roots the direct survival sum takes at a time: one (times, SUM_BLOCK)
+# complex array.
+SUM_BLOCK = 32
+
+
+def direct_survival(arrow, times: np.ndarray) -> np.ndarray:
+    """|sum_l weight_l e^{-i l t}|^2 over the spectrum of
+    ``emitter_spectrum``, at any times, SUM_BLOCK roots at a time."""
+    energies, weights = emitter_spectrum(arrow)
+    amplitude = np.zeros(np.shape(times), dtype=complex)
+    for start in range(0, energies.size, SUM_BLOCK):
+        block = slice(start, start + SUM_BLOCK)
+        amplitude += np.exp(-1j * np.outer(times, energies[block])) @ weights[block]
+    return np.abs(amplitude) ** 2
+
+
 # Roots the full-sum oracle solves at a time, and its Newton steps per
 # block before plain bisection.
 FULL_SUM_BLOCK = 32
@@ -314,6 +336,14 @@ def dense_vector(state: ChainState) -> np.ndarray:
     full = np.zeros((s, met.shape[0], d ** (state.n_bins - state.cursor)), dtype=complex)
     full[:, :, 0] = met.T
     return full.reshape(-1)
+
+
+def conj_reduced_system(state: ChainState) -> np.ndarray:
+    """Partial trace over every bin as v^T conj(v) on the complex amplitudes,
+    symmetrized."""
+    v = state.vec.data.reshape(-1, state.sys_dim)
+    rho = v.T @ v.conj()
+    return 0.5 * (rho + rho.conj().T)
 
 
 def dense_step_chain(

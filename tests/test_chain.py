@@ -25,6 +25,7 @@ from timebins.operators import StateVector
 
 from oracle import (
     basis_state,
+    conj_reduced_system,
     dense_step_chain,
     dense_vector,
     factorization_report,
@@ -95,6 +96,28 @@ def test_step_chain_matches_the_full_length_oracle(name, n_max):
         np.testing.assert_allclose(
             reduced_system(state).matrix, v @ v.conj().T, rtol=0, atol=1e-14
         )
+
+
+@pytest.mark.parametrize("name, n_bins", [("tls-driven", 13), ("oscillator3", 10)])
+def test_gram_reduction_matches_the_conjugate_product(name, n_bins):
+    # the reduced state read off the real Gram matrix against v^T conj(v), at
+    # every collision of the largest chains the exact workload runs (up to
+    # 2 * 3**13 = 3 188 646 amplitudes)
+    system = {
+        "tls-driven": two_level_system(omega0=0.4, drive=1.0),
+        "oscillator3": truncated_oscillator(3, omega0=0.2),
+    }[name]
+    s = system.dim
+    u = coarse_map(system, CoarseParams(1.0, 0.1, 2))
+    start = np.arange(1, s + 1) * np.exp(0.5j * np.arange(s))
+    state = init_chain(StateVector(start / np.linalg.norm(start), (s,)), n_bins, 2)
+    for k in range(n_bins + 1):
+        if k:
+            state = step_chain(state, u)
+        np.testing.assert_allclose(
+            reduced_system(state).matrix, conj_reduced_system(state), rtol=0, atol=1e-14
+        )
+    assert state.vec.data.size == s * 3**n_bins
 
 
 def test_step_chain_identity_map_only_moves_cursor():
@@ -249,3 +272,12 @@ def test_chain_state_validation():
         ChainState(StateVector(np.ones(8), (2, 2, 2)), 2, n_bins=2)
     with pytest.raises(ValueError, match="share"):
         ChainState(StateVector(np.ones(12) / math.sqrt(12.0), (2, 3, 2)), 2, n_bins=2)
+
+
+def test_chain_state_rejects_a_norm_that_overflows():
+    # a finite amplitude whose square overflows passes StateVector; its
+    # squared norm overflows to inf, so the chain's norm check rejects it
+    vec = StateVector(np.array([1e200, 0.0]), (2,))
+    with pytest.raises(ValueError, match="norm drifted by inf"):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            ChainState(vec, 2, n_bins=1)

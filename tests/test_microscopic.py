@@ -15,7 +15,13 @@ from timebins.microscopic import (
     fit_decay_rate,
 )
 
-from oracle import dense_hamiltonian, dense_spectrum, dense_survival, full_sum_spectrum
+from oracle import (
+    dense_hamiltonian,
+    dense_spectrum,
+    dense_survival,
+    direct_survival,
+    full_sum_spectrum,
+)
 
 
 def test_grid_validation_and_spacing():
@@ -109,6 +115,46 @@ def test_recurrence_guard_rejects_a_nan_time():
     arrow = build_microscopic(FrequencyGrid(41, 1.0), 1.0)
     with pytest.raises(GuardError):
         evolve_microscopic(arrow, np.array([0.0, np.nan, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "n_modes, gamma, t_final, every",
+    [
+        # the largest grid: 6 Taylor terms; the direct sum at every 20th time
+        (102401, 1.0, 6.0, 20),
+        # 0.95 of the recurrence time: spacing t_final / 2 = 0.95 pi needs
+        # 29 Taylor terms, and the far poles' chirp phases reach 1.2e4 rad;
+        # at gamma = 0.005 the survival there is still 0.3
+        (1601, 1.0, None, 1),
+        (1601, 0.005, None, 1),
+        # every root within an ulp or less of its pole
+        (401, 1e-8, 6.0, 1),
+        (401, 1e-30, 6.0, 1),
+    ],
+)
+def test_chirp_z_survival_matches_the_direct_sum(n_modes, gamma, t_final, every):
+    arrow = build_microscopic(FrequencyGrid(n_modes, 20.0), gamma)
+    if t_final is None:
+        t_final = 0.95 * 2.0 * math.pi / arrow.grid.spacing
+    times = np.linspace(0.0, t_final, 301)
+    survival = evolve_microscopic(arrow, times)
+    reference = direct_survival(arrow, times[::every])
+    np.testing.assert_allclose(survival[::every], reference, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        np.array([0.0, 0.1, 0.3]),  # not equally spaced
+        np.linspace(0.1, 1.0, 10),  # not from 0
+        np.linspace(0.0, 1.0, 10) + 1e-12,
+        np.linspace(0.0, 1.0, 10).reshape(2, 5),  # not one-dimensional
+    ],
+)
+def test_survival_needs_equally_spaced_times_from_zero(times):
+    arrow = build_microscopic(FrequencyGrid(41, 1.0), 1.0)
+    with pytest.raises(ValueError, match="equally spaced from 0"):
+        evolve_microscopic(arrow, times)
 
 
 def test_fit_window_needs_samples():
@@ -221,10 +267,10 @@ def test_secular_solver_working_set_is_blocked():
 
 
 def test_survival_sum_is_blocked_like_the_solver():
-    # the survival amplitude is summed a block of roots at a time, so the
-    # evolution needs no more memory than the solve: a whole (times x modes)
-    # complex exponential would be 31 MB here, against 2.9 MB for the
-    # solver's few (2048, 32) float arrays and the grid
+    # the chirp-z survival sum keeps a few complex arrays of its FFT size
+    # (8192 here), so the evolution needs no more memory than the solve: a
+    # whole (times x modes) complex exponential would be 31 MB here, against
+    # 2.9 MB for the solver's few (2048, 32) float arrays and the grid
     arrow = build_microscopic(FrequencyGrid(6401, 20.0), 1.0)
     times = np.linspace(0.0, 3.0, 301)
     solve = traced_peak(emitter_spectrum, arrow)

@@ -41,6 +41,22 @@ def test_statevector_validates_length():
     assert basis_state(4, 2).norm() == 1.0
 
 
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)]
+)
+def test_statevector_rejects_non_finite_amplitudes(bad):
+    data = np.array([0.6, 0.8, 0.0, 0.0], dtype=complex)
+    data[2] = bad
+    with pytest.raises(ValueError, match="state vector has non-finite amplitudes"):
+        StateVector(data, (2, 2))
+
+
+def test_statevector_takes_finite_amplitudes_whose_squares_overflow():
+    # the sum of squares is inf, but every amplitude is finite
+    vec = StateVector(np.array([1e200, 1e200j, 0.0]), (3,))
+    assert np.all(np.isfinite(vec.data))
+
+
 def test_kron_identities():
     lhs = kron(identity((2,)), identity((3,)))
     np.testing.assert_array_equal(lhs.data, np.eye(6))

@@ -1,7 +1,11 @@
 """The package surface: exactly the union of the library modules' ``__all__``."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import timebins
 
@@ -34,3 +38,15 @@ def test_no_name_is_exported_by_two_modules():
         for name in module.__all__:
             assert name not in owner, f"{name} in {owner.get(name)} and {module.__name__}"
             owner[name] = module.__name__
+
+
+def test_importing_the_package_leaves_numpy_fft_unloaded():
+    # numpy loads numpy.fft on first use; the survival sum reaches it only
+    # inside the function, so importing the package does not pay for it
+    src = str(Path(timebins.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, timebins, timebins.cli; print('numpy.fft' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
