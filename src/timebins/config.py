@@ -87,6 +87,8 @@ def parse_config(text: str) -> RunConfig:
     # A driven qubit defaults to unit drive unless the config overrides it.
     if values.get("system") == "tls-driven" and "drive" not in values:
         values["drive"] = 1.0
+    if values.get("system") == "oscillator3" and values.get("drive", 0.0) != 0.0:
+        raise ConfigError("oscillator3 takes no drive")
 
     cfg = RunConfig(**values)  # type: ignore[arg-type]
     if cfg.experiment not in EXPERIMENTS:

@@ -89,12 +89,12 @@ ORDERING_MAX_EXACT = 1e-12
 
 ORDERING_SUBDIVISIONS = 8
 SWEEP_POINTS = 4
-# Beyond 2**53 steps the times k*dt no longer tell steps apart, and 16 bytes a
-# step is 2**57 bytes; shorter runs that do not fit fail at allocation.  The
-# same bound holds the other sizes a config sets, before numpy can refuse
-# them with an error of its own: the modes of the microscopic grid and the
-# entries of the dense one-bin unitary.
-MAX_STEPS = 2**53
+# Most steps a run may take, as many as the joint chain's amplitudes: a run at
+# the cap peaks near 2 GB (300-500 bytes a row).  Numpy may be granted more
+# than the machine holds, and the kernel then kills the process, so every
+# size a config sets is held to this bound before any array exists: the
+# steps, the modes of the microscopic grid and the one-bin unitary's entries.
+MAX_STEPS = 2**22
 # CSV rows formatted per block, one % per block, so no full-length Python
 # copy of the table is ever built next to the CSV text.
 CSV_BLOCK_ROWS = 1024
@@ -354,8 +354,7 @@ def _run_kraus_report(cfg: RunConfig) -> tuple[str, str, int]:
 
     def residuals(dt: float) -> tuple[float, float, float, float]:
         family = _collision_family(system, cfg, dt)
-        rep = expansion_report(family, system, cfg.gamma)
-        return rep.r0, rep.r1, rep.r2, family.completeness_defect
+        return (*expansion_report(family, system, cfg.gamma), family.completeness_defect)
 
     table = _sweep(cfg, residuals)
     csv = _csv(["dt", "r0", "r1", "r2", "completeness_defect"], table)

@@ -21,10 +21,11 @@ arrays, instead of a dense O(n^3) eigendecomposition.
 
 The survival amplitude c_e(t) = sum_l weight_l e^{-i l t} at equally spaced
 times is a chirp-z transform (Rabiner, Schafer & Rader 1969): every interior
-root lies within half a spacing of a grid frequency, so a short Taylor
-series in that offset leaves sums over the uniform grid, each one FFT
-convolution (Bluestein 1970).  That is O((n + times) log(n + times)) time
-per Taylor term instead of times x modes complex exponentials.
+root lies in its own gap of the grid, within half a spacing of the gap's
+midpoint, so a short Taylor series in that offset leaves sums over the
+uniform ladder of midpoints, each one FFT convolution (Bluestein 1970).
+That is O((n + times) log(n + times)) time per Taylor term instead of
+times x modes complex exponentials.
 
 The grid is finite, so the dynamics is quasi-periodic; evolution is guarded
 to times below the recurrence time 2 pi / d_omega.
@@ -288,19 +289,19 @@ def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
     one-dimensional, equally spaced from 0 to rounding, are a ValueError.
 
     The two outer roots, and the emitter's own level when it decouples, are
-    summed directly.  Every interior root is l = p spacing + sigma with
-    |sigma| <= spacing / 2, so with x = spacing t / 2 and s = 2 sigma / spacing
+    summed directly.  Interior root k = 1 ... n-1 lies between poles k-1 and
+    k, so l_k = u_k spacing + sigma_k with u_k = k - n/2 and |sigma_k| <
+    spacing / 2; with x = spacing t / 2 and s_k = 2 sigma_k / spacing
 
-        sum_l weight_l e^{-i l t} = sum_q (-i x)^q / q! sum_p a_pq e^{-i p spacing t},
-        a_pq = sum_{l -> p} weight_l s^q,
+        sum_k weight_k e^{-i l_k t} = sum_q (-i x)^q / q! sum_k weight_k s_k^q e^{-i u_k spacing t},
 
     for q below Q, the first power whose bound (spacing t_final / 2)^Q / Q!
-    is below TAYLOR_TOL.  With theta = spacing dt and pj = (p^2 + j^2 -
-    (j - p)^2) / 2, each sum over p is the convolution of a_pq e^{-i theta
-    p^2/2} with e^{i theta m^2/2}, one FFT product of a size past
-    n + len(times), times e^{-i theta j^2/2}.  Offsets p are counted from
-    the middle of the grid, so the largest chirp phases go with the far
-    poles, whose weights are smallest.
+    is below TAYLOR_TOL.  With theta = spacing dt and u_k j = (u_k^2 + j^2 -
+    (j - u_k)^2) / 2, each sum over k is the convolution of weight_k s_k^q
+    e^{-i theta u_k^2/2} with e^{i theta (m + n/2)^2/2} at m = j - k, one FFT
+    product of a size past n + len(times), times e^{-i theta j^2/2}.  The
+    midpoints are counted from the middle of the grid, so the largest chirp
+    phases go with the far poles, whose weights are smallest.
     """
     t_final = float(np.max(np.abs(times)))
     spacing = arrow.grid.spacing
@@ -328,11 +329,8 @@ def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
         return np.abs(amplitude) ** 2
 
     n = arrow.grid.n_modes
-    middle = (n - 1) // 2
-    levels = energies[1:-1]
-    offset = np.clip(np.rint(levels / spacing), -middle, middle)
-    scaled = (levels - offset * spacing) / (0.5 * spacing)
-    pole = offset.astype(np.intp) + middle
+    u = np.arange(1, n) - 0.5 * n
+    scaled = (energies[1:-1] - u * spacing) / (0.5 * spacing)
 
     x = 0.5 * spacing * t_final
     terms, bound = 1, x
@@ -342,18 +340,17 @@ def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
 
     theta = spacing * dt
     size = 1 << (n + count - 2).bit_length()
-    p = np.arange(n) - middle
-    pre = np.exp(-0.5j * theta * (p * p))
-    m = np.arange(-middle, middle + count)
+    pre = np.exp(-0.5j * theta * (u * u))
+    m = np.arange(1 - n, count - 1)
     kernel = np.zeros(size, dtype=complex)
-    kernel[m] = np.exp(0.5j * theta * (m * m))
+    kernel[m] = np.exp(0.5j * theta * (m + 0.5 * n) ** 2)
     kernel = np.fft.fft(kernel)
     sums = np.empty((terms, count), dtype=complex)
     padded = np.zeros(size, dtype=complex)
     power = weights[1:-1]
     for q in range(terms):
-        padded[:n] = np.bincount(pole, weights=power, minlength=n) * pre
-        sums[q] = np.fft.ifft(np.fft.fft(padded) * kernel)[middle : middle + count]
+        padded[1:n] = power * pre
+        sums[q] = np.fft.ifft(np.fft.fft(padded) * kernel)[:count]
         power = power * scaled
     # Horner in z = -i x_j over the Taylor terms
     z = -0.5j * spacing * times

@@ -23,7 +23,6 @@ from .operators import HERMITICITY_TOL, expm
 __all__ = [
     "SystemModel",
     "CoarseParams",
-    "ExpansionReport",
     "lowering_matrix",
     "two_level_system",
     "truncated_oscillator",
@@ -155,20 +154,10 @@ def ordering_residual(
     return float(np.max(np.abs(one_step - reference)))
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Residuals of the small-dt expansion of the first three Kraus operators."""
-
-    dt: float
-    r0: float
-    r1: float
-    r2: float
-
-
 def expansion_report(
     family: KrausFamily, system: SystemModel, gamma: float
-) -> ExpansionReport:
-    """Distance of K_0, K_1, K_2 from their leading small-dt forms.
+) -> tuple[float, float, float]:
+    """Distances (r0, r1, r2) of K_0, K_1, K_2 from their leading small-dt forms:
 
     r0 = ||K0 - (1 + dt(-i H - gamma/2 n))||, r1 = ||K1 - sqrt(gamma dt) sigma||,
     r2 = ||K2||, all in the max norm; n = sigma^dag sigma.
@@ -186,4 +175,4 @@ def expansion_report(
     r0, r1, r2 = (
         float(np.max(np.abs(x))) for x in (k[0] - k0_ref, k[1] - k1_ref, k[2])
     )
-    return ExpansionReport(dt=dt, r0=r0, r1=r1, r2=r2)
+    return r0, r1, r2

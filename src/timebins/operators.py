@@ -63,9 +63,6 @@ class StateVector:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "dims", dims)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Unitary exponential of an anti-Hermitian generator, from one ``eigh``.

@@ -47,7 +47,7 @@ def test_init_chain_product_state():
     assert dense_vector(state).shape == (16,)
     nonzero = np.flatnonzero(dense_vector(state))
     assert list(nonzero) == [8]  # |e> (x) |000> sits at index 1*2^3
-    assert state.vec.norm() == pytest.approx(1.0)
+    assert np.linalg.norm(state.vec.data) == pytest.approx(1.0)
     assert state.cursor == 0
 
     reduced = reduced_system(state)
@@ -57,6 +57,13 @@ def test_init_chain_product_state():
 def test_init_chain_overflow_guard():
     with pytest.raises(GuardError):
         init_chain(basis_state(2, 1), n_bins=12, n_max=3)
+
+
+def test_init_chain_needs_a_bin_with_a_photon():
+    with pytest.raises(ValueError, match="at least one bin"):
+        init_chain(basis_state(2, 1), n_bins=0, n_max=1)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        init_chain(basis_state(2, 1), n_bins=1, n_max=0)
 
 
 def test_init_chain_caps_the_final_size_without_allocating_it():
@@ -134,7 +141,7 @@ def test_step_chain_first_collision_amplitudes():
     v = dense_vector(stepped).reshape(2, 2, 2, 2)  # (sys, bin0, bin1, bin2)
     np.testing.assert_allclose(v[1, 0, 0, 0], math.cos(theta), atol=1e-12)
     np.testing.assert_allclose(v[0, 1, 0, 0], math.sin(theta), atol=1e-12)
-    assert stepped.vec.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(stepped.vec.data) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_chain_two_collisions():
@@ -178,7 +185,7 @@ def test_norm_conserved_along_chain():
     u, _, state = tls_setup(dt=0.2, n_bins=12)
     for _ in range(12):
         state = step_chain(state, u)
-    assert abs(state.vec.norm() - 1.0) <= 1e-11
+    assert abs(np.linalg.norm(state.vec.data) - 1.0) <= 1e-11
 
 
 def test_reduced_dynamics_equals_kraus_iteration():

@@ -2,7 +2,12 @@
 
 import pytest
 
-from timebins.config import ConfigError, RunConfig, parse_config
+from timebins.config import EXPERIMENTS, ConfigError, RunConfig, parse_config
+from timebins.experiments import _RUNNERS
+
+
+def test_every_experiment_has_a_runner():
+    assert set(EXPERIMENTS) == set(_RUNNERS)
 
 
 def test_defaults_fill_in():
@@ -57,6 +62,8 @@ def test_bad_value_types_rejected():
         parse_config("experiment = collision\nn_max = 2.5")
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_config("experiment = collision\ngamma = fast")
+    with pytest.raises(ConfigError, match="empty value for 'gamma'"):
+        parse_config("experiment = collision\ngamma =")
 
 
 def test_line_without_assignment_rejected():
@@ -76,11 +83,19 @@ def test_driven_system_defaults_to_unit_drive():
     assert cfg.drive == 0.25
 
 
+def test_oscillator3_takes_no_drive():
+    assert parse_config("experiment = collision\nsystem = oscillator3\ndrive = 0").drive == 0.0
+    with pytest.raises(ConfigError, match="oscillator3 takes no drive"):
+        parse_config("experiment = collision\nsystem = oscillator3\ndrive = 0.5")
+
+
 def test_grid_keys_validated():
     with pytest.raises(ConfigError, match="n_modes"):
         parse_config("experiment = microscopic\nn_modes = 1600")
     with pytest.raises(ConfigError, match="n_bins"):
         parse_config("experiment = joint-chain\nn_bins = 0")
+    with pytest.raises(ConfigError, match="n_max must be >= 1"):
+        parse_config("experiment = joint-chain\nn_max = 0")
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,17 @@
 """End-to-end tests of the CLI experiments, CSV formats, and exit codes."""
 
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import timebins
 import timebins.experiments as experiments
 from timebins.channel import DensityMatrix, KrausFamily, iterate_channel
 from timebins.cli import main
@@ -13,7 +19,7 @@ from timebins.config import parse_config
 from timebins.errors import GuardError, StateError
 from timebins.experiments import fit_order
 from timebins.lindblad import LindbladModel, analytic_oracle, integrate_rk4
-from timebins.model import two_level_system
+from timebins.model import coarse_map, two_level_system
 
 from oracle import csv_text
 
@@ -24,6 +30,14 @@ def run_cli(tmp_path, config_text, name="run"):
     cfg.write_text(config_text, encoding="utf-8")
     code = main(["--config", str(cfg), "--out", str(out)])
     return code, out
+
+
+def child_env():
+    # the child may run elsewhere, where a relative PYTHONPATH entry such as
+    # "src" resolves to nothing: put the package's own source root first
+    src = str(Path(timebins.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def test_fit_order_exact_power_laws():
@@ -76,6 +90,35 @@ def test_collision_dephasing_summary(tmp_path, capsys):
     assert summary.startswith("abs_rho_eg=0.303266 analytic=0.303265")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = collision\nsystem = oscillator3\n",
+        "experiment = collision\nomega0 = 1\n",
+        "experiment = lindblad\nsystem = tls-driven\n",
+    ],
+    ids=["oscillator3", "omega0", "drive"],
+)
+def test_run_without_a_closed_form_prints_trace_and_purity(tmp_path, capsys, text):
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    summary = capsys.readouterr().out.strip()
+    assert summary.startswith("final_trace=1.000000 final_purity=")
+    last = [float(x) for x in out.read_text().splitlines()[-1].split(",")]
+    assert summary.endswith(f"final_purity={last[6]:.6f}")
+
+
+def test_oscillator3_lindblad_run_follows_the_ladder_cascade(tmp_path, capsys):
+    # from |2>: p2 = e^{-2t}, and p1 = 2 e^{-t} (1 - e^{-t}) is fed by it
+    code, out = run_cli(tmp_path, "experiment = lindblad\nsystem = oscillator3\n")
+    assert code == 0
+    t, p0, p1 = (float(x) for x in out.read_text().splitlines()[-1].split(",")[:3])
+    assert t == 1.0
+    p2 = math.exp(-2.0)
+    assert p1 == pytest.approx(2.0 * (math.exp(-1.0) - p2), abs=1e-8)
+    assert p0 == pytest.approx(1.0 - 2.0 * math.exp(-1.0) + p2, abs=1e-8)
+
+
 def test_lindblad_run(tmp_path, capsys):
     code, out = run_cli(tmp_path, "experiment = lindblad\ndt = 0.01\nt_final = 1\n")
     assert code == 0
@@ -119,6 +162,14 @@ def test_convergence_run(tmp_path, capsys):
     assert "fitted_order=" in capsys.readouterr().out
 
 
+def test_convergence_far_from_the_small_dt_regime_exits_1(tmp_path, capsys):
+    # bins of three lifetimes and less: the error is not yet first order
+    code, _ = run_cli(tmp_path, "experiment = convergence\ndt = 3\nt_final = 12\n")
+    assert code == 1
+    order = float(capsys.readouterr().out.split("fitted_order=")[1].split()[0])
+    assert abs(order - 1.0) > 0.15
+
+
 def test_convergence_requires_oracle(tmp_path, capsys):
     code, _ = run_cli(
         tmp_path, "experiment = convergence\nsystem = oscillator3\n"
@@ -142,6 +193,26 @@ def test_kraus_report_run(tmp_path, capsys):
     summary = capsys.readouterr().out
     r1_order = float(summary.split("r1_order=")[1].split()[0])
     assert r1_order == pytest.approx(1.5, abs=0.05)
+
+
+def test_kraus_report_far_from_the_small_dt_regime_exits_1(tmp_path, capsys):
+    # r1 = sqrt(dt) - sin(sqrt(dt)) is O(dt^1.5) only once sqrt(dt) is small
+    code, _ = run_cli(tmp_path, "experiment = kraus-report\ndt = 16\n")
+    assert code == 1
+    r1_order = float(capsys.readouterr().out.split("r1_order=")[1].split()[0])
+    assert r1_order < experiments.R1_ORDER_MIN
+
+
+def test_kraus_report_flags_an_incomplete_family(tmp_path, capsys, monkeypatch):
+    # a one-bin map 1e-9 off unitary leaves sum K^dag K off 1 by about 2e-9
+    def scaled(system, params):
+        return (1.0 + 1e-9) * coarse_map(system, params)
+
+    monkeypatch.setattr(experiments, "coarse_map", scaled)
+    code, _ = run_cli(tmp_path, "experiment = kraus-report\n")
+    assert code == 1
+    defect = float(capsys.readouterr().out.split("completeness_defect_max=")[1])
+    assert defect == pytest.approx(2e-9, rel=1e-3)
 
 
 def test_kraus_report_driven_qubit_checks_the_r2_order(tmp_path, capsys, monkeypatch):
@@ -278,6 +349,18 @@ def test_microscopic_short_fit_window_is_a_config_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["system = tls-driven", "omega0 = 1", "system = dephasing", "system = oscillator3"],
+)
+def test_microscopic_covers_the_undriven_emitter_only(tmp_path, capsys, line):
+    code, out = run_cli(tmp_path, f"experiment = microscopic\n{line}\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: microscopic covers the undriven two-level emitter only\n"
+    assert not out.exists()
+
+
 def test_joint_chain_overflow_guard_exit_code(tmp_path, capsys):
     # past 64 bits the count is named by its formula, never formed: at 10**5
     # bins its 47 713 digits cannot be printed, and 3**(10**8) takes minutes
@@ -291,10 +374,36 @@ def test_joint_chain_overflow_guard_exit_code(tmp_path, capsys):
         assert "Traceback" not in err and len(err) < 200
 
 
+# Runs past the step cap that numpy could be granted, and the kernel would
+# then kill when their memory is touched, run in a child process whose
+# address space is limited to ADDRESS_LIMIT: there a run the cap misses fails
+# with numpy's own MemoryError message instead of the package's.
+ADDRESS_LIMIT = 2 << 30
+
+
+def run_cli_in_limited_child(tmp_path, config_text):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "run.csv"
+    cfg.write_text(config_text, encoding="utf-8")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_LIMIT, ADDRESS_LIMIT))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "timebins", "--config", str(cfg), "--out", str(out)],
+        env=child_env(),
+        preexec_fn=limit,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    return proc.returncode, out, proc.stderr
+
+
 @pytest.mark.parametrize(
     "text",
     [
-        # 1e14 steps: a 5.7 PiB stack, refused at allocation
+        # 1e14 steps: a 5.7 PiB stack
         "experiment = collision\nt_final = 1e12\ndt = 0.01\n",
         # 1e300 steps: more than an array can index
         "experiment = collision\nt_final = 1e200\ndt = 1e-100\n",
@@ -311,6 +420,9 @@ def test_joint_chain_overflow_guard_exit_code(tmp_path, capsys):
         "experiment = ordering-probe\nn_max = 1000000000000000000000\n",
         f"experiment = microscopic\nn_modes = {10**30 + 1}\n",
         f"experiment = microscopic\nn_modes = {2**63 + 1}\n",
+        # 1e9 sample times (7.45 GiB) and 1e8 steps (6.4 GB of states)
+        "experiment = microscopic\ndt = 1e-9\nn_modes = 101\n",
+        "experiment = collision\nt_final = 1e6\n",
     ],
     ids=[
         "collision-alloc",
@@ -325,12 +437,18 @@ def test_joint_chain_overflow_guard_exit_code(tmp_path, capsys):
         "ordering-probe-n-max",
         "microscopic-n-modes",
         "microscopic-n-modes-past-int64",
+        "microscopic-limited",
+        "collision-limited",
     ],
 )
-def test_run_too_long_to_hold_exits_3(tmp_path, capsys, text):
-    code, out = run_cli(tmp_path, text)
+def test_run_too_long_to_hold_exits_3(tmp_path, capsys, request, text):
+    if request.node.callspec.id.endswith("-limited"):
+        code, out, err = run_cli_in_limited_child(tmp_path, text)
+        assert "steps cannot be held in memory" in err
+    else:
+        code, out = run_cli(tmp_path, text)
+        err = capsys.readouterr().err
     assert code == 3
-    err = capsys.readouterr().err
     assert err.startswith("numeric guard:")
     assert "Traceback" not in err and len(err) < 200
     assert not out.exists()
@@ -424,6 +542,24 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_a_drive_on_oscillator3_exits_2(tmp_path, capsys):
+    text = "experiment = collision\nsystem = oscillator3\ndrive = 1\n"
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    assert capsys.readouterr().err == "config error: oscillator3 takes no drive\n"
+    assert not out.exists()
+
+
+def test_csv_write_error_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment = collision\nt_final = 0.1\n", encoding="utf-8")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "absent" / "run.csv")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error:") and "absent" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "line", ["gamma = nan", "omega0 = nan", "dt = inf", "drive = inf", "t_final = inf"]
 )
@@ -462,20 +598,9 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_console_script_and_cross_process_determinism(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import timebins
-
     cfg = tmp_path / "run.cfg"
     cfg.write_text("experiment = collision\ndt = 0.02\nt_final = 0.5\n", encoding="utf-8")
-    # the child runs in tmp_path, where a relative PYTHONPATH entry such as
-    # "src" resolves to nothing: put the package's own source root first
-    src = str(Path(timebins.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = child_env()
 
     outputs = []
     for name in ("p1.csv", "p2.csv"):

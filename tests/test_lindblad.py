@@ -116,6 +116,11 @@ def test_lindblad_model_rejects_mis_shaped_operators():
         LindbladModel(SystemModel(sigma[:, :1], np.zeros((2, 2))), 1.0)
 
 
+def test_lindblad_model_rejects_a_negative_rate():
+    with pytest.raises(ValueError, match="gamma must be >= 0"):
+        LindbladModel(two_level_system(), -1.0)
+
+
 def test_liouvillian_fixed_point_ground_state():
     model = decay_model()
     assert np.max(np.abs(act(model, GROUND))) == 0.0
@@ -189,6 +194,8 @@ def test_rk4_guard_reports_on_the_step_by_step_stack(monkeypatch):
 def test_rk4_rejects_bad_steps():
     with pytest.raises(ValueError):
         integrate_rk4(decay_model(), EXCITED, -0.01, 10)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        integrate_rk4(decay_model(), EXCITED, 0.01, -1)
 
 
 def test_analytic_oracle_identity_and_limits():

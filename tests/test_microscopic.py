@@ -48,6 +48,8 @@ def test_build_microscopic_structure():
     g = abs(h[1, 0])
     assert 2.0 * math.pi * g**2 / grid.spacing == pytest.approx(gamma, rel=1e-14)
     assert np.max(np.abs(h - h.conj().T)) <= 1e-15
+    with pytest.raises(ValueError, match="gamma must be >= 0"):
+        build_microscopic(grid, -1.0)
 
 
 def test_evolution_starts_at_one_and_conserves_norm():

@@ -58,6 +58,8 @@ def test_bin_space_ladder():
         expect[m - 1] = math.sqrt(m)
         np.testing.assert_allclose(out, expect)
     np.testing.assert_array_equal(db @ np.eye(4)[:, 0], np.zeros(4))
+    with pytest.raises(ValueError, match="at least two levels"):
+        lowering_matrix(1)
 
 
 def test_system_model_rejects_mis_shaped_operators():
@@ -72,6 +74,12 @@ def test_system_model_rejects_mis_shaped_operators():
     ]:
         with pytest.raises(ValueError, match="do not match the system dimension"):
             SystemModel(lowering, hamiltonian)
+
+
+def test_system_model_rejects_a_non_hermitian_hamiltonian():
+    sigma = lowering_matrix(2)
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        SystemModel(sigma, sigma)
 
 
 def test_coarse_params_validation():
