@@ -68,13 +68,15 @@ class ChainState:
         return len(self.vec.dims) - 1
 
 
-def init_chain(sys_state: StateVector, n_bins: int, n_max: int) -> ChainState:
-    """The system state before its first collision, with the cursor at bin 0."""
+def init_chain(amplitudes, n_bins: int, n_max: int) -> ChainState:
+    """The system state vector before its first collision, with the cursor at
+    bin 0."""
     if n_bins < 1:
         raise ValueError("need at least one bin")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    sys_dim = math.prod(sys_state.dims)
+    vec = StateVector(amplitudes, (np.size(amplitudes),))
+    sys_dim = vec.dims[0]
     d_bin = n_max + 1
     # the cap is on the size after the last collision; a count past 64 bits
     # is over it whatever the sizes, and is named by its formula: forming and
@@ -86,7 +88,7 @@ def init_chain(sys_state: StateVector, n_bins: int, n_max: int) -> ChainState:
             f"chain would need {total} amplitudes (> {MAX_AMPLITUDES}); "
             "reduce n_bins or n_max"
         )
-    return ChainState(StateVector(sys_state.data, (sys_dim,)), d_bin, n_bins)
+    return ChainState(vec, d_bin, n_bins)
 
 
 def step_chain(state: ChainState, u: np.ndarray) -> ChainState:

@@ -30,8 +30,8 @@ from .operators import square_matrix
 
 __all__ = [
     "DensityMatrix",
-    "KrausFamily",
     "extract_kraus",
+    "completeness_defect",
     "apply_channel",
     "iterate_channel",
     "step_matrix",
@@ -113,37 +113,10 @@ class DensityMatrix:
         v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray) -> "DensityMatrix":
-        # skips validation: apply_channel knowingly returns a state carrying
-        # a reported truncation trace loss above TRACE_WARN
-        self = object.__new__(cls)
-        object.__setattr__(self, "matrix", matrix)
-        return self
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class KrausFamily:
-    """Kraus operators of one bin collision: ops[m] is K_m, for bin photon
-    count m, in one complex (count, d, d) array."""
-
-    ops: np.ndarray
-    dt: float
-    n_max: int
-    completeness_defect: float
-
-
-def extract_kraus(u: np.ndarray, sys_dim: int, n_max: int, dt: float) -> KrausFamily:
-    """Extract K_m = (1 (x) <m|) U (1 (x) |0>) for m = 0 .. n_max.
-
-    The family covers the whole truncated bin basis, so the completeness
-    defect ||sum K^dag K - 1||_max reflects only the accuracy of U itself;
-    it is cached on the family rather than renormalized away.
-    """
+def extract_kraus(u: np.ndarray, sys_dim: int, n_max: int) -> np.ndarray:
+    """The family K_m = (1 (x) <m|) U (1 (x) |0>) for m = 0 .. n_max, as one
+    complex (n_max+1, d, d) array whose entry m is K_m."""
     d_bin = n_max + 1
     side = sys_dim * d_bin
     u = np.asarray(u, dtype=complex)
@@ -153,30 +126,34 @@ def extract_kraus(u: np.ndarray, sys_dim: int, n_max: int, dt: float) -> KrausFa
             f"for (system, bin) = {(sys_dim, d_bin)}"
         )
     # u[(i, m), (j, 0)] = K_m[i, j]
-    ops = u.reshape(sys_dim, d_bin, sys_dim, d_bin)[:, :, :, 0].transpose(1, 0, 2).copy()
-    acc = (ops.conj().swapaxes(1, 2) @ ops).sum(0)
-    defect = float(np.max(np.abs(acc - np.eye(sys_dim))))
-    return KrausFamily(ops, float(dt), int(n_max), defect)
+    return u.reshape(sys_dim, d_bin, sys_dim, d_bin)[:, :, :, 0].transpose(1, 0, 2).copy()
 
 
-def apply_channel(family: KrausFamily, rho: DensityMatrix) -> DensityMatrix:
-    """One collision: rho -> sum_m K_m rho K_m^dag.
+def completeness_defect(family: np.ndarray) -> float:
+    """||sum_m K_m^dag K_m - 1||_max: for a family over the whole truncated
+    bin basis it reflects only the accuracy of the map it was taken from."""
+    acc = (family.conj().swapaxes(1, 2) @ family).sum(0)
+    return float(np.max(np.abs(acc - np.eye(family.shape[1]))))
+
+
+def apply_channel(family: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """One collision of the (d, d) matrix rho: rho -> sum_m K_m rho K_m^dag.
 
     The accumulated output is symmetrized to (rho + rho^dag)/2 after the trace
     check, which removes 1e-16-scale Hermiticity drift over long iterations
-    without hiding genuine trace loss.
+    without hiding genuine trace loss.  The result must pass the
+    DensityMatrix checks (StateError) unless a trace leak was reported.
     """
-    k = family.ops
-    if k.shape[1] != rho.dim:
+    r = np.asarray(rho)
+    if family.shape[1:] != r.shape:
         raise ValueError("Kraus family and state have different system dimensions")
-    r = rho.matrix
-    out = (k @ r @ k.conj().swapaxes(1, 2)).sum(0)
+    out = (family @ r @ family.conj().swapaxes(1, 2)).sum(0)
 
     deviation = abs(float(np.trace(out).real) - float(np.trace(r).real))
-    leaked = _guard_trace(deviation, family.n_max)
+    leaked = _guard_trace(deviation, len(family) - 1)
     result = 0.5 * (out + out.conj().T)
     # a reported leak is not hidden: the state is returned as computed
-    return DensityMatrix._trusted(result) if leaked else DensityMatrix(result)
+    return result if leaked else DensityMatrix(result).matrix
 
 
 def _guard_trace(deviation: float, n_max: int) -> bool:
@@ -197,7 +174,7 @@ def _guard_trace(deviation: float, n_max: int) -> bool:
     return True
 
 
-def step_matrix(family: KrausFamily) -> np.ndarray:
+def step_matrix(family: np.ndarray) -> np.ndarray:
     """S_c = sum_m K_m (x) conj(K_m), so that vec(apply_channel) = S_c vec(rho).
 
     In floats sum_m K_m^dag K_m is 1 only to an ulp, so the trace functional
@@ -207,10 +184,9 @@ def step_matrix(family: KrausFamily) -> np.ndarray:
     which makes S_c trace-preserving to the rounding of that one sum.  A
     family that really loses trace keeps the plain sum, so the guards see it.
     """
-    k = family.ops
-    d = k.shape[1]
+    d = family.shape[1]
     # s[i, j, k, l] = sum_m K_m[i, k] conj(K_m[j, l]) is entry (i d + j, k d + l)
-    s = (k[:, :, None, :, None] * k.conj()[:, None, :, None, :]).sum(0)
+    s = (family[:, :, None, :, None] * family.conj()[:, None, :, None, :]).sum(0)
     s = s.reshape(d * d, d * d)
     diagonal = np.arange(d) * (d + 1)  # rows and columns of the rho_ii
     identity = np.zeros(d * d)
@@ -259,7 +235,7 @@ def _collision_faults(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, s
 
 
 def iterate_channel(
-    family: KrausFamily, rho0: DensityMatrix, steps: int
+    family: np.ndarray, rho0: DensityMatrix, steps: int
 ) -> np.ndarray:
     """The (steps+1, d, d) stack rho_0 .. rho_steps of ``steps`` collisions
     with the same time-independent family.
@@ -276,10 +252,10 @@ def iterate_channel(
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return rho0.matrix[None].copy()
-    first = apply_channel(family, rho0)
+    first = apply_channel(family, rho0.matrix)
     s = step_matrix(family)
     stack = propagate(s, rho0.matrix, steps)
-    gap = float(np.max(np.abs(stack[1] - first.matrix)))
+    gap = float(np.max(np.abs(stack[1] - first)))
     if gap > STEP_MATRIX_TOL:
         raise GuardError(
             f"step matrix differs from the Kraus map by {gap:.3e} on the first step"
@@ -290,7 +266,7 @@ def iterate_channel(
         stack = _propagate(s, rho0.matrix, steps, 1)
         deviation, warned, stop, message = _collision_faults(stack)
     for k in np.flatnonzero(warned[:stop]):
-        _guard_trace(float(deviation[k]), family.n_max)
+        _guard_trace(float(deviation[k]), len(family) - 1)
     if message:
         raise StateError(message)
     return stack

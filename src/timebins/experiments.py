@@ -18,7 +18,7 @@ import numpy as np
 from .chain import init_chain, reduced_system, step_chain
 from .channel import (
     DensityMatrix,
-    KrausFamily,
+    completeness_defect,
     extract_kraus,
     first_invalid,
     iterate_channel,
@@ -42,7 +42,7 @@ from .model import (
     truncated_oscillator,
     two_level_system,
 )
-from .operators import StateVector, vn_entropy
+from .operators import vn_entropy
 
 __all__ = [
     "run_experiment",
@@ -208,9 +208,9 @@ def _coarse_params(system: SystemModel, cfg: RunConfig, dt: float) -> CoarsePara
     return CoarseParams(cfg.gamma, dt, cfg.n_max)
 
 
-def _collision_family(system: SystemModel, cfg: RunConfig, dt: float) -> KrausFamily:
+def _collision_family(system: SystemModel, cfg: RunConfig, dt: float) -> np.ndarray:
     params = _coarse_params(system, cfg, dt)
-    return extract_kraus(coarse_map(system, params), system.dim, cfg.n_max, dt)
+    return extract_kraus(coarse_map(system, params), system.dim, cfg.n_max)
 
 
 def _timeseries_report(
@@ -256,10 +256,11 @@ def _run_lindblad(cfg: RunConfig) -> tuple[str, str, int]:
 def _run_joint_chain(cfg: RunConfig) -> tuple[str, str, int]:
     system = _build_system(cfg)
     vec = _initial_vector(cfg, system)
-    # the amplitude cap refuses an oversized chain before any unitary is built
-    state = init_chain(StateVector(vec, (system.dim,)), cfg.n_bins, cfg.n_max)
-    unitary = coarse_map(system, CoarseParams(cfg.gamma, cfg.dt, cfg.n_max))
-    family = extract_kraus(unitary, system.dim, cfg.n_max, cfg.dt)
+    # the amplitude cap refuses an oversized chain before any unitary is built,
+    # and the unitary's own size guard an oversized unitary
+    state = init_chain(vec, cfg.n_bins, cfg.n_max)
+    unitary = coarse_map(system, _coarse_params(system, cfg, cfg.dt))
+    family = extract_kraus(unitary, system.dim, cfg.n_max)
     rho0 = DensityMatrix.pure(vec)
     reference = iterate_channel(family, rho0, cfg.n_bins)
 
@@ -354,7 +355,7 @@ def _run_kraus_report(cfg: RunConfig) -> tuple[str, str, int]:
 
     def residuals(dt: float) -> tuple[float, float, float, float]:
         family = _collision_family(system, cfg, dt)
-        return (*expansion_report(family, system, cfg.gamma), family.completeness_defect)
+        return (*expansion_report(family, system, cfg.gamma, dt), completeness_defect(family))
 
     table = _sweep(cfg, residuals)
     csv = _csv(["dt", "r0", "r1", "r2", "completeness_defect"], table)

@@ -114,7 +114,7 @@ def analytic_oracle(
                   rho_eg(t) = rho_eg(0) e^(-gamma t / 2), populations sum to 1.
     dephasing:    populations fixed, rho_eg(t) = rho_eg(0) e^(-gamma t / 2).
     """
-    if rho0.dim != 2:
+    if rho0.matrix.shape != (2, 2):
         raise ValueError("analytic_oracle covers two-level systems only")
     if kind not in ("spontaneous", "dephasing"):
         raise ValueError(f"unknown oracle kind {kind!r}")

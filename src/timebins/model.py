@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix, KrausFamily, apply_channel, extract_kraus, iterate_channel
+from .channel import DensityMatrix, apply_channel, extract_kraus, iterate_channel
 from .operators import HERMITICITY_TOL, expm
 
 __all__ = [
@@ -137,35 +137,30 @@ def ordering_residual(
     """
     if subdivisions < 2:
         raise ValueError("subdivisions must be >= 2")
-    coarse = extract_kraus(
-        coarse_map(system, params), system.dim, params.n_max, params.dt
-    )
+    coarse = extract_kraus(coarse_map(system, params), system.dim, params.n_max)
     fine_params = CoarseParams(params.gamma, params.dt / subdivisions, params.n_max)
-    fine = extract_kraus(
-        coarse_map(system, fine_params), system.dim, params.n_max, fine_params.dt
-    )
+    fine = extract_kraus(coarse_map(system, fine_params), system.dim, params.n_max)
 
     excited = np.zeros(system.dim, dtype=complex)
     excited[system.dim - 1] = 1.0
     rho = DensityMatrix.pure(excited)
 
-    one_step = apply_channel(coarse, rho).matrix
+    one_step = apply_channel(coarse, rho.matrix)
     reference = iterate_channel(fine, rho, subdivisions)[-1]
     return float(np.max(np.abs(one_step - reference)))
 
 
 def expansion_report(
-    family: KrausFamily, system: SystemModel, gamma: float
+    family: np.ndarray, system: SystemModel, gamma: float, dt: float
 ) -> tuple[float, float, float]:
-    """Distances (r0, r1, r2) of K_0, K_1, K_2 from their leading small-dt forms:
+    """Distances (r0, r1, r2) of K_0, K_1, K_2 of a family of bin width dt
+    from their leading small-dt forms:
 
     r0 = ||K0 - (1 + dt(-i H - gamma/2 n))||, r1 = ||K1 - sqrt(gamma dt) sigma||,
     r2 = ||K2||, all in the max norm; n = sigma^dag sigma.
     """
-    k = family.ops
-    if len(k) < 3:
+    if len(family) < 3:
         raise ValueError("expansion_report needs n_max >= 2 so that K_2 exists")
-    dt = family.dt
     sigma = system.lowering
     number = sigma.conj().T @ sigma
     k0_ref = np.eye(system.dim) + dt * (
@@ -173,6 +168,7 @@ def expansion_report(
     )
     k1_ref = math.sqrt(gamma * dt) * sigma
     r0, r1, r2 = (
-        float(np.max(np.abs(x))) for x in (k[0] - k0_ref, k[1] - k1_ref, k[2])
+        float(np.max(np.abs(x)))
+        for x in (family[0] - k0_ref, family[1] - k1_ref, family[2])
     )
     return r0, r1, r2

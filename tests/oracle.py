@@ -31,9 +31,9 @@ from typing import Iterable
 import numpy as np
 
 from timebins.chain import ChainState, reduced_system
-from timebins.channel import DensityMatrix, KrausFamily, iterate_channel
+from timebins.channel import DensityMatrix, iterate_channel
 from timebins.microscopic import emitter_spectrum
-from timebins.operators import StateVector, vn_entropy
+from timebins.operators import vn_entropy
 
 _EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -84,13 +84,13 @@ def identity(dims: Iterable[int]) -> Operator:
     return Operator(np.eye(math.prod(dims), dtype=complex), dims)
 
 
-def basis_state(dim: int, index: int) -> StateVector:
-    """Single-factor basis vector |index> on a dim-dimensional factor."""
+def basis_state(dim: int, index: int) -> np.ndarray:
+    """Basis vector |index> of a dim-dimensional factor."""
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
-    return StateVector(v, (dim,))
+    return v
 
 
 def kron(a, b) -> Operator:
@@ -373,7 +373,7 @@ class FactorizationReport:
 
 
 def factorization_report(
-    state: ChainState, family: KrausFamily, rho0: DensityMatrix
+    state: ChainState, family: np.ndarray, rho0: DensityMatrix
 ) -> FactorizationReport:
     """Compare the chain's reduced state after cursor collisions against the
     Kraus iteration of the same family from rho0."""

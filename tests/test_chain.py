@@ -37,8 +37,8 @@ def tls_setup(gamma=1.0, dt=0.01, n_max=1, n_bins=3, dephasing=False, start=None
     if dephasing:
         system = dephasing_variant(system)
     u = coarse_map(system, CoarseParams(gamma, dt, n_max))
-    family = extract_kraus(u, 2, n_max, dt)
-    vec = basis_state(2, 1) if start is None else StateVector(start, (2,))
+    family = extract_kraus(u, 2, n_max)
+    vec = basis_state(2, 1) if start is None else start
     return u, family, init_chain(vec, n_bins, n_max)
 
 
@@ -64,6 +64,15 @@ def test_init_chain_needs_a_bin_with_a_photon():
         init_chain(basis_state(2, 1), n_bins=0, n_max=1)
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         init_chain(basis_state(2, 1), n_bins=1, n_max=0)
+
+
+def test_init_chain_checks_the_amplitudes_it_is_given():
+    with pytest.raises(ValueError, match="state vector has non-finite amplitudes"):
+        init_chain(np.array([0.0, np.nan]), n_bins=1, n_max=1)
+    with pytest.raises(ValueError, match="factor dimensions must be >= 1"):
+        init_chain(np.zeros(0), n_bins=1, n_max=1)
+    with pytest.raises(ValueError, match="norm drifted"):
+        init_chain(np.ones(2), n_bins=1, n_max=1)
 
 
 def test_init_chain_caps_the_final_size_without_allocating_it():
@@ -93,7 +102,7 @@ def test_step_chain_matches_the_full_length_oracle(name, n_max):
     s, n_bins = system.dim, 4
     u = coarse_map(system, CoarseParams(1.0, 0.3, n_max))
     start = np.arange(1, s + 1) * np.exp(0.5j * np.arange(s))
-    state = init_chain(StateVector(start / np.linalg.norm(start), (s,)), n_bins, n_max)
+    state = init_chain(start / np.linalg.norm(start), n_bins, n_max)
     dense = dense_vector(state)
     for k in range(n_bins):
         dense = dense_step_chain(dense, u, s, n_max + 1, k)
@@ -117,7 +126,7 @@ def test_gram_reduction_matches_the_conjugate_product(name, n_bins):
     s = system.dim
     u = coarse_map(system, CoarseParams(1.0, 0.1, 2))
     start = np.arange(1, s + 1) * np.exp(0.5j * np.arange(s))
-    state = init_chain(StateVector(start / np.linalg.norm(start), (s,)), n_bins, 2)
+    state = init_chain(start / np.linalg.norm(start), n_bins, 2)
     for k in range(n_bins + 1):
         if k:
             state = step_chain(state, u)

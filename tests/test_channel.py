@@ -10,14 +10,14 @@ import timebins.channel as channel
 import timebins.lindblad as lindblad
 from timebins.channel import (
     DensityMatrix,
-    KrausFamily,
     apply_channel,
+    completeness_defect,
     extract_kraus,
     iterate_channel,
     propagate,
     step_matrix,
 )
-from timebins.errors import GuardError
+from timebins.errors import GuardError, StateError
 from timebins.lindblad import LindbladModel, analytic_oracle, liouvillian_matrix
 from timebins.model import (
     CoarseParams,
@@ -34,7 +34,7 @@ from oracle import kraus_completeness, kraus_map, kraus_step_matrix, stepwise_pr
 def tls_family(gamma=1.0, dt=0.01, n_max=2, omega0=0.0, drive=0.0):
     system = two_level_system(omega0, drive)
     u = coarse_map(system, CoarseParams(gamma, dt, n_max))
-    return extract_kraus(u, system.dim, n_max, dt)
+    return extract_kraus(u, system.dim, n_max)
 
 
 EXCITED = DensityMatrix.pure([0.0, 1.0])
@@ -67,10 +67,10 @@ def test_density_matrix_rejects_non_finite_entries():
 
 def test_extract_kraus_identity_map():
     family = tls_family(gamma=0.0, dt=0.1)
-    np.testing.assert_array_equal(family.ops[0], np.eye(2))
-    for op in family.ops[1:]:
+    np.testing.assert_array_equal(family[0], np.eye(2))
+    for op in family[1:]:
         assert np.max(np.abs(op)) == 0.0
-    assert family.completeness_defect <= 1e-14
+    assert completeness_defect(family) <= 1e-14
 
 
 def test_extract_kraus_rotation_blocks():
@@ -78,15 +78,15 @@ def test_extract_kraus_rotation_blocks():
     theta = 0.1
     sigma = np.array([[0, 1], [0, 0]], dtype=complex)
     np.testing.assert_allclose(
-        family.ops[0], np.diag([1.0, math.cos(theta)]), atol=1e-12
+        family[0], np.diag([1.0, math.cos(theta)]), atol=1e-12
     )
-    np.testing.assert_allclose(family.ops[1], math.sin(theta) * sigma, atol=1e-12)
+    np.testing.assert_allclose(family[1], math.sin(theta) * sigma, atol=1e-12)
 
     # the O(dt^{3/2}) distance from the leading form sqrt(gamma dt) sigma
-    r1 = np.max(np.abs(family.ops[1] - theta * sigma))
+    r1 = np.max(np.abs(family[1] - theta * sigma))
     np.testing.assert_allclose(r1, theta - math.sin(theta), rtol=1e-8)
     # and the O(dt^2) distance of K0 from 1 - dt (gamma/2) n
-    r0 = np.max(np.abs(family.ops[0] - np.diag([1.0, 1.0 - 0.005])))
+    r0 = np.max(np.abs(family[0] - np.diag([1.0, 1.0 - 0.005])))
     np.testing.assert_allclose(r0, math.cos(theta) - (1.0 - theta**2 / 2), rtol=1e-8)
 
 
@@ -95,37 +95,41 @@ def test_extract_kraus_dimension_check():
     u = coarse_map(system, CoarseParams(1.0, 0.01, 2))
     for bad_u, sys_dim, n_max in [(u, 2, 1), (u, 3, 2), (u[:, :4], 2, 2), (u[0], 2, 2)]:
         with pytest.raises(ValueError, match="map has shape"):
-            extract_kraus(bad_u, sys_dim, n_max, 0.01)
+            extract_kraus(bad_u, sys_dim, n_max)
 
 
 def test_completeness_for_excitation_conserving_setups():
     for n_max in (1, 2, 3):
         family = tls_family(gamma=1.0, dt=0.05, n_max=n_max, omega0=0.9)
-        assert family.completeness_defect <= 1e-12
+        assert completeness_defect(family) <= 1e-12
 
 
 def test_apply_channel_rotation_and_fixed_point():
     family = tls_family()
-    out = apply_channel(family, EXCITED)
-    np.testing.assert_allclose(out.matrix[1, 1].real, math.cos(0.1) ** 2, atol=1e-12)
+    out = apply_channel(family, EXCITED.matrix)
+    np.testing.assert_allclose(out[1, 1].real, math.cos(0.1) ** 2, atol=1e-12)
 
-    fixed = apply_channel(family, GROUND)
-    assert np.max(np.abs(fixed.matrix - GROUND.matrix)) <= 1e-14
-    with pytest.raises(ValueError, match="different system dimensions"):
-        apply_channel(family, DensityMatrix(np.eye(3, dtype=complex) / 3))
+    fixed = apply_channel(family, GROUND.matrix)
+    assert np.max(np.abs(fixed - GROUND.matrix)) <= 1e-14
+    for bad in (np.eye(3, dtype=complex) / 3, np.ones(2), EXCITED):
+        with pytest.raises(ValueError, match="different system dimensions"):
+            apply_channel(family, bad)
+
+
+def test_apply_channel_checks_the_state_it_returns():
+    # the identity family leaks no trace, so its output is checked, and an
+    # input that is not a state comes out as one that is not
+    identity = tls_family(gamma=0.0, dt=0.1)
+    with pytest.raises(StateError, match="negative eigenvalue"):
+        apply_channel(identity, np.diag([1.5, -0.5]).astype(complex))
 
 
 def test_apply_channel_flags_truncation_loss():
     family = tls_family()
     # drop the one-photon operator: the remaining family leaks trace
-    broken = KrausFamily(
-        ops=family.ops[[0, 2]],
-        dt=family.dt,
-        n_max=1,
-        completeness_defect=1.0,
-    )
-    with pytest.raises(GuardError):
-        apply_channel(broken, EXCITED)
+    broken = family[[0, 2]]
+    with pytest.raises(GuardError, match="n_max=1 is inadequate"):
+        apply_channel(broken, EXCITED.matrix)
 
 
 def test_apply_channel_warns_on_small_trace_leak():
@@ -134,14 +138,11 @@ def test_apply_channel_warns_on_small_trace_leak():
     system = truncated_oscillator(3)
     dt = 1e-4
     u = coarse_map(system, CoarseParams(1.0, dt, 2))
-    family = extract_kraus(u, 3, 2, dt)
-    leaky = KrausFamily(
-        ops=family.ops[:2], dt=dt, n_max=2, completeness_defect=1e-8
-    )
+    leaky = extract_kraus(u, 3, 2)[:2]
     top = DensityMatrix.pure([0.0, 0.0, 1.0])
     with pytest.warns(RuntimeWarning, match="trace deviation"):
-        out = apply_channel(leaky, top)
-    loss = 1.0 - float(np.trace(out.matrix).real)
+        out = apply_channel(leaky, top.matrix)
+    loss = 1.0 - float(np.trace(out).real)
     assert 1e-10 < loss < 1e-6
 
 
@@ -187,7 +188,7 @@ def test_iterate_channel_purity_follows_scalar_recurrence():
 def test_dephasing_channel_keeps_populations_and_damps_coherence():
     system = dephasing_variant(two_level_system())
     u = coarse_map(system, CoarseParams(1.0, 0.01, 2))
-    family = extract_kraus(u, 2, 2, 0.01)
+    family = extract_kraus(u, 2, 2)
 
     rng = np.random.default_rng(11)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -219,7 +220,7 @@ def test_collision_error_halves_with_dt():
 def test_expansion_report_qubit_r2_vanishes():
     system = two_level_system()
     family = tls_family()
-    _, r1, r2 = expansion_report(family, system, 1.0)
+    _, r1, r2 = expansion_report(family, system, 1.0, 0.01)
     assert r2 <= 1e-14
     np.testing.assert_allclose(r1, 0.1 - math.sin(0.1), rtol=1e-8)
 
@@ -229,7 +230,7 @@ def test_expansion_report_r1_order():
     r1 = {}
     for dt in (0.04, 0.01):
         family = tls_family(dt=dt)
-        _, r1[dt], _ = expansion_report(family, system, 1.0)
+        _, r1[dt], _ = expansion_report(family, system, 1.0, dt)
     assert r1[0.04] / r1[0.01] >= 4.0**1.4
 
 
@@ -239,15 +240,15 @@ def test_expansion_report_oscillator_r2_scaling():
     gamma = 1.0
     for dt in (0.01, 0.005, 0.0025):
         u = coarse_map(system, CoarseParams(gamma, dt, 2))
-        family = extract_kraus(u, 3, 2, dt)
-        _, _, r2 = expansion_report(family, system, gamma)
+        family = extract_kraus(u, 3, 2)
+        _, _, r2 = expansion_report(family, system, gamma, dt)
         np.testing.assert_allclose(r2 / dt, gamma, rtol=2e-2 + 2 * dt)
 
 
 def test_expansion_report_needs_k2():
     family = tls_family(n_max=1)
     with pytest.raises(ValueError):
-        expansion_report(family, two_level_system(), 1.0)
+        expansion_report(family, two_level_system(), 1.0, 0.01)
 
 
 # --- the stacked Liouville-space path against the Kraus form it replaces ---
@@ -262,7 +263,7 @@ SYSTEMS = {
 
 def family_of(system, gamma=1.0, dt=0.01, n_max=2):
     u = coarse_map(system, CoarseParams(gamma, dt, n_max))
-    return extract_kraus(u, system.dim, n_max, dt)
+    return extract_kraus(u, system.dim, n_max)
 
 
 def random_state(rng, dim):
@@ -278,13 +279,13 @@ def test_kraus_stack_sums_equal_the_per_operator_loops(name):
     for n_max in (1, 2, 4, 6):
         for dt in (0.001, 0.01, 0.05, 0.1):
             family = family_of(system, dt=dt, n_max=n_max)
-            ops = family.ops
+            ops = family
             assert isinstance(ops, np.ndarray)
             assert ops.shape == (n_max + 1, system.dim, system.dim)
 
             rho = random_state(rng, system.dim)
             out = kraus_map(ops, rho.matrix)
-            got = apply_channel(family, rho).matrix
+            got = apply_channel(family, rho.matrix)
             assert np.array_equal(got, 0.5 * (out + out.conj().T))
             # every row but rho_00's is the plain sum bit for bit; that row is
             # completed to exact trace preservation, within two ulps of it
@@ -292,7 +293,7 @@ def test_kraus_stack_sums_equal_the_per_operator_loops(name):
             assert np.array_equal(s[1:], plain[1:])
             assert np.max(np.abs(s[0] - plain[0])) <= 4.5e-16
             defect = np.max(np.abs(kraus_completeness(ops) - np.eye(system.dim)))
-            assert family.completeness_defect == float(defect)
+            assert completeness_defect(family) == float(defect)
 
 
 def guard_record(run):
@@ -309,8 +310,9 @@ def guard_record(run):
 
 def stepwise(family, rho, steps):
     """The Kraus form one step at a time, as the oracle for every guard."""
+    r = rho.matrix
     for _ in range(steps):
-        rho = apply_channel(family, rho)
+        r = apply_channel(family, r)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -321,17 +323,17 @@ def test_iterate_channel_matches_repeated_apply_channel(name):
     for _ in range(3):
         rho = random_state(rng, system.dim)
         series = iterate_channel(family, rho, 200)
-        slow = rho
+        slow = rho.matrix
         for k in range(1, 201):
             slow = apply_channel(family, slow)
-            assert np.max(np.abs(series[k] - slow.matrix)) <= 1e-12
+            assert np.max(np.abs(series[k] - slow)) <= 1e-12
 
 
 def test_long_driven_qubit_matches_extended_precision_kraus_iteration():
     family = family_of(two_level_system(0.5, 1.0))
     steps = 10_000
     stack = iterate_channel(family, EXCITED, steps)
-    ops = [k.astype(np.clongdouble) for k in family.ops]
+    ops = [k.astype(np.clongdouble) for k in family]
     rho = EXCITED.matrix.astype(np.clongdouble)
     worst = 0.0
     for k in range(1, steps + 1):
@@ -423,9 +425,7 @@ def test_guard_parity_dropped_kraus_operator_aborts_at_the_same_step():
     # without K1 a driven qubit leaks more trace each step as it is excited,
     # so it warns for a few steps before the abort
     family = family_of(two_level_system(0.0, 0.2))
-    broken = KrausFamily(
-        ops=family.ops[[0, 2]], dt=0.01, n_max=1, completeness_defect=1.0
-    )
+    broken = family[[0, 2]]
     slow = guard_record(lambda: stepwise(broken, GROUND, 50))
     fast = guard_record(lambda: iterate_channel(broken, GROUND, 50))
     assert fast == slow
@@ -436,7 +436,7 @@ def test_guard_parity_leaky_family_warns_as_often_as_step_by_step():
     # the family of test_apply_channel_warns_on_small_trace_leak
     system = truncated_oscillator(3)
     family = family_of(system, dt=1e-4)
-    leaky = KrausFamily(ops=family.ops[:2], dt=1e-4, n_max=2, completeness_defect=1e-8)
+    leaky = family[:2]
     top = DensityMatrix.pure([0.0, 0.0, 1.0])
     slow = guard_record(lambda: stepwise(leaky, top, 60))
     fast = guard_record(lambda: iterate_channel(leaky, top, 60))
@@ -450,7 +450,7 @@ def test_guard_parity_accumulated_leak_fails_validation_at_the_same_step():
     # unwarned state then fails the unit-trace check
     system = truncated_oscillator(3)
     family = family_of(system, dt=1e-3)
-    leaky = KrausFamily(ops=family.ops[:2], dt=1e-3, n_max=2, completeness_defect=1e-6)
+    leaky = family[:2]
     p2 = 1.02e-10 / 9.993e-07  # one step leaks 9.993e-07 from |2><2|
     rho = DensityMatrix(np.diag([1.0 - p2, 0.0, p2]).astype(complex))
     slow = guard_record(lambda: stepwise(leaky, rho, 40))
@@ -464,7 +464,7 @@ def test_guard_parity_holds_past_one_block_of_powers():
     # the accumulated-leak run above over three blocks of powers: the guards
     # must report on the step-by-step recompute to match apply_channel
     family = family_of(truncated_oscillator(3), dt=1e-3)
-    leaky = KrausFamily(ops=family.ops[:2], dt=1e-3, n_max=2, completeness_defect=1e-6)
+    leaky = family[:2]
     p2 = 1.02e-10 / 9.993e-07
     rho = DensityMatrix(np.diag([1.0 - p2, 0.0, p2]).astype(complex))
     steps = 3 * channel.POWER_BLOCK

@@ -13,7 +13,7 @@ import pytest
 
 import timebins
 import timebins.experiments as experiments
-from timebins.channel import DensityMatrix, KrausFamily, iterate_channel
+from timebins.channel import DensityMatrix, iterate_channel
 from timebins.cli import main
 from timebins.config import parse_config
 from timebins.errors import GuardError, StateError
@@ -418,6 +418,9 @@ def run_cli_in_limited_child(tmp_path, config_text):
         "experiment = collision\nn_max = 1000000000000000000000\n",
         "experiment = joint-chain\nn_max = 1000000000000000000000\n",
         "experiment = ordering-probe\nn_max = 1000000000000000000000\n",
+        # a chain the amplitude cap admits, whose one-bin unitary would take
+        # 2202**2 complex entries
+        "experiment = joint-chain\nn_bins = 1\nn_max = 1100\n",
         f"experiment = microscopic\nn_modes = {10**30 + 1}\n",
         f"experiment = microscopic\nn_modes = {2**63 + 1}\n",
         # 1e9 sample times (7.45 GiB) and 1e8 steps (6.4 GB of states)
@@ -435,6 +438,7 @@ def run_cli_in_limited_child(tmp_path, config_text):
         "collision-n-max",
         "joint-chain-n-max",
         "ordering-probe-n-max",
+        "joint-chain-unitary",
         "microscopic-n-modes",
         "microscopic-n-modes-past-int64",
         "microscopic-limited",
@@ -448,6 +452,8 @@ def test_run_too_long_to_hold_exits_3(tmp_path, capsys, request, text):
     else:
         code, out = run_cli(tmp_path, text)
         err = capsys.readouterr().err
+    if request.node.callspec.id == "joint-chain-unitary":
+        assert "one-bin unitary" in err
     assert code == 3
     assert err.startswith("numeric guard:")
     assert "Traceback" not in err and len(err) < 200
@@ -470,8 +476,7 @@ def _bad_density_matrix(monkeypatch):
 def _bad_collision(monkeypatch):
     # each step gains 2e-11 of trace: no warning, but the trace is off by
     # more than 1e-10 after six steps
-    ops = (1.0 + 1e-11) * np.eye(2, dtype=complex)[None]
-    grow = KrausFamily(ops, dt=0.01, n_max=0, completeness_defect=0.0)
+    grow = (1.0 + 1e-11) * np.eye(2, dtype=complex)[None]
     iterate_channel(grow, DensityMatrix.pure([0.0, 1.0]), 10)
 
 

@@ -174,7 +174,7 @@ def test_microscopic_matches_collision_model_end_to_end(wide_band_run):
     dt = times[1] - times[0]
     system = two_level_system()
     u = coarse_map(system, CoarseParams(1.0, dt, 2))
-    family = extract_kraus(u, 2, 2, dt)
+    family = extract_kraus(u, 2, 2)
     series = iterate_channel(family, DensityMatrix.pure([0.0, 1.0]), len(times) - 1)
     # compare after the bandwidth transient (t ~ 1/half_width decays
     # quadratically, not exponentially), matching the rate-fit window

@@ -174,7 +174,7 @@ def test_long_collision_trajectory_matches_a_scipy_built_unitary(name):
         gen = bin_generator(system, params)
         ref_u = scipy.linalg.expm(gen)
         got, ref = (
-            propagate(step_matrix(extract_kraus(u, system.dim, n_max, dt)), rho0, 10_000)
+            propagate(step_matrix(extract_kraus(u, system.dim, n_max)), rho0, 10_000)
             for u in (coarse_map(system, params), ref_u)
         )
         assert np.max(np.abs(got - ref)) <= 2e-13

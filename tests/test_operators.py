@@ -38,7 +38,7 @@ def random_operator(rng, dims):
 def test_statevector_validates_length():
     with pytest.raises(ValueError):
         StateVector(np.zeros(3), (2, 2))
-    assert np.linalg.norm(basis_state(4, 2).data) == 1.0
+    assert np.linalg.norm(StateVector(basis_state(4, 2), (4,)).data) == 1.0
     with pytest.raises(ValueError, match="at least one tensor factor"):
         StateVector(np.ones(1), ())
     with pytest.raises(ValueError, match="factor dimensions must be >= 1"):
