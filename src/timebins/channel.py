@@ -5,14 +5,14 @@ vacuum on the right and the bin number states <m| on the left yields one
 system-space Kraus operator per bin photon count m, and the reduced dynamics
 is the operator-sum map rho -> sum_m K_m rho K_m^dag.
 
-The family is one (n_max+1, d, d) array K[m], and every sum over m is one
-broadcast product summed over its first axis.  Long trajectories run in
-Liouville space: with the row-major vec(rho) = rho.ravel(), one collision is
-the d^2 x d^2 step matrix S_c = sum_m K_m (x) conj(K_m).  ``propagate``
-stacks the powers S, S^2, ..., S^B (B = POWER_BLOCK) into one (B d^2, d^2)
-matrix and fills a whole (steps+1, d, d) stack B states at a time, each block
-one product with the state before it (a run of at most B steps takes one
-product per step).  The stack is then checked in one pass
+The family is one (n_max+1, d, d) array K[m], a sweep's k families one
+(k, n_max+1, d, d) stack, and every sum over m is one broadcast product.
+Long trajectories run in Liouville space: with the row-major vec(rho) =
+rho.ravel(), one collision is the d^2 x d^2 step matrix S_c = sum_m K_m (x)
+conj(K_m).  ``propagate`` stacks the powers S, S^2, ..., S^B (B = POWER_BLOCK)
+into one (B d^2, d^2) matrix and fills a whole (steps+1, d, d) stack B states
+at a time, each block one product with the state before it (a run of at most
+B steps takes one product per step).  The stack is then checked in one pass
 (``first_invalid``) with the same thresholds as ``DensityMatrix``; a stack
 that trips a guard is recomputed one product per step, and the guards report
 on that stack, as they would have step by step.
@@ -116,28 +116,31 @@ class DensityMatrix:
 
 def extract_kraus(u: np.ndarray, sys_dim: int, n_max: int) -> np.ndarray:
     """The family K_m = (1 (x) <m|) U (1 (x) |0>) for m = 0 .. n_max, as one
-    complex (n_max+1, d, d) array whose entry m is K_m."""
+    complex (n_max+1, d, d) array whose entry m is K_m; for a (k, side, side)
+    stack of maps, the (k, n_max+1, d, d) stack of their families."""
     d_bin = n_max + 1
     side = sys_dim * d_bin
     u = np.asarray(u, dtype=complex)
-    if u.shape != (side, side):
+    if u.ndim not in (2, 3) or u.shape[-2:] != (side, side):
         raise ValueError(
             f"map has shape {u.shape}, expected {(side, side)} "
             f"for (system, bin) = {(sys_dim, d_bin)}"
         )
     # u[(i, m), (j, 0)] = K_m[i, j]
-    return u.reshape(sys_dim, d_bin, sys_dim, d_bin)[:, :, :, 0].transpose(1, 0, 2).copy()
+    return u.reshape(u.shape[:-2] + (sys_dim, d_bin) * 2)[..., 0].swapaxes(-3, -2).copy()
 
 
-def completeness_defect(family: np.ndarray) -> float:
-    """||sum_m K_m^dag K_m - 1||_max: for a family over the whole truncated
-    bin basis it reflects only the accuracy of the map it was taken from."""
-    acc = (family.conj().swapaxes(1, 2) @ family).sum(0)
-    return float(np.max(np.abs(acc - np.eye(family.shape[1]))))
+def completeness_defect(family: np.ndarray) -> float | np.ndarray:
+    """||sum_m K_m^dag K_m - 1||_max (one per family of a stack): for a family
+    over the whole truncated bin basis it reflects only the accuracy of the
+    map it was taken from."""
+    acc = (family.conj().swapaxes(-1, -2) @ family).sum(-3)
+    return np.max(np.abs(acc - np.eye(family.shape[-1])), axis=(-2, -1))
 
 
 def apply_channel(family: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """One collision of the (d, d) matrix rho: rho -> sum_m K_m rho K_m^dag.
+    """One collision of the (d, d) matrix rho: rho -> sum_m K_m rho K_m^dag,
+    or the (k, d, d) stack of one under each family of a (k, n_max+1, d, d) stack.
 
     The accumulated output is symmetrized to (rho + rho^dag)/2 after the trace
     check, which removes 1e-16-scale Hermiticity drift over long iterations
@@ -145,33 +148,34 @@ def apply_channel(family: np.ndarray, rho: np.ndarray) -> np.ndarray:
     DensityMatrix checks (StateError) unless a trace leak was reported.
     """
     r = np.asarray(rho)
-    if family.shape[1:] != r.shape:
+    if family.shape[-2:] != r.shape:
         raise ValueError("Kraus family and state have different system dimensions")
-    out = (family @ r @ family.conj().swapaxes(1, 2)).sum(0)
-
-    deviation = abs(float(np.trace(out).real) - float(np.trace(r).real))
-    leaked = _guard_trace(deviation, len(family) - 1)
-    result = 0.5 * (out + out.conj().T)
+    out = (family @ r @ family.conj().swapaxes(-1, -2)).sum(-3)
+    deviation = np.abs(np.trace(out, axis1=-2, axis2=-1).real - np.trace(r).real).ravel()
+    result = 0.5 * (out + out.conj().swapaxes(-1, -2))
     # a reported leak is not hidden: the state is returned as computed
-    return result if leaked else DensityMatrix(result).matrix
+    stop, message = first_invalid(result.reshape((-1,) + r.shape), skip=deviation > TRACE_WARN)
+    _report(deviation, stop, message, family.shape[-3] - 1)
+    return result
 
 
-def _guard_trace(deviation: float, n_max: int) -> bool:
-    """The per-collision trace guard: GuardError above TRACE_ABORT, and a
-    RuntimeWarning (returns True) above TRACE_WARN."""
-    if deviation > TRACE_ABORT:
-        raise GuardError(
-            f"channel lost {deviation:.3e} of the trace in one step; "
-            f"bin truncation n_max={n_max} is inadequate"
+def _report(deviation: np.ndarray, stop: int, message: str, n_max: int) -> None:
+    """The per-collision guards, in order: a RuntimeWarning for each deviation
+    above TRACE_WARN before ``stop``, GuardError at the first above TRACE_ABORT,
+    then StateError(message)."""
+    for x in deviation[:stop][deviation[:stop] > TRACE_WARN]:
+        if x > TRACE_ABORT:
+            raise GuardError(
+                f"channel lost {x:.3e} of the trace in one step; "
+                f"bin truncation n_max={n_max} is inadequate"
+            )
+        warnings.warn(
+            f"channel trace deviation {x:.3e} exceeds {TRACE_WARN:g}",
+            RuntimeWarning,
+            stacklevel=3,
         )
-    if deviation <= TRACE_WARN:
-        return False
-    warnings.warn(
-        f"channel trace deviation {deviation:.3e} exceeds {TRACE_WARN:g}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return True
+    if message:
+        raise StateError(message)
 
 
 def step_matrix(family: np.ndarray) -> np.ndarray:
@@ -184,16 +188,16 @@ def step_matrix(family: np.ndarray) -> np.ndarray:
     which makes S_c trace-preserving to the rounding of that one sum.  A
     family that really loses trace keeps the plain sum, so the guards see it.
     """
-    d = family.shape[1]
+    d = family.shape[-1]
     # s[i, j, k, l] = sum_m K_m[i, k] conj(K_m[j, l]) is entry (i d + j, k d + l)
-    s = (family[:, :, None, :, None] * family.conj()[:, None, :, None, :]).sum(0)
-    s = s.reshape(d * d, d * d)
+    s = (family[..., :, None, :, None] * family.conj()[..., None, :, None, :]).sum(-5)
+    s = s.reshape(-1, d * d, d * d)
     diagonal = np.arange(d) * (d + 1)  # rows and columns of the rho_ii
     identity = np.zeros(d * d)
     identity[diagonal] = 1.0
-    if np.max(np.abs(s[diagonal].sum(0) - identity)) <= TRACE_ROUNDING:
-        s[0] = identity - s[diagonal[1:]].sum(0)
-    return s
+    exact = np.max(np.abs(s[:, diagonal].sum(1) - identity), axis=1) <= TRACE_ROUNDING
+    s[exact, 0] = identity - s[exact][:, diagonal[1:]].sum(1)
+    return s.reshape(family.shape[:-3] + (d * d, d * d))
 
 
 def propagate(s: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
@@ -211,26 +215,29 @@ def _propagate(s: np.ndarray, rho0: np.ndarray, steps: int, block: int) -> np.nd
     """``propagate`` with ``block`` states per product (1: one per step)."""
     d = rho0.shape[0]
     n = d * d
-    flat = np.empty((steps + 1, n), dtype=complex)
-    flat[0] = rho0.ravel()
-    powers = np.empty((block, n, n), dtype=complex)
-    powers[0] = s
+    lead = s.shape[:-2]  # one chain per step matrix of a stack
+    flat = np.empty(lead + (steps + 1, n), dtype=complex)
+    flat[..., 0, :] = rho0.ravel()
+    powers = np.empty(lead + (block, n, n), dtype=complex)
+    powers[..., 0, :, :] = s
     for j in range(1, block):
-        np.dot(s, powers[j - 1], out=powers[j])
-    stacked = powers.reshape(block * n, n)
+        np.matmul(s, powers[..., j - 1, :, :], out=powers[..., j, :, :])
+    stacked = powers.reshape(lead + (block * n, n))
     for k in range(0, steps, block):
         rows = min(block, steps - k)
-        np.dot(stacked[: rows * n], flat[k], out=flat[k + 1 : k + 1 + rows].reshape(-1))
-    return flat.reshape(steps + 1, d, d)
+        out = flat[..., k + 1 : k + 1 + rows, :].reshape(lead + (rows * n, 1))  # a view
+        np.matmul(stacked[..., : rows * n, :], flat[..., k, :, None], out=out)
+    return flat.reshape(lead + (steps + 1, d, d))
 
 
 def _collision_faults(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, str]:
     """Per-step trace deviations of steps 2 .. steps, which of them warn, and
-    first_invalid of the unwarned states from step 2 on."""
-    tr = np.trace(stack, axis1=1, axis2=2).real
-    deviation = np.abs(np.diff(tr))[1:]
+    first_invalid of the unwarned states from step 2 on, over all chains at once."""
+    tr = np.trace(stack, axis1=-2, axis2=-1).real
+    deviation = np.abs(np.diff(tr))[..., 1:]
     warned = deviation > TRACE_WARN
-    stop, message = first_invalid(stack[2:], skip=warned)
+    later = stack[..., 2:, :, :].reshape((-1,) + stack.shape[-2:])
+    stop, message = first_invalid(later, skip=warned.reshape(-1))
     return deviation, warned, stop, message
 
 
@@ -238,7 +245,8 @@ def iterate_channel(
     family: np.ndarray, rho0: DensityMatrix, steps: int
 ) -> np.ndarray:
     """The (steps+1, d, d) stack rho_0 .. rho_steps of ``steps`` collisions
-    with the same time-independent family.
+    with the same time-independent family; for a (k, n_max+1, d, d) stack, the
+    k chains, guarded first collisions first, then chain by chain.
 
     The first collision goes through ``apply_channel`` with all of its guards,
     and the step matrix must reproduce it to STEP_MATRIX_TOL.  The rest is
@@ -251,11 +259,11 @@ def iterate_channel(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
-        return rho0.matrix[None].copy()
+        return np.broadcast_to(rho0.matrix, family.shape[:-3] + (1,) + rho0.matrix.shape).copy()
     first = apply_channel(family, rho0.matrix)
     s = step_matrix(family)
     stack = propagate(s, rho0.matrix, steps)
-    gap = float(np.max(np.abs(stack[1] - first)))
+    gap = float(np.max(np.abs(stack[..., 1, :, :] - first)))
     if gap > STEP_MATRIX_TOL:
         raise GuardError(
             f"step matrix differs from the Kraus map by {gap:.3e} on the first step"
@@ -265,8 +273,5 @@ def iterate_channel(
     if warned.any() or message:
         stack = _propagate(s, rho0.matrix, steps, 1)
         deviation, warned, stop, message = _collision_faults(stack)
-    for k in np.flatnonzero(warned[:stop]):
-        _guard_trace(float(deviation[k]), len(family) - 1)
-    if message:
-        raise StateError(message)
+    _report(deviation.reshape(-1), stop, message, family.shape[-3] - 1)
     return stack

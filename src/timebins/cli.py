@@ -13,16 +13,16 @@ from .experiments import EXIT_CONFIG, EXIT_GUARD, run_experiment
 __all__ = ["main"]
 
 
+# built once: building it costs several times what parsing a command line does
+_PARSER = argparse.ArgumentParser(
+    prog="timebins", description="Run one named collision-model experiment from a config file."
+)
+_PARSER.add_argument("--config", required=True, help="path to a flat 'key = value' config file")
+_PARSER.add_argument("--out", help="override the configured output CSV path")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="timebins",
-        description="Run one named collision-model experiment from a config file.",
-    )
-    parser.add_argument(
-        "--config", required=True, help="path to a flat 'key = value' config file"
-    )
-    parser.add_argument("--out", help="override the configured output CSV path")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")

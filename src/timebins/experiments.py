@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,7 +88,8 @@ ORDERING_ORDER_MIN_FREE = 1.9
 ORDERING_MAX_EXACT = 1e-12
 
 ORDERING_SUBDIVISIONS = 8
-SWEEP_POINTS = 4
+# The bin widths of a sweep, as fractions of cfg.dt.
+SWEEP_SCALES = (1.0, 0.5, 0.25, 0.125)
 # Most steps a run may take, as many as the joint chain's amplitudes: a run at
 # the cap peaks near 2 GB (300-500 bytes a row).  Numpy may be granted more
 # than the machine holds, and the kernel then kills the process, so every
@@ -184,13 +185,6 @@ def _timeseries_csv(
     return _csv(header + list(extra), table)
 
 
-def _sweep(cfg: RunConfig, measure: Callable[[float], Sequence[float]]) -> np.ndarray:
-    """The table of rows (dt, *measure(dt)) for dt = cfg.dt, cfg.dt/2, ...,
-    SWEEP_POINTS values in all."""
-    dts = [cfg.dt * 0.5**i for i in range(SWEEP_POINTS)]
-    return np.array([(dt, *measure(dt)) for dt in dts])
-
-
 def _steps(t_final: float, dt: float) -> int:
     steps = t_final / dt
     if not steps < MAX_STEPS:  # also catches an overflow to inf
@@ -198,7 +192,7 @@ def _steps(t_final: float, dt: float) -> int:
     return max(1, round(steps))
 
 
-def _coarse_params(system: SystemModel, cfg: RunConfig, dt: float) -> CoarseParams:
+def _coarse_params(system: SystemModel, cfg: RunConfig, dt: float | np.ndarray) -> CoarseParams:
     side = system.dim * (cfg.n_max + 1)
     if not side * side < MAX_STEPS:
         raise GuardError(
@@ -208,9 +202,8 @@ def _coarse_params(system: SystemModel, cfg: RunConfig, dt: float) -> CoarsePara
     return CoarseParams(cfg.gamma, dt, cfg.n_max)
 
 
-def _collision_family(system: SystemModel, cfg: RunConfig, dt: float) -> np.ndarray:
-    params = _coarse_params(system, cfg, dt)
-    return extract_kraus(coarse_map(system, params), system.dim, cfg.n_max)
+def _collision_family(system: SystemModel, cfg: RunConfig, dt: float | np.ndarray) -> np.ndarray:
+    return extract_kraus(coarse_map(system, _coarse_params(system, cfg, dt)), system.dim, cfg.n_max)
 
 
 def _timeseries_report(
@@ -326,16 +319,14 @@ def _run_convergence(cfg: RunConfig) -> tuple[str, str, int]:
         )
     system = _build_system(cfg)
     rho0 = DensityMatrix.pure(_initial_vector(cfg, system))
-
-    def max_error(dt: float) -> tuple[float]:
-        family = _collision_family(system, cfg, dt)
+    dts = cfg.dt * np.array(SWEEP_SCALES)
+    errors = []
+    for dt, family in zip(dts.tolist(), _collision_family(system, cfg, dts)):
         steps = _steps(cfg.t_final, dt)
         stack = iterate_channel(family, rho0, steps)
-        times = np.arange(1, steps + 1) * dt
-        reference = analytic_oracle(kind, cfg.gamma, times, rho0)
-        return (float(np.max(np.abs(stack[1:] - reference))),)
-
-    table = _sweep(cfg, max_error)
+        reference = analytic_oracle(kind, cfg.gamma, np.arange(1, steps + 1) * dt, rho0)
+        errors.append(np.max(np.abs(stack[1:] - reference)))
+    table = np.column_stack([dts, errors])
     order = fit_order(table)
     csv = _csv(["dt", "max_error"], table, ("fitted_order", order))
     summary = f"fitted_order={order:.4f}"
@@ -352,12 +343,10 @@ def _run_kraus_report(cfg: RunConfig) -> tuple[str, str, int]:
     if cfg.n_max < 2:
         raise ConfigError("kraus-report needs n_max >= 2 so that K_2 exists")
     system = _build_system(cfg)
-
-    def residuals(dt: float) -> tuple[float, float, float, float]:
-        family = _collision_family(system, cfg, dt)
-        return (*expansion_report(family, system, cfg.gamma, dt), completeness_defect(family))
-
-    table = _sweep(cfg, residuals)
+    dts = cfg.dt * np.array(SWEEP_SCALES)
+    families = _collision_family(system, cfg, dts)
+    residuals = expansion_report(families, system, cfg.gamma, dts)
+    table = np.column_stack([dts, *residuals, completeness_defect(families)])
     csv = _csv(["dt", "r0", "r1", "r2", "completeness_defect"], table)
 
     r1_order = fit_order(table[:, [0, 2]])
@@ -388,12 +377,9 @@ def _run_kraus_report(cfg: RunConfig) -> tuple[str, str, int]:
 
 def _run_ordering_probe(cfg: RunConfig) -> tuple[str, str, int]:
     system = _build_system(cfg)
-
-    def residual(dt: float) -> tuple[float]:
-        params = _coarse_params(system, cfg, dt)
-        return (ordering_residual(system, params, ORDERING_SUBDIVISIONS),)
-
-    table = _sweep(cfg, residual)
+    dts = cfg.dt * np.array(SWEEP_SCALES)
+    params = _coarse_params(system, cfg, dts)
+    table = np.column_stack([dts, ordering_residual(system, params, ORDERING_SUBDIVISIONS)])
     header = ["dt", "max_error"]
     if cfg.system == "dephasing" and cfg.drive == 0.0:
         residual_max = table[:, 1].max()

@@ -12,12 +12,13 @@ is probed numerically by ``ordering_residual``.
 
 from __future__ import annotations
 
-import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import DensityMatrix, apply_channel, extract_kraus, iterate_channel
+from .errors import GuardError, StateError
 from .operators import HERMITICITY_TOL, expm
 
 __all__ = [
@@ -91,16 +92,16 @@ def dephasing_variant(base: SystemModel) -> SystemModel:
 
 @dataclass(frozen=True)
 class CoarseParams:
-    """Decay rate, bin width, and bin truncation of one coarse-grained run."""
+    """Decay rate, bin width (or a 1-D array of them), and bin truncation."""
 
     gamma: float
-    dt: float
+    dt: float | np.ndarray
     n_max: int
 
     def __post_init__(self) -> None:
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if self.dt <= 0:
+        if np.any(np.asarray(self.dt) <= 0):
             raise ValueError("dt must be positive")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
@@ -108,14 +109,15 @@ class CoarseParams:
 
 def bin_generator(system: SystemModel, params: CoarseParams) -> np.ndarray:
     """Anti-Hermitian exponent of the one-bin map on system (x) bin, a square
-    matrix of side system.dim * (n_max + 1)."""
+    matrix of side system.dim * (n_max + 1); for k widths, a (k, side, side)
+    stack, with the dt-free H (x) 1 and exchange terms built once."""
     d_bin = params.n_max + 1
     db = lowering_matrix(d_bin)
     sigma = system.lowering
-    coupling = math.sqrt(params.gamma * params.dt)
+    dt = np.asarray(params.dt, dtype=float)[..., None, None]
     free = np.kron(system.hamiltonian, np.eye(d_bin, dtype=complex))
     exchange = np.kron(sigma, db.conj().T) - np.kron(sigma.conj().T, db)
-    return (-1j * params.dt) * free + coupling * exchange
+    return (-1j * dt) * free + np.sqrt(params.gamma * dt) * exchange
 
 
 def coarse_map(system: SystemModel, params: CoarseParams) -> np.ndarray:
@@ -125,7 +127,7 @@ def coarse_map(system: SystemModel, params: CoarseParams) -> np.ndarray:
 
 def ordering_residual(
     system: SystemModel, params: CoarseParams, subdivisions: int
-) -> float:
+) -> float | np.ndarray:
     """Per-bin discrepancy between one coarse step and a subdivided reference.
 
     Builds the channel of a single bin of width dt and the channel composed of
@@ -134,41 +136,51 @@ def ordering_residual(
     most excited system state, and returns the max-norm difference of the two
     output density matrices.  Channels are compared instead of unitaries so
     the reference's larger bin-product space never has to be formed.
+
+    For k widths: k residuals, from one coarse_map, apply_channel and
+    iterate_channel over all bins and sub-bins.  If a guard speaks, the widths
+    rerun one by one, so that guards speak in width order, bin before sub-bins.
+    The stacked pass turns RuntimeWarning into an error process-wide.
     """
     if subdivisions < 2:
         raise ValueError("subdivisions must be >= 2")
-    coarse = extract_kraus(coarse_map(system, params), system.dim, params.n_max)
-    fine_params = CoarseParams(params.gamma, params.dt / subdivisions, params.n_max)
-    fine = extract_kraus(coarse_map(system, fine_params), system.dim, params.n_max)
+    dt = np.asarray(params.dt, dtype=float).ravel()
+    widths = np.stack([dt, dt / subdivisions], axis=1)  # each bin, then its sub-bin
+    maps = coarse_map(system, CoarseParams(params.gamma, widths.ravel(), params.n_max))
+    families = extract_kraus(maps, system.dim, params.n_max)
+    pairs = families.reshape(widths.shape + families.shape[1:])
 
-    excited = np.zeros(system.dim, dtype=complex)
-    excited[system.dim - 1] = 1.0
-    rho = DensityMatrix.pure(excited)
+    rho = DensityMatrix.pure(np.eye(system.dim)[-1])  # the most excited state
 
-    one_step = apply_channel(coarse, rho.matrix)
-    reference = iterate_channel(fine, rho, subdivisions)[-1]
-    return float(np.max(np.abs(one_step - reference)))
+    def residual(pair: np.ndarray) -> np.ndarray:
+        one_step = apply_channel(pair[..., 0, :, :, :], rho.matrix)
+        reference = iterate_channel(pair[..., 1, :, :, :], rho, subdivisions)[..., -1, :, :]
+        return np.max(np.abs(one_step - reference), axis=(-2, -1))
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a guard's warning ends the pass
+            out = residual(pairs)
+    except (RuntimeWarning, GuardError, StateError):
+        out = np.array([residual(pair) for pair in pairs])
+    return out.reshape(np.shape(params.dt))[()]  # a float for a single width
 
 
 def expansion_report(
-    family: np.ndarray, system: SystemModel, gamma: float, dt: float
-) -> tuple[float, float, float]:
+    family: np.ndarray, system: SystemModel, gamma: float, dt: float | np.ndarray
+) -> tuple[float | np.ndarray, ...]:
     """Distances (r0, r1, r2) of K_0, K_1, K_2 of a family of bin width dt
-    from their leading small-dt forms:
+    from their leading small-dt forms (arrays, for a stack and its widths):
 
     r0 = ||K0 - (1 + dt(-i H - gamma/2 n))||, r1 = ||K1 - sqrt(gamma dt) sigma||,
     r2 = ||K2||, all in the max norm; n = sigma^dag sigma.
     """
-    if len(family) < 3:
+    if family.shape[-3] < 3:
         raise ValueError("expansion_report needs n_max >= 2 so that K_2 exists")
     sigma = system.lowering
     number = sigma.conj().T @ sigma
-    k0_ref = np.eye(system.dim) + dt * (
-        -1j * system.hamiltonian - (gamma / 2.0) * number
-    )
-    k1_ref = math.sqrt(gamma * dt) * sigma
-    r0, r1, r2 = (
-        float(np.max(np.abs(x)))
-        for x in (family[0] - k0_ref, family[1] - k1_ref, family[2])
-    )
-    return r0, r1, r2
+    dt = np.asarray(dt, dtype=float)[..., None, None]
+    k0_ref = np.eye(system.dim) + dt * (-1j * system.hamiltonian - (gamma / 2.0) * number)
+    k1_ref = np.sqrt(gamma * dt) * sigma
+    k0, k1, k2 = np.moveaxis(family[..., :3, :, :], -3, 0)
+    return tuple(np.abs(x).max(axis=(-2, -1)) for x in (k0 - k0_ref, k1 - k1_ref, k2))

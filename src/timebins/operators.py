@@ -65,21 +65,27 @@ class StateVector:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Unitary exponential of an anti-Hermitian generator, from one ``eigh``.
+    """Unitary exponential of an anti-Hermitian generator, or of each matrix of
+    a (k, n, n) stack, from one ``eigh``; the checks name the first that fails.
 
     With i a = V diag(lam) V^dag, exp(a) = 1 + V diag(e^{-i lam} - 1) V^dag.
     Writing e^{-i lam} - 1 as -2 sin^2(lam/2) - i sin(lam) keeps the small
     phases of a short bin free of cancellation.
     """
-    m = square_matrix(a, "generator")
-    if not np.all(np.isfinite(m)):
+    m = np.asarray(a, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expm needs a square matrix or a stack of them, got shape {m.shape}")
+    finite = np.isfinite(m).all(axis=(-2, -1)).ravel()
+    with np.errstate(invalid="ignore"):  # inf - inf: that matrix fails as non-finite
+        defect = np.abs(m + m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).ravel()
+    k = int(np.argmax(~finite | (defect > HERMITICITY_TOL)))  # 0 if none fails
+    if not finite[k]:
         raise ValueError("expm requires finite entries")
-    defect = float(np.max(np.abs(m + m.conj().T)))
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"expm needs an anti-Hermitian generator (defect {defect:.3e})")
+    if defect[k] > HERMITICITY_TOL:
+        raise ValueError(f"expm needs an anti-Hermitian generator (defect {defect[k]:.3e})")
     lam, v = np.linalg.eigh(1j * m)
     phase = -2.0 * np.sin(0.5 * lam) ** 2 - 1j * np.sin(lam)
-    return np.eye(m.shape[0]) + (v * phase) @ v.conj().T
+    return np.eye(m.shape[-1]) + (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def vn_entropy(rho: np.ndarray) -> float:

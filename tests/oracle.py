@@ -20,6 +20,11 @@ against the Kraus iteration.  ``stepwise_propagate`` is ``channel.propagate``
 with one matrix-vector product per step, the loop its blocked powers
 replaced, and ``csv_text`` is ``experiments._csv`` formatting one row at a
 time with ``str.format``.
+``expm_per_matrix``, ``coarse_maps_per_width`` and
+``ordering_residual_per_width`` are the one-width-at-a-time loops that the
+stacked ``expm``, ``coarse_map`` and ``ordering_residual`` replaced: each
+width builds its own generator and exponential, and each ordering residual
+runs its own coarse collision and its own sub-bin chain.
 """
 
 from __future__ import annotations
@@ -30,10 +35,11 @@ from typing import Iterable
 
 import numpy as np
 
+import timebins.model as model
 from timebins.chain import ChainState, reduced_system
-from timebins.channel import DensityMatrix, iterate_channel
+from timebins.channel import DensityMatrix, apply_channel, extract_kraus, iterate_channel
 from timebins.microscopic import emitter_spectrum
-from timebins.operators import vn_entropy
+from timebins.operators import expm, vn_entropy
 
 _EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -178,6 +184,40 @@ def csv_text(header, table: np.ndarray, note=None) -> str:
     if note is not None:
         lines.append("# {} = {:.17g}".format(*note))
     return "\n".join(lines) + "\n"
+
+
+def expm_per_matrix(stack: np.ndarray) -> np.ndarray:
+    """expm of each matrix of a (k, n, n) stack, one call per matrix."""
+    return np.array([expm(m) for m in stack])
+
+
+def coarse_maps_per_width(system, params) -> np.ndarray:
+    """The (k, side, side) one-bin maps of the k widths of params.dt, one
+    ``model.coarse_map`` call per width."""
+    return np.array([model.coarse_map(system, one) for one in _one_width_each(params)])
+
+
+def ordering_residual_per_width(system, params, subdivisions: int) -> np.ndarray:
+    """The ordering residuals of the widths of params.dt, one width at a
+    time: per width a coarse map and a sub-bin map from ``model.coarse_map``,
+    one ``apply_channel`` and one ``iterate_channel`` over the sub-bins."""
+    out = []
+    rho = DensityMatrix.pure(basis_state(system.dim, system.dim - 1))
+    for one in _one_width_each(params):
+        sub = model.CoarseParams(one.gamma, one.dt / subdivisions, one.n_max)
+        coarse, fine = (
+            extract_kraus(model.coarse_map(system, p), system.dim, one.n_max) for p in (one, sub)
+        )
+        one_step = apply_channel(coarse, rho.matrix)
+        reference = iterate_channel(fine, rho, subdivisions)[-1]
+        out.append(np.max(np.abs(one_step - reference)))
+    return np.array(out)
+
+
+def _one_width_each(params) -> list:
+    """One CoarseParams per width of params.dt."""
+    widths = np.atleast_1d(params.dt).tolist()
+    return [model.CoarseParams(params.gamma, dt, params.n_max) for dt in widths]
 
 
 def dense_hamiltonian(arrow) -> np.ndarray:

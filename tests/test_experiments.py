@@ -602,6 +602,39 @@ def test_missing_config_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+USAGE = "usage: timebins [-h] --config CONFIG [--out OUT]\n"
+ERROR = USAGE + "timebins: error: "
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (
+            ["--help"],
+            0,
+            "out",
+            USAGE
+            + "\nRun one named collision-model experiment from a config file.\n\n"
+            "options:\n"
+            "  -h, --help       show this help message and exit\n"
+            "  --config CONFIG  path to a flat 'key = value' config file\n"
+            "  --out OUT        override the configured output CSV path\n",
+        ),
+        ([], 2, "err", ERROR + "the following arguments are required: --config\n"),
+        (["--config", "x", "--bogus"], 2, "err", ERROR + "unrecognized arguments: --bogus\n"),
+    ],
+    ids=["help", "no-config", "unknown-argument"],
+)
+def test_command_line_usage_and_errors(capsys, monkeypatch, argv, code, stream, text):
+    # the parser is built once, so a second call must print the same text
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == code
+        assert getattr(capsys.readouterr(), stream) == text
+
+
 def test_console_script_and_cross_process_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("experiment = collision\ndt = 0.02\nt_final = 0.5\n", encoding="utf-8")

@@ -297,8 +297,10 @@ def test_vn_entropy_bounds_and_errors():
 
 @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
 def test_matrix_functions_reject_a_matrix_that_is_not_square(shape):
-    m = np.zeros(shape, dtype=complex)
+    # expm takes a (k, n, n) stack, so its three-axis case is a stack of
+    # matrices that are not square
+    expm_shape = (2, 2, 3) if len(shape) == 3 else shape
     with pytest.raises(ValueError, match="square matrix"):
-        expm(m)
+        expm(np.zeros(expm_shape, dtype=complex))
     with pytest.raises(ValueError, match="square matrix"):
-        vn_entropy(m)
+        vn_entropy(np.zeros(shape, dtype=complex))

@@ -71,10 +71,14 @@ def test_cli_runs_go_through_the_traced_names(tmp_path, capsys):
             assert counts["microscopic.modes"] == 101
             assert names.count("microscopic.evolve_microscopic") == 1
         elif experiment == "kraus-report":
-            assert "operators.expm" in names
+            # its four bin widths are one stacked exponential
+            assert names.count("operators.expm") == 1
             assert "channel.extract_kraus" in names
         else:
             assert "channel.iterate_channel" in names, experiment
+    ordering = [span[0] for span in runs["ordering-probe"][0]]
+    assert "model.coarse_map" in ordering
+    assert "model.ordering_residual" in ordering
     assert "lindblad.analytic_oracle" in [span[0] for span in runs["convergence"][0]]
     # the state holds only the bins met: collision k reads 2 * 3**k amplitudes,
     # and the counter charges 32 bytes for each
