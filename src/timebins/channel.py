@@ -13,14 +13,15 @@ conj(K_m).  ``propagate`` stacks the powers S, S^2, ..., S^B (B = POWER_BLOCK)
 into one (B d^2, d^2) matrix and fills a whole (steps+1, d, d) stack B states
 at a time, each block one product with the state before it (a run of at most
 B steps takes one product per step).  The stack is then checked in one pass
-(``first_invalid``) with the same thresholds as ``DensityMatrix``; a stack
-that trips a guard is recomputed one product per step, and the guards report
-on that stack, as they would have step by step.
+(``first_invalid``) with the same thresholds as ``DensityMatrix``.
+
+A collision changes the trace of rho by tr((sum_m K_m^dag K_m - 1) rho), so
+trace preservation is a property of the family, not of a state: the family is
+checked once, before any state is computed (``apply_channel``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-10
 
-# Per-step trace loss thresholds for apply_channel.
-TRACE_WARN = 1e-10
-TRACE_ABORT = 1e-6
-
 # Largest allowed distance between the step matrix and the Kraus map on the
 # first step of a trajectory.
 STEP_MATRIX_TOL = 1e-12
@@ -59,13 +56,13 @@ TRACE_ROUNDING = 1e-14
 POWER_BLOCK = 64
 
 
-def first_invalid(stack: np.ndarray, skip: np.ndarray | None = None) -> tuple[int, str]:
+def first_invalid(stack: np.ndarray) -> tuple[int, str]:
     """The first state of a (n, d, d) stack that fails a DensityMatrix check.
 
     Runs the finiteness, Hermiticity, unit-trace and smallest-eigenvalue
     checks on every state at once and returns (index, message) of the earliest
     failure, with the message the check raises; (n, "") when every state
-    passes.  States flagged in ``skip`` are not checked.
+    passes.
     """
     # every comparison with NaN is False, so non-finite states get their own
     # test, and the others run on zeros in their place
@@ -79,8 +76,6 @@ def first_invalid(stack: np.ndarray, skip: np.ndarray | None = None) -> tuple[in
     bad |= herm > HERMITICITY_TOL
     bad |= np.abs(tr - 1.0) > TRACE_TOL
     bad |= lo < MIN_EIGENVALUE
-    if skip is not None:
-        bad &= ~skip
     if not bad.any():
         return len(stack), ""
     k = int(np.argmax(bad))
@@ -133,7 +128,9 @@ def extract_kraus(u: np.ndarray, sys_dim: int, n_max: int) -> np.ndarray:
 def completeness_defect(family: np.ndarray) -> float | np.ndarray:
     """||sum_m K_m^dag K_m - 1||_max (one per family of a stack): for a family
     over the whole truncated bin basis it reflects only the accuracy of the
-    map it was taken from."""
+    map it was taken from.  A collision changes a state's trace by
+    tr((sum_m K_m^dag K_m - 1) rho), so the family keeps the trace to within
+    d times this."""
     acc = (family.conj().swapaxes(-1, -2) @ family).sum(-3)
     return np.max(np.abs(acc - np.eye(family.shape[-1])), axis=(-2, -1))
 
@@ -142,40 +139,28 @@ def apply_channel(family: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """One collision of the (d, d) matrix rho: rho -> sum_m K_m rho K_m^dag,
     or the (k, d, d) stack of one under each family of a (k, n_max+1, d, d) stack.
 
-    The accumulated output is symmetrized to (rho + rho^dag)/2 after the trace
-    check, which removes 1e-16-scale Hermiticity drift over long iterations
-    without hiding genuine trace loss.  The result must pass the
-    DensityMatrix checks (StateError) unless a trace leak was reported.
+    Before any state is computed, every family must be complete: GuardError
+    names the first (in stack order) whose completeness defect exceeds
+    TRACE_TOL or is not finite.  The accumulated output is symmetrized to
+    (rho + rho^dag)/2, which removes 1e-16-scale Hermiticity drift over long
+    iterations, and must pass the DensityMatrix checks (StateError).
     """
     r = np.asarray(rho)
     if family.shape[-2:] != r.shape:
         raise ValueError("Kraus family and state have different system dimensions")
-    out = (family @ r @ family.conj().swapaxes(-1, -2)).sum(-3)
-    deviation = np.abs(np.trace(out, axis1=-2, axis2=-1).real - np.trace(r).real).ravel()
-    result = 0.5 * (out + out.conj().swapaxes(-1, -2))
-    # a reported leak is not hidden: the state is returned as computed
-    stop, message = first_invalid(result.reshape((-1,) + r.shape), skip=deviation > TRACE_WARN)
-    _report(deviation, stop, message, family.shape[-3] - 1)
-    return result
-
-
-def _report(deviation: np.ndarray, stop: int, message: str, n_max: int) -> None:
-    """The per-collision guards, in order: a RuntimeWarning for each deviation
-    above TRACE_WARN before ``stop``, GuardError at the first above TRACE_ABORT,
-    then StateError(message)."""
-    for x in deviation[:stop][deviation[:stop] > TRACE_WARN]:
-        if x > TRACE_ABORT:
-            raise GuardError(
-                f"channel lost {x:.3e} of the trace in one step; "
-                f"bin truncation n_max={n_max} is inadequate"
-            )
-        warnings.warn(
-            f"channel trace deviation {x:.3e} exceeds {TRACE_WARN:g}",
-            RuntimeWarning,
-            stacklevel=3,
+    defect = np.ravel(completeness_defect(family))
+    incomplete = ~(defect <= TRACE_TOL)  # NaN is incomplete too
+    if incomplete.any():
+        raise GuardError(
+            f"incomplete Kraus family: completeness defect "
+            f"{defect[np.argmax(incomplete)]:.3e} exceeds {TRACE_TOL:g}"
         )
+    out = (family @ r @ family.conj().swapaxes(-1, -2)).sum(-3)
+    result = 0.5 * (out + out.conj().swapaxes(-1, -2))
+    _, message = first_invalid(result.reshape((-1,) + r.shape))
     if message:
         raise StateError(message)
+    return result
 
 
 def step_matrix(family: np.ndarray) -> np.ndarray:
@@ -186,7 +171,8 @@ def step_matrix(family: np.ndarray) -> np.ndarray:
     step.  When the functional is within TRACE_ROUNDING of vec(1)^T, the
     rho_00 row is set to vec(1)^T minus the other diagonal-population rows,
     which makes S_c trace-preserving to the rounding of that one sum.  A
-    family that really loses trace keeps the plain sum, so the guards see it.
+    family that is not trace-preserving to that rounding keeps the plain sum,
+    so its states show the trace it changes.
     """
     d = family.shape[-1]
     # s[i, j, k, l] = sum_m K_m[i, k] conj(K_m[j, l]) is entry (i d + j, k d + l)
@@ -208,11 +194,7 @@ def propagate(s: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
     product per block of B = POWER_BLOCK states.  A run of at most B steps
     takes one product per step, since its powers would take as many.
     """
-    return _propagate(s, rho0, steps, POWER_BLOCK if steps > POWER_BLOCK else 1)
-
-
-def _propagate(s: np.ndarray, rho0: np.ndarray, steps: int, block: int) -> np.ndarray:
-    """``propagate`` with ``block`` states per product (1: one per step)."""
+    block = POWER_BLOCK if steps > POWER_BLOCK else 1
     d = rho0.shape[0]
     n = d * d
     lead = s.shape[:-2]  # one chain per step matrix of a stack
@@ -230,48 +212,30 @@ def _propagate(s: np.ndarray, rho0: np.ndarray, steps: int, block: int) -> np.nd
     return flat.reshape(lead + (steps + 1, d, d))
 
 
-def _collision_faults(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, str]:
-    """Per-step trace deviations of steps 2 .. steps, which of them warn, and
-    first_invalid of the unwarned states from step 2 on, over all chains at once."""
-    tr = np.trace(stack, axis1=-2, axis2=-1).real
-    deviation = np.abs(np.diff(tr))[..., 1:]
-    warned = deviation > TRACE_WARN
-    later = stack[..., 2:, :, :].reshape((-1,) + stack.shape[-2:])
-    stop, message = first_invalid(later, skip=warned.reshape(-1))
-    return deviation, warned, stop, message
-
-
 def iterate_channel(
     family: np.ndarray, rho0: DensityMatrix, steps: int
 ) -> np.ndarray:
     """The (steps+1, d, d) stack rho_0 .. rho_steps of ``steps`` collisions
     with the same time-independent family; for a (k, n_max+1, d, d) stack, the
-    k chains, guarded first collisions first, then chain by chain.
+    k chains, first collisions first, then chain by chain.
 
-    The first collision goes through ``apply_channel`` with all of its guards,
-    and the step matrix must reproduce it to STEP_MATRIX_TOL.  The rest is
-    propagated with the step matrix, then guarded as apply_channel guards
-    each step: the same warnings, and the same error at the earliest step
-    that apply_channel would have refused.  A stack that trips a guard is
-    recomputed one product per step before the guards report, so their
-    messages quote the step-by-step traces to the last digit.
+    The first collision goes through ``apply_channel``, which checks every
+    family before any state is computed, and the step matrix must reproduce
+    it to STEP_MATRIX_TOL.  The rest is propagated with the step matrix, and
+    every later state is checked once (StateError at the earliest that fails).
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return np.broadcast_to(rho0.matrix, family.shape[:-3] + (1,) + rho0.matrix.shape).copy()
     first = apply_channel(family, rho0.matrix)
-    s = step_matrix(family)
-    stack = propagate(s, rho0.matrix, steps)
+    stack = propagate(step_matrix(family), rho0.matrix, steps)
     gap = float(np.max(np.abs(stack[..., 1, :, :] - first)))
     if gap > STEP_MATRIX_TOL:
         raise GuardError(
             f"step matrix differs from the Kraus map by {gap:.3e} on the first step"
         )
-
-    deviation, warned, stop, message = _collision_faults(stack)
-    if warned.any() or message:
-        stack = _propagate(s, rho0.matrix, steps, 1)
-        deviation, warned, stop, message = _collision_faults(stack)
-    _report(deviation.reshape(-1), stop, message, family.shape[-3] - 1)
+    _, message = first_invalid(stack[..., 2:, :, :].reshape((-1,) + first.shape[-2:]))
+    if message:
+        raise StateError(message)
     return stack

@@ -4,7 +4,7 @@ __all__ = ["GuardError", "StateError"]
 
 
 class GuardError(RuntimeError):
-    """A numeric guard tripped: truncation loss, recurrence, overflow, or drift."""
+    """A numeric guard tripped: an incomplete Kraus family, recurrence, or overflow."""
 
 
 class StateError(ValueError):

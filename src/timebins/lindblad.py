@@ -13,9 +13,8 @@ so rate sweeps never rebuild operators.
 Everything runs on one row-major Liouvillian matrix L (vec(rho) = rho.ravel()).
 For this linear autonomous ODE one classic RK4 step is exactly the matrix
 polynomial S_rk4 = sum_{k<=4} (L dt)^k / k!, so a trajectory is one call to
-``channel.propagate``, which fills it a block of powers of S_rk4 at a time.
-A trajectory that trips a guard is recomputed one product per step, and the
-guard reports on that stack.
+``channel.propagate``, which fills it a block of powers of S_rk4 at a time,
+and whose states are checked in one pass (``channel.first_invalid``).
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix, _propagate, first_invalid, propagate
-from .errors import GuardError, StateError
+from .channel import DensityMatrix, first_invalid, propagate
+from .errors import StateError
 from .model import SystemModel
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "analytic_oracle",
     "liouvillian_matrix",
 ]
-
-TRACE_DRIFT_ABORT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,10 +63,9 @@ def integrate_rk4(
 ) -> np.ndarray:
     """The (steps+1, d, d) stack of ``steps`` classic RK4 steps from rho0.
 
-    Aborts with GuardError at the first step whose trace drifts from 1 by more
-    than TRACE_DRIFT_ABORT, which for this trace-preserving generator can only
-    signal a genuinely broken input, unless an earlier state fails a
-    DensityMatrix check (StateError).
+    Every computed state must pass the DensityMatrix checks: StateError names
+    the first that fails (for this trace-preserving generator, only a broken
+    input can make one fail).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -81,27 +77,10 @@ def integrate_rk4(
     for k in (4, 3, 2, 1):
         step = one + (a @ step) / k
     stack = propagate(step, rho0.matrix, steps)
-    drift, drifted, message = _rk4_faults(stack)
-    if drifted.size or message:
-        stack = _propagate(step, rho0.matrix, steps, 1)
-        drift, drifted, message = _rk4_faults(stack)
-    if drifted.size:
-        k = int(drifted[0])
-        raise GuardError(
-            f"RK4 trace drifted by {drift[k]:.3e} at step {k + 1} (dt={dt:g})"
-        )
+    _, message = first_invalid(stack[1:])
     if message:
         raise StateError(message)
     return stack
-
-
-def _rk4_faults(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
-    """Trace drift of steps 1 .. steps, the steps up to the first invalid
-    state whose drift aborts, and that state's first_invalid message."""
-    drift = np.abs(np.trace(stack[1:], axis1=1, axis2=2).real - 1.0)
-    stop, message = first_invalid(stack[1:])
-    drifted = np.flatnonzero(drift[: stop + 1] > TRACE_DRIFT_ABORT)
-    return drift, drifted, message
 
 
 def analytic_oracle(

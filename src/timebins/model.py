@@ -12,13 +12,11 @@ is probed numerically by ``ordering_residual``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import DensityMatrix, apply_channel, extract_kraus, iterate_channel
-from .errors import GuardError, StateError
 from .operators import HERMITICITY_TOL, expm
 
 __all__ = [
@@ -138,31 +136,21 @@ def ordering_residual(
     the reference's larger bin-product space never has to be formed.
 
     For k widths: k residuals, from one coarse_map, apply_channel and
-    iterate_channel over all bins and sub-bins.  If a guard speaks, the widths
-    rerun one by one, so that guards speak in width order, bin before sub-bins.
-    The stacked pass turns RuntimeWarning into an error process-wide.
+    iterate_channel over all bins and sub-bins.  apply_channel takes the whole
+    stack of families, each bin before its sub-bin, so that its family check
+    names an incomplete one in width order.
     """
     if subdivisions < 2:
         raise ValueError("subdivisions must be >= 2")
     dt = np.asarray(params.dt, dtype=float).ravel()
-    widths = np.stack([dt, dt / subdivisions], axis=1)  # each bin, then its sub-bin
-    maps = coarse_map(system, CoarseParams(params.gamma, widths.ravel(), params.n_max))
+    widths = np.stack([dt, dt / subdivisions], axis=1).ravel()  # each bin, then its sub-bin
+    maps = coarse_map(system, CoarseParams(params.gamma, widths, params.n_max))
     families = extract_kraus(maps, system.dim, params.n_max)
-    pairs = families.reshape(widths.shape + families.shape[1:])
 
     rho = DensityMatrix.pure(np.eye(system.dim)[-1])  # the most excited state
-
-    def residual(pair: np.ndarray) -> np.ndarray:
-        one_step = apply_channel(pair[..., 0, :, :, :], rho.matrix)
-        reference = iterate_channel(pair[..., 1, :, :, :], rho, subdivisions)[..., -1, :, :]
-        return np.max(np.abs(one_step - reference), axis=(-2, -1))
-
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)  # a guard's warning ends the pass
-            out = residual(pairs)
-    except (RuntimeWarning, GuardError, StateError):
-        out = np.array([residual(pair) for pair in pairs])
+    one_step = apply_channel(families, rho.matrix)[0::2]
+    reference = iterate_channel(families[1::2], rho, subdivisions)[:, -1]
+    out = np.max(np.abs(one_step - reference), axis=(-2, -1))
     return out.reshape(np.shape(params.dt))[()]  # a float for a single width
 
 

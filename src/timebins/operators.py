@@ -18,8 +18,9 @@ import numpy as np
 
 __all__ = ["StateVector", "expm", "vn_entropy"]
 
-# Largest |h - h^dag| entry accepted for a Hamiltonian, and |a + a^dag| for
-# the anti-Hermitian generator handed to ``expm``.
+# Largest |h - h^dag| entry accepted for a Hamiltonian and for the matrix
+# handed to ``vn_entropy``, and |a + a^dag| for the anti-Hermitian generator
+# handed to ``expm``.
 HERMITICITY_TOL = 1e-12
 
 
@@ -96,7 +97,7 @@ def vn_entropy(rho: np.ndarray) -> float:
     """
     rho = square_matrix(rho)
     defect = float(np.max(np.abs(rho - rho.conj().T)))
-    if defect > 1e-8:
+    if defect > HERMITICITY_TOL:
         raise ValueError(f"vn_entropy needs a Hermitian matrix (defect {defect:.3e})")
     evals = np.linalg.eigvalsh(rho)
     evals = np.where(evals < 0.0, 0.0, evals)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import timebins.channel as channel
-import timebins.lindblad as lindblad
 from timebins.channel import (
     DensityMatrix,
     apply_channel,
@@ -126,24 +125,29 @@ def test_apply_channel_checks_the_state_it_returns():
 
 def test_apply_channel_flags_truncation_loss():
     family = tls_family()
-    # drop the one-photon operator: the remaining family leaks trace
+    # drop the one-photon operator: the remaining family misses sin^2(0.1)
     broken = family[[0, 2]]
-    with pytest.raises(GuardError, match="n_max=1 is inadequate"):
+    with pytest.raises(GuardError) as refused:
         apply_channel(broken, EXCITED.matrix)
+    assert str(refused.value) == (
+        "incomplete Kraus family: completeness defect 9.967e-03 exceeds 1e-10"
+    )
 
 
-def test_apply_channel_warns_on_small_trace_leak():
+def test_apply_channel_refuses_a_small_trace_leak():
     # dropping K2 from an oscillator family leaks O((gamma dt)^2) of the trace
-    # from the doubly excited state: large enough to notice, small enough to run
+    # from the doubly excited state: a small leak, refused all the same before
+    # any state is computed
     system = truncated_oscillator(3)
     dt = 1e-4
     u = coarse_map(system, CoarseParams(1.0, dt, 2))
     leaky = extract_kraus(u, 3, 2)[:2]
+    assert 1e-10 < completeness_defect(leaky) < 1e-6
     top = DensityMatrix.pure([0.0, 0.0, 1.0])
-    with pytest.warns(RuntimeWarning, match="trace deviation"):
-        out = apply_channel(leaky, top.matrix)
-    loss = 1.0 - float(np.trace(out).real)
-    assert 1e-10 < loss < 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GuardError, match="incomplete Kraus family"):
+            apply_channel(leaky, top.matrix)
 
 
 def test_iterate_channel_matches_cosine_power():
@@ -396,23 +400,6 @@ def test_propagate_matches_one_product_per_step(name, kind):
         assert np.max(np.abs(fast - slow)) <= 1e-12
 
 
-def test_clean_trajectories_are_not_recomputed_step_by_step(monkeypatch):
-    blocked = channel._propagate
-
-    def refuse(s, rho0, steps, block):
-        if block == 1:
-            raise AssertionError("a clean trajectory was recomputed step by step")
-        return blocked(s, rho0, steps, block)
-
-    monkeypatch.setattr(channel, "_propagate", refuse)
-    monkeypatch.setattr(lindblad, "_propagate", refuse)
-    system = SYSTEMS["oscillator3"]()
-    rho = DensityMatrix.pure([0.0, 0.0, 1.0])
-    assert len(iterate_channel(family_of(system), rho, 500)) == 501
-    model = LindbladModel(system, 1.0)
-    assert len(lindblad.integrate_rk4(model, rho, 0.01, 500)) == 501
-
-
 def test_first_step_cross_check_rejects_a_wrong_step_matrix(monkeypatch):
     family = tls_family()
     wrong = step_matrix(family) * (1.0 + 1e-9)
@@ -422,18 +409,19 @@ def test_first_step_cross_check_rejects_a_wrong_step_matrix(monkeypatch):
 
 
 def test_guard_parity_dropped_kraus_operator_aborts_at_the_same_step():
-    # without K1 a driven qubit leaks more trace each step as it is excited,
-    # so it warns for a few steps before the abort
+    # without K1 a driven qubit leaks trace: the family is refused before the
+    # first collision, one step at a time or propagated
     family = family_of(two_level_system(0.0, 0.2))
     broken = family[[0, 2]]
     slow = guard_record(lambda: stepwise(broken, GROUND, 50))
     fast = guard_record(lambda: iterate_channel(broken, GROUND, 50))
     assert fast == slow
-    assert len(slow[0]) >= 3 and slow[1][0] == "GuardError"
+    assert slow[0] == [] and slow[1][0] == "GuardError"
 
 
 def test_guard_parity_leaky_family_warns_as_often_as_step_by_step():
-    # the family of test_apply_channel_warns_on_small_trace_leak
+    # the family of test_apply_channel_refuses_a_small_trace_leak: no
+    # warning, and the same up-front error
     system = truncated_oscillator(3)
     family = family_of(system, dt=1e-4)
     leaky = family[:2]
@@ -441,13 +429,12 @@ def test_guard_parity_leaky_family_warns_as_often_as_step_by_step():
     slow = guard_record(lambda: stepwise(leaky, top, 60))
     fast = guard_record(lambda: iterate_channel(leaky, top, 60))
     assert fast == slow
-    assert len(slow[0]) == 60 and slow[1] is None
+    assert slow[0] == [] and slow[1][0] == "GuardError"
 
 
 def test_guard_parity_accumulated_leak_fails_validation_at_the_same_step():
-    # a doubly excited population just above the warning threshold: the steps
-    # warn until the per-step leak falls below TRACE_WARN, and the first
-    # unwarned state then fails the unit-trace check
+    # a doubly excited population whose per-step leak would stay small: the
+    # leak is the family's, so it is refused before any state is validated
     system = truncated_oscillator(3)
     family = family_of(system, dt=1e-3)
     leaky = family[:2]
@@ -456,13 +443,12 @@ def test_guard_parity_accumulated_leak_fails_validation_at_the_same_step():
     slow = guard_record(lambda: stepwise(leaky, rho, 40))
     fast = guard_record(lambda: iterate_channel(leaky, rho, 40))
     assert fast == slow
-    assert len(slow[0]) >= 5 and slow[1][0] == "StateError"
-    assert "trace" in slow[1][1]
+    assert slow == ([], ("GuardError", "incomplete Kraus family: completeness "
+                         "defect 9.993e-07 exceeds 1e-10"))
 
 
 def test_guard_parity_holds_past_one_block_of_powers():
-    # the accumulated-leak run above over three blocks of powers: the guards
-    # must report on the step-by-step recompute to match apply_channel
+    # the accumulated-leak run above over three blocks of powers
     family = family_of(truncated_oscillator(3), dt=1e-3)
     leaky = family[:2]
     p2 = 1.02e-10 / 9.993e-07
@@ -471,4 +457,51 @@ def test_guard_parity_holds_past_one_block_of_powers():
     slow = guard_record(lambda: stepwise(leaky, rho, steps))
     fast = guard_record(lambda: iterate_channel(leaky, rho, steps))
     assert fast == slow
-    assert len(slow[0]) >= 5 and slow[1][0] == "StateError"
+    assert slow[0] == [] and slow[1][0] == "GuardError"
+
+
+def test_a_leaky_family_computes_no_state(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a state was computed from an incomplete family")
+
+    monkeypatch.setattr(channel, "propagate", refuse)
+    monkeypatch.setattr(channel, "first_invalid", refuse)
+    leaky = tls_family() * (1.0 - 1e-8)
+    for run in (
+        lambda: apply_channel(leaky, EXCITED.matrix),
+        lambda: iterate_channel(leaky, EXCITED, 1),
+        lambda: iterate_channel(leaky, EXCITED, 3 * channel.POWER_BLOCK),
+    ):
+        with pytest.raises(GuardError, match="completeness defect 2.000e-08 exceeds 1e-10"):
+            run()
+
+
+def test_a_nan_family_is_refused():
+    family = tls_family()
+    family[1, 0, 1] = np.nan  # every comparison with the NaN defect is False
+    for run in (lambda: apply_channel(family, EXCITED.matrix),
+                lambda: iterate_channel(family, EXCITED, 5)):
+        with pytest.raises(GuardError, match="completeness defect nan exceeds 1e-10"):
+            run()
+
+
+@pytest.mark.parametrize("steps", [20, 3 * channel.POWER_BLOCK])
+def test_a_trace_gain_below_the_family_check_fails_at_the_stepwise_step(steps):
+    # a family scaled by 1 + 1e-11 passes the family check (defect 2e-11),
+    # and its states gain 2e-11 of trace a step until one is off by more
+    # than TRACE_TOL: a StateError at the step the Kraus loop gives
+    gaining = tls_family(drive=0.3) * (1.0 + 1e-11)
+    assert 0.0 < completeness_defect(gaining) <= channel.TRACE_TOL
+    r, failed = EXCITED.matrix, None
+    for k in range(1, steps + 1):
+        try:
+            r = apply_channel(gaining, r)
+        except StateError:
+            failed = k
+            break
+    assert failed is not None and 3 <= failed <= 8
+    assert len(iterate_channel(gaining, EXCITED, failed - 1)) == failed
+    with pytest.raises(StateError, match="density matrix trace .* is not 1"):
+        iterate_channel(gaining, EXCITED, failed)
+    with pytest.raises(StateError, match="density matrix trace .* is not 1"):
+        iterate_channel(gaining, EXCITED, steps)

@@ -295,6 +295,16 @@ def test_vn_entropy_bounds_and_errors():
         vn_entropy(m)
 
 
+def test_vn_entropy_uses_the_operator_hermiticity_tolerance():
+    # a defect of 1e-9 is far above HERMITICITY_TOL = 1e-12
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = 1e-9
+    with pytest.raises(ValueError, match="Hermitian matrix \\(defect 1.000e-09\\)"):
+        vn_entropy(rho)
+    rho[0, 1] = 1e-13
+    assert vn_entropy(rho) == pytest.approx(math.log(2.0), rel=1e-12)
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
 def test_matrix_functions_reject_a_matrix_that_is_not_square(shape):
     # expm takes a (k, n, n) stack, so its three-axis case is a stack of

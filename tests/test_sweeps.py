@@ -4,8 +4,7 @@ A sweep over bin widths is one stacked ``coarse_map`` (one ``expm``) and, for
 the ordering probe, one ``apply_channel`` and one ``iterate_channel`` over
 all the widths.  LAPACK and BLAS run the same routine on each matrix of a
 stack, so every result must equal the per-width loop bit for bit, and every
-guard must speak as it did from the loop: the same warnings and errors, in
-width order.
+guard must speak as it did from the loop: the same error, in width order.
 """
 
 import warnings
@@ -143,10 +142,13 @@ def one_at_a_time(fn, families, *args):
 
 
 FACTORS = [
-    (1.0, 1 - 1e-8, 1 - 1e-9, 1.0),  # warnings at every step of two families
-    (1 - 1e-8, 1.0, 1 - 1e-5, 1 - 1e-8),  # warnings, then an abort
-    (1.0, 1.0, 1.0, 1 - 1e-5),  # an abort at the last family only
+    (1.0, 1 - 1e-8, 1 - 1e-9, 1.0),  # two small leaks
+    (1 - 1e-8, 1.0, 1 - 1e-5, 1 - 1e-8),  # small leaks around a large one
+    (1.0, 1.0, 1.0, 1 - 1e-5),  # a large leak at the last family only
 ]
+
+# the error of a family scaled by 1 - 1e-8: it keeps (1 - 1e-8)^2 of the trace
+REFUSED = "incomplete Kraus family: completeness defect 2.000e-08 exceeds 1e-10"
 
 
 @pytest.mark.parametrize("factors", FACTORS)
@@ -156,18 +158,17 @@ def test_a_stacked_collision_is_guarded_family_by_family(factors):
     rho = DensityMatrix.pure(np.ones(dim))
     stacked = guards(lambda: apply_channel(families, rho.matrix))
     assert stacked == guards(one_at_a_time(apply_channel, families, rho.matrix))
-    assert stacked[0] or stacked[1]
+    assert stacked[0] == [] and stacked[1][0] is GuardError
 
 
 def test_stacked_chains_guard_first_collisions_then_each_chain():
     families, dim = family_stack()
     families = leaky(families, FACTORS[0])
     rho = DensityMatrix.pure(np.ones(dim))
-    chains = [guards(lambda: iterate_channel(f, rho, 5))[0] for f in families]
-    firsts = [w[0] for w in chains if w]
-    assert len(firsts) == 2
-    later = [message for w in chains for message in w[1:]]
-    assert guards(lambda: iterate_channel(families, rho, 5)) == (firsts + later, None)
+    chains = [guards(lambda: iterate_channel(f, rho, 5)) for f in families]
+    errors = [error for w, error in chains if error]
+    assert len(errors) == 2 and all(w == [] for w, _ in chains)
+    assert guards(lambda: iterate_channel(families, rho, 5)) == ([], errors[0])
 
 
 @pytest.mark.parametrize("factors", FACTORS[1:])
@@ -180,26 +181,31 @@ def test_a_first_collision_abort_stops_a_stack_before_any_later_step(factors):
     assert stacked[1][0] is GuardError
 
 
-def test_stacked_chains_report_a_bad_state_after_earlier_warnings():
-    # family 1 gains trace (no warning below 1e-10 a step, but the trace is
-    # off by more than 1e-10 after a few steps); family 0 warns at every step
+def test_stacked_chains_refuse_a_leak_before_a_bad_state():
+    # family 1 gains trace (below the family check, but the trace is off by
+    # more than 1e-10 after a few steps); family 0 leaks and is refused first
     families, dim = family_stack()
-    families = leaky(families, (1 - 1e-8, 1 + 1e-11, 1.0, 1.0))
+    gaining = leaky(families, (1 - 1e-8, 1 + 1e-11, 1.0, 1.0))
     rho = DensityMatrix.pure(np.ones(dim))
-    stacked = guards(lambda: iterate_channel(families, rho, 20))
-    assert stacked == guards(one_at_a_time(iterate_channel, families, rho, 20))
-    assert len(stacked[0]) == 20 and stacked[1][0] is StateError
+    stacked = guards(lambda: iterate_channel(gaining, rho, 20))
+    assert stacked == guards(one_at_a_time(iterate_channel, gaining, rho, 20))
+    assert stacked == ([], (GuardError, REFUSED))
+    # without the leak, family 1's chain fails its trace check
+    gaining[0] = families[0]
+    stacked = guards(lambda: iterate_channel(gaining, rho, 20))
+    assert stacked == guards(one_at_a_time(iterate_channel, gaining, rho, 20))
+    assert stacked[0] == [] and stacked[1][0] is StateError
 
 
 def test_a_first_collision_that_fails_its_check_is_reported_in_family_order():
     families, dim = family_stack()
     families = leaky(families, (1 - 1e-8, 1.0, 1.0, 1.0))
     rho = DensityMatrix.pure(np.ones(dim))
-    families[2] = np.nan  # no trace deviation to warn of, and a non-finite state
+    families[2] = np.nan  # a non-finite family, after a leaky one
     stacked = guards(lambda: apply_channel(families, rho.matrix))
     assert stacked == guards(one_at_a_time(apply_channel, families, rho.matrix))
     assert stacked == guards(lambda: iterate_channel(families, rho, 3))
-    assert stacked == ([stacked[0][0]], (StateError, "density matrix has non-finite entries"))
+    assert stacked == ([], (GuardError, REFUSED))
 
 
 def planted_leak(monkeypatch, factors):
@@ -224,35 +230,46 @@ def cli_guards(tmp_path, capsys, text):
 
 
 def test_ordering_probe_guards_speak_in_width_order(tmp_path, capsys, monkeypatch):
-    # a leak at dt/2 and its sub-bins warns at each of those collisions, and
-    # one at dt/4 aborts: the per-width loop gives the warnings of width dt/2
-    # (its bin, then its 8 sub-bins) and then the abort of width dt/4
+    # leaks at dt/2 and its sub-bins, and a larger one at dt/4: the per-width
+    # loop refuses the bin of width dt/2 before it reaches width dt/4
     dt = 0.1
     planted_leak(monkeypatch, {dt / 2: 1 - 1e-8, dt / 16: 1 - 1e-8, dt / 4: 1 - 1e-5})
     text = f"experiment = ordering-probe\nsystem = tls-driven\ndt = {dt}\n"
     stacked = cli_guards(tmp_path, capsys, text)
     monkeypatch.setattr(experiments, "ordering_residual", ordering_residual_per_width)
     assert stacked == cli_guards(tmp_path, capsys, text)
-    code, caught, err = stacked
-    assert code == 3 and len(caught) == 9
-    assert err.startswith("numeric guard: channel lost 2.000e-05 of the trace")
+    assert stacked == (3, [], f"numeric guard: {REFUSED}\n")
+
+
+def test_ordering_probe_names_a_sub_bin_leak_before_a_later_bin(
+    tmp_path, capsys, monkeypatch
+):
+    # dt/16 is the sub-bin of width dt/2 and dt/4 the bin of the third width:
+    # the bins and sub-bins are checked as one stack in width order, so the
+    # sub-bin's leak is named, as the per-width loop names it
+    dt = 0.1
+    planted_leak(monkeypatch, {dt / 16: 1 - 1e-8, dt / 4: 1 - 1e-5})
+    text = f"experiment = ordering-probe\nsystem = tls-driven\ndt = {dt}\n"
+    stacked = cli_guards(tmp_path, capsys, text)
+    monkeypatch.setattr(experiments, "ordering_residual", ordering_residual_per_width)
+    assert stacked == cli_guards(tmp_path, capsys, text)
+    assert stacked == (3, [], f"numeric guard: {REFUSED}\n")
 
 
 def test_ordering_probe_with_warnings_only_matches_the_per_width_loop(
     tmp_path, capsys, monkeypatch
 ):
-    # dt/8 is both the last bin and the first width's sub-bin: the loop gives
-    # bin dt, its sub-bins, then bin dt/8 and its sub-bins dt/64
+    # small leaks (defects 2e-8 to 6e-9): dt/8 is both the last bin and the
+    # first width's sub-bin, and the loop refuses bin dt first
     dt = 0.1
     planted_leak(monkeypatch, {dt: 1 - 1e-8, dt / 8: 1 - 1e-9, dt / 64: 1 - 3e-9})
     text = f"experiment = ordering-probe\nsystem = tls-driven\ndt = {dt}\n"
     stacked = cli_guards(tmp_path, capsys, text)
-    csv = (tmp_path / "run.csv").read_text()
+    assert not (tmp_path / "run.csv").exists()
     monkeypatch.setattr(experiments, "ordering_residual", ordering_residual_per_width)
     assert stacked == cli_guards(tmp_path, capsys, text)
-    assert csv == (tmp_path / "run.csv").read_text()
-    assert len(stacked[1]) == 1 + 8 + 1 + 8
-    assert stacked[1][-1] == "channel trace deviation 6.000e-09 exceeds 1e-10"
+    assert not (tmp_path / "run.csv").exists()
+    assert stacked == (3, [], f"numeric guard: {REFUSED}\n")
 
 
 def test_sweeps_make_one_coarse_map_call(tmp_path, capsys, monkeypatch):
