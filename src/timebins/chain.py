@@ -20,12 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import DensityMatrix
+from .channel import check_states
 from .errors import GuardError
 from .operators import StateVector
 
 __all__ = ["ChainState", "MAX_AMPLITUDES", "init_chain", "step_chain", "reduced_system"]
 
+# Most amplitudes a chain may reach, and the bound on every size a run config
+# sets (steps, microscopic modes, one-bin unitary entries), each refused before
+# any array exists: a run at the cap peaks near 2 GB (300-500 bytes a row).
+# Numpy may be granted more than the machine holds; the kernel then kills the run.
 MAX_AMPLITUDES = 1 << 22
 NORM_TOL = 1e-10
 
@@ -109,11 +113,12 @@ def step_chain(state: ChainState, u: np.ndarray) -> ChainState:
     return ChainState(vec, d, state.n_bins)
 
 
-def reduced_system(state: ChainState) -> DensityMatrix:
-    """Partial trace over every bin, read off the state's Gram matrix:
-    rho_ij = sum over the bins of v_i conj(v_j), whose real part is
-    re_i re_j + im_i im_j and imaginary part im_i re_j - re_i im_j."""
+def reduced_system(state: ChainState) -> np.ndarray:
+    """The (s, s) reduced state, symmetrized and checked (``check_states``):
+    the partial trace over every bin, rho_ij = sum over the bins of v_i conj(v_j),
+    read off the Gram matrix as re_i re_j + im_i im_j + i (im_i re_j - re_i im_j)."""
     g = state.gram
     rho = g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho)
+    check_states(rho[None])
+    return rho

@@ -13,7 +13,7 @@ conj(K_m).  ``propagate`` stacks the powers S, S^2, ..., S^B (B = POWER_BLOCK)
 into one (B d^2, d^2) matrix and fills a whole (steps+1, d, d) stack B states
 at a time, each block one product with the state before it (a run of at most
 B steps takes one product per step).  The stack is then checked in one pass
-(``first_invalid``) with the same thresholds as ``DensityMatrix``.
+(``check_states``) with the same thresholds as ``DensityMatrix``.
 
 A collision changes the trace of rho by tr((sum_m K_m^dag K_m - 1) rho), so
 trace preservation is a property of the family, not of a state: the family is
@@ -37,7 +37,7 @@ __all__ = [
     "iterate_channel",
     "step_matrix",
     "propagate",
-    "first_invalid",
+    "check_states",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -56,14 +56,10 @@ TRACE_ROUNDING = 1e-14
 POWER_BLOCK = 64
 
 
-def first_invalid(stack: np.ndarray) -> tuple[int, str]:
-    """The first state of a (n, d, d) stack that fails a DensityMatrix check.
-
-    Runs the finiteness, Hermiticity, unit-trace and smallest-eigenvalue
-    checks on every state at once and returns (index, message) of the earliest
-    failure, with the message the check raises; (n, "") when every state
-    passes.
-    """
+def check_states(stack: np.ndarray) -> None:
+    """Check every state of a (n, d, d) stack at once as a density matrix
+    (finiteness, Hermiticity, unit trace, smallest eigenvalue); StateError
+    names the earliest state that fails, with the first check it fails."""
     # every comparison with NaN is False, so non-finite states get their own
     # test, and the others run on zeros in their place
     finite = np.isfinite(stack).all(axis=(1, 2))
@@ -77,15 +73,15 @@ def first_invalid(stack: np.ndarray) -> tuple[int, str]:
     bad |= np.abs(tr - 1.0) > TRACE_TOL
     bad |= lo < MIN_EIGENVALUE
     if not bad.any():
-        return len(stack), ""
+        return
     k = int(np.argmax(bad))
     if not finite[k]:
-        return k, "density matrix has non-finite entries"
+        raise StateError("density matrix has non-finite entries")
     if herm[k] > HERMITICITY_TOL:
-        return k, f"density matrix not Hermitian (defect {herm[k]:.3e})"
+        raise StateError(f"density matrix not Hermitian (defect {herm[k]:.3e})")
     if abs(tr[k] - 1.0) > TRACE_TOL:
-        return k, f"density matrix trace {float(tr[k])!r} is not 1"
-    return k, f"density matrix has negative eigenvalue {lo[k]:.3e}"
+        raise StateError(f"density matrix trace {float(tr[k])!r} is not 1")
+    raise StateError(f"density matrix has negative eigenvalue {lo[k]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -97,9 +93,7 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         m = square_matrix(self.matrix, "density matrix")
         object.__setattr__(self, "matrix", m)
-        _, message = first_invalid(m[None])
-        if message:
-            raise StateError(message)
+        check_states(m[None])
 
     @classmethod
     def pure(cls, amplitudes) -> "DensityMatrix":
@@ -131,8 +125,9 @@ def completeness_defect(family: np.ndarray) -> float | np.ndarray:
     map it was taken from.  A collision changes a state's trace by
     tr((sum_m K_m^dag K_m - 1) rho), so the family keeps the trace to within
     d times this."""
-    acc = (family.conj().swapaxes(-1, -2) @ family).sum(-3)
-    return np.max(np.abs(acc - np.eye(family.shape[-1])), axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf * 0 = nan: that family is incomplete
+        acc = (family.conj().swapaxes(-1, -2) @ family).sum(-3)
+        return np.max(np.abs(acc - np.eye(family.shape[-1])), axis=(-2, -1))
 
 
 def apply_channel(family: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -157,9 +152,7 @@ def apply_channel(family: np.ndarray, rho: np.ndarray) -> np.ndarray:
         )
     out = (family @ r @ family.conj().swapaxes(-1, -2)).sum(-3)
     result = 0.5 * (out + out.conj().swapaxes(-1, -2))
-    _, message = first_invalid(result.reshape((-1,) + r.shape))
-    if message:
-        raise StateError(message)
+    check_states(result.reshape((-1,) + r.shape))
     return result
 
 
@@ -235,7 +228,5 @@ def iterate_channel(
         raise GuardError(
             f"step matrix differs from the Kraus map by {gap:.3e} on the first step"
         )
-    _, message = first_invalid(stack[..., 2:, :, :].reshape((-1,) + first.shape[-2:]))
-    if message:
-        raise StateError(message)
+    check_states(stack[..., 2:, :, :].reshape((-1,) + first.shape[-2:]))
     return stack

@@ -8,4 +8,4 @@ class GuardError(RuntimeError):
 
 
 class StateError(ValueError):
-    """A state failed a density-matrix check (``channel.first_invalid``)."""
+    """A state failed a density-matrix check (raised by ``channel.check_states``)."""

@@ -15,16 +15,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import init_chain, reduced_system, step_chain
+from .chain import MAX_AMPLITUDES, init_chain, reduced_system, step_chain
 from .channel import (
     DensityMatrix,
+    check_states,
     completeness_defect,
     extract_kraus,
-    first_invalid,
     iterate_channel,
 )
 from .config import ConfigError, RunConfig
-from .errors import GuardError, StateError
+from .errors import GuardError
 from .lindblad import LindbladModel, analytic_oracle, integrate_rk4
 from .microscopic import (
     FrequencyGrid,
@@ -90,12 +90,6 @@ ORDERING_MAX_EXACT = 1e-12
 ORDERING_SUBDIVISIONS = 8
 # The bin widths of a sweep, as fractions of cfg.dt.
 SWEEP_SCALES = (1.0, 0.5, 0.25, 0.125)
-# Most steps a run may take, as many as the joint chain's amplitudes: a run at
-# the cap peaks near 2 GB (300-500 bytes a row).  Numpy may be granted more
-# than the machine holds, and the kernel then kills the process, so every
-# size a config sets is held to this bound before any array exists: the
-# steps, the modes of the microscopic grid and the one-bin unitary's entries.
-MAX_STEPS = 2**22
 # CSV rows formatted per block, one % per block, so no full-length Python
 # copy of the table is ever built next to the CSV text.
 CSV_BLOCK_ROWS = 1024
@@ -187,14 +181,14 @@ def _timeseries_csv(
 
 def _steps(t_final: float, dt: float) -> int:
     steps = t_final / dt
-    if not steps < MAX_STEPS:  # also catches an overflow to inf
+    if not steps < MAX_AMPLITUDES:  # also catches an overflow to inf
         raise GuardError(f"t_final/dt = {steps:g} steps cannot be held in memory")
     return max(1, round(steps))
 
 
 def _coarse_params(system: SystemModel, cfg: RunConfig, dt: float | np.ndarray) -> CoarseParams:
     side = system.dim * (cfg.n_max + 1)
-    if not side * side < MAX_STEPS:
+    if not side * side < MAX_AMPLITUDES:
         raise GuardError(
             f"n_max = {cfg.n_max} needs a one-bin unitary of side {side}, "
             "which cannot be held in memory"
@@ -261,8 +255,8 @@ def _run_joint_chain(cfg: RunConfig) -> tuple[str, str, int]:
     for _ in range(cfg.n_bins):
         state = step_chain(state, unitary)
         reduced.append(reduced_system(state))
-    stack = np.stack([dm.matrix for dm in reduced])
-    entropies = [vn_entropy(dm.matrix) for dm in reduced]
+    stack = np.stack(reduced)
+    entropies = [vn_entropy(rho) for rho in reduced]
     defects = np.max(np.abs(stack - reference), axis=(1, 2))
 
     times = np.arange(cfg.n_bins + 1) * cfg.dt
@@ -289,7 +283,7 @@ def _run_microscopic(cfg: RunConfig) -> tuple[str, str, int]:
         raise ConfigError(
             f"fit window {window} holds fewer than three samples at dt = {cfg.dt:g}"
         )
-    if not cfg.n_modes < MAX_STEPS:
+    if not cfg.n_modes < MAX_AMPLITUDES:
         raise GuardError(f"n_modes = {cfg.n_modes} modes cannot be held in memory")
     grid = FrequencyGrid(cfg.n_modes, cfg.half_width)
     survival = evolve_microscopic(build_microscopic(grid, cfg.gamma), times)
@@ -298,9 +292,7 @@ def _run_microscopic(cfg: RunConfig) -> tuple[str, str, int]:
     stack = np.zeros((len(survival), 2, 2), dtype=complex)
     stack[:, 0, 0] = 1.0 - survival
     stack[:, 1, 1] = survival
-    _, message = first_invalid(stack)
-    if message:
-        raise StateError(message)
+    check_states(stack)
     csv = _timeseries_csv(times, stack)
 
     rate = -fit_decay_rate(times, survival, window)

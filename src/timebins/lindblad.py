@@ -14,7 +14,7 @@ Everything runs on one row-major Liouvillian matrix L (vec(rho) = rho.ravel()).
 For this linear autonomous ODE one classic RK4 step is exactly the matrix
 polynomial S_rk4 = sum_{k<=4} (L dt)^k / k!, so a trajectory is one call to
 ``channel.propagate``, which fills it a block of powers of S_rk4 at a time,
-and whose states are checked in one pass (``channel.first_invalid``).
+and whose states are checked in one pass (``channel.check_states``).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix, first_invalid, propagate
-from .errors import StateError
+from .channel import DensityMatrix, check_states, propagate
 from .model import SystemModel
 
 __all__ = [
@@ -77,9 +76,7 @@ def integrate_rk4(
     for k in (4, 3, 2, 1):
         step = one + (a @ step) / k
     stack = propagate(step, rho0.matrix, steps)
-    _, message = first_invalid(stack[1:])
-    if message:
-        raise StateError(message)
+    check_states(stack[1:])
     return stack
 
 
@@ -108,7 +105,5 @@ def analytic_oracle(
     out[:, 0, 1] = coherence.conj()
     out[:, 1, 0] = coherence
     out[:, 1, 1] = ee
-    _, message = first_invalid(out)
-    if message:
-        raise StateError(message)
+    check_states(out)
     return out

@@ -419,5 +419,5 @@ def factorization_report(
     Kraus iteration of the same family from rho0."""
     reduced = reduced_system(state)
     reference = iterate_channel(family, rho0, state.cursor)[-1]
-    defect = float(np.max(np.abs(reduced.matrix - reference)))
-    return FactorizationReport(entropy=vn_entropy(reduced.matrix), markov_defect=defect)
+    defect = float(np.max(np.abs(reduced - reference)))
+    return FactorizationReport(entropy=vn_entropy(reduced), markov_defect=defect)

@@ -13,7 +13,7 @@ from timebins.chain import (
     step_chain,
 )
 from timebins.channel import DensityMatrix, extract_kraus, iterate_channel
-from timebins.errors import GuardError
+from timebins.errors import GuardError, StateError
 from timebins.model import (
     CoarseParams,
     coarse_map,
@@ -51,7 +51,7 @@ def test_init_chain_product_state():
     assert state.cursor == 0
 
     reduced = reduced_system(state)
-    np.testing.assert_allclose(reduced.matrix, np.diag([0.0, 1.0]), atol=1e-15)
+    np.testing.assert_allclose(reduced, np.diag([0.0, 1.0]), atol=1e-15)
 
 
 def test_init_chain_overflow_guard():
@@ -110,7 +110,7 @@ def test_step_chain_matches_the_full_length_oracle(name, n_max):
         np.testing.assert_allclose(dense_vector(state), dense, rtol=0, atol=1e-14)
         v = dense.reshape(s, -1)
         np.testing.assert_allclose(
-            reduced_system(state).matrix, v @ v.conj().T, rtol=0, atol=1e-14
+            reduced_system(state), v @ v.conj().T, rtol=0, atol=1e-14
         )
 
 
@@ -131,7 +131,7 @@ def test_gram_reduction_matches_the_conjugate_product(name, n_bins):
         if k:
             state = step_chain(state, u)
         np.testing.assert_allclose(
-            reduced_system(state).matrix, conj_reduced_system(state), rtol=0, atol=1e-14
+            reduced_system(state), conj_reduced_system(state), rtol=0, atol=1e-14
         )
     assert state.vec.data.size == s * 3**n_bins
 
@@ -203,11 +203,11 @@ def test_reduced_dynamics_equals_kraus_iteration():
         u, family, state = tls_setup(
             dt=0.1, n_bins=8, dephasing=dephasing, start=start
         )
-        rho0 = reduced_system(state)
+        rho0 = DensityMatrix(reduced_system(state))
         series = iterate_channel(family, rho0, 8)
         for k in range(1, 9):
             state = step_chain(state, u)
-            defect = float(np.max(np.abs(reduced_system(state).matrix - series[k])))
+            defect = float(np.max(np.abs(reduced_system(state) - series[k])))
             assert defect <= 1e-10
 
 
@@ -216,7 +216,18 @@ def test_reduced_state_decays_to_ground():
     for _ in range(12):
         state = step_chain(state, u)
     reduced = reduced_system(state)
-    np.testing.assert_allclose(reduced.matrix, np.diag([1.0, 0.0]), atol=2e-2)
+    np.testing.assert_allclose(reduced, np.diag([1.0, 0.0]), atol=2e-2)
+
+
+def test_reduced_system_checks_the_state_it_returns():
+    # a norm off by 0.9e-10 passes the chain's norm check, but the trace of
+    # the reduced state is off by twice that, past the state check's 1e-10
+    u, _, state = tls_setup(dt=0.3, n_bins=3)
+    state = step_chain(state, u)
+    vec = StateVector(state.vec.data * (1.0 + 0.9e-10), state.vec.dims)
+    scaled = ChainState(vec, state.bin_dim, state.n_bins)
+    with pytest.raises(StateError, match=r"^density matrix trace 1\.00000000018\d* is not 1$"):
+        reduced_system(scaled)
 
 
 def test_factorization_report_initial_state():

@@ -58,10 +58,12 @@ def test_density_matrix_validation():
 def test_density_matrix_rejects_non_finite_entries():
     with pytest.raises(ValueError, match="non-finite entries"):
         DensityMatrix(np.full((2, 2), np.nan))
+    # the earliest failing state wins: a Hermiticity defect at 2 before a NaN at 4
     stack = np.stack([EXCITED.matrix] * 6)
-    stack[3, 1, 1] = np.nan
-    stack[5, 0, 0] = np.inf
-    assert channel.first_invalid(stack) == (3, "density matrix has non-finite entries")
+    stack[2, 0, 1] = 0.5
+    stack[4, 1, 1] = np.nan
+    with pytest.raises(StateError, match=r"^density matrix not Hermitian \(defect 5.000e-01\)$"):
+        channel.check_states(stack)
 
 
 def test_extract_kraus_identity_map():
@@ -465,7 +467,7 @@ def test_a_leaky_family_computes_no_state(monkeypatch):
         raise AssertionError("a state was computed from an incomplete family")
 
     monkeypatch.setattr(channel, "propagate", refuse)
-    monkeypatch.setattr(channel, "first_invalid", refuse)
+    monkeypatch.setattr(channel, "check_states", refuse)
     leaky = tls_family() * (1.0 - 1e-8)
     for run in (
         lambda: apply_channel(leaky, EXCITED.matrix),
@@ -483,6 +485,17 @@ def test_a_nan_family_is_refused():
                 lambda: iterate_channel(family, EXCITED, 5)):
         with pytest.raises(GuardError, match="completeness defect nan exceeds 1e-10"):
             run()
+
+
+def test_an_inf_family_is_refused_with_warnings_as_errors():
+    # inf * 0 in sum_m K_m^dag K_m gives a NaN defect, refused without a warning
+    family = tls_family()
+    family[1, 0, 1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(completeness_defect(family))
+        with pytest.raises(GuardError, match="completeness defect nan exceeds 1e-10"):
+            apply_channel(family, EXCITED.matrix)
 
 
 @pytest.mark.parametrize("steps", [20, 3 * channel.POWER_BLOCK])

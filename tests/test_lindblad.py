@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from timebins.channel import DensityMatrix, first_invalid
+from timebins.channel import DensityMatrix, check_states
 from timebins.errors import StateError
 from timebins.lindblad import (
     LindbladModel,
@@ -57,9 +57,7 @@ def four_stage_rk4(model, rho0, dt, steps):
         k3 = rhs(model, r + 0.5 * dt * k2)
         k4 = rhs(model, r + dt * k3)
         r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _, message = first_invalid(r[None])
-        if message:
-            raise StateError(message)
+        check_states(r[None])
         series.append(r)
     return series
 
