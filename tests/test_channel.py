@@ -66,6 +66,40 @@ def test_density_matrix_rejects_non_finite_entries():
         channel.check_states(stack)
 
 
+def eigvalsh_spy(monkeypatch):
+    """Record the stacks that np.linalg.eigvalsh is given."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append(np.array(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return seen
+
+
+def test_a_positive_state_the_gershgorin_bound_does_not_clear_passes(monkeypatch):
+    seen = eigvalsh_spy(monkeypatch)
+    # eigenvalues (1 +- sqrt(0.68)) / 2 > 0, but 0.3 - 0.4 < 0
+    mixed = np.array([[0.7, 0.4], [0.4, 0.3]], dtype=complex)
+    cleared = [EXCITED.matrix, GROUND.matrix, PLUS.matrix] * channel.SCREEN_MIN_STATES
+    channel.check_states(np.stack(cleared + [mixed]))
+    assert len(seen) == 1 and np.array_equal(seen[0], mixed[None])
+
+
+def test_a_negative_eigenvalue_after_cleared_states_is_named(monkeypatch):
+    seen = eigvalsh_spy(monkeypatch)
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotation = np.array([[c, -s], [s, c]], dtype=complex)
+    negative = rotation @ np.diag([1.0 + 2e-10, -2e-10]) @ rotation.T
+    cleared = [EXCITED.matrix, GROUND.matrix] * channel.SCREEN_MIN_STATES
+    stack = np.stack(cleared + [negative, EXCITED.matrix])
+    with pytest.raises(StateError, match=r"^density matrix has negative eigenvalue -2.000e-10$"):
+        channel.check_states(stack)
+    assert len(seen) == 1 and np.array_equal(seen[0], negative[None])
+
+
 def test_extract_kraus_identity_map():
     family = tls_family(gamma=0.0, dt=0.1)
     np.testing.assert_array_equal(family[0], np.eye(2))

@@ -668,18 +668,39 @@ def test_out_path_from_config(tmp_path, capsys, monkeypatch):
 
 
 SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+# next to the fixed/scientific switches at exponents -5/-4 and 16/17; next to
+# a power of ten, where log10 is one off (1e23) or the 17 digits carry into
+# the next decade (1e-14, 1e98); near-carries; an exact rounding tie; an
+# integer with zeros before the point; a signed zero and subnormals
+EDGE_VALUES = [
+    1e-5, 1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1e16, 1e17,
+    99999999999999999.0, 1e23, 1e-14, 1e98, 0.99999999999999994, 9.9999999999999995e-5,
+    1234567890123456.25, 100.0, -0.0, 4e-320, -2.2250738585072e-310,
+]
+# the smallest 7-column table whose one block goes through the kernel
+KERNEL_ROWS = -(-experiments.CSV_KERNEL_MIN_CELLS // 7)
 
 
-@pytest.mark.parametrize("rows", [0, 1023, 1024, 1025])
+@pytest.mark.parametrize("rows", [0, KERNEL_ROWS - 1, KERNEL_ROWS, 1023, 1024, 1025])
 def test_csv_text_matches_row_by_row_formatting(rows):
     rng = np.random.default_rng(rows)
     table = rng.standard_normal((rows, 7)) * 10.0 ** rng.integers(-300, 300, (rows, 7))
     if rows:
         table[0, 1:] = SPECIAL_VALUES
         table[-1, :-1] = SPECIAL_VALUES[::-1]
+        table.flat[7 : 7 + len(EDGE_VALUES)] = EDGE_VALUES
     header = ["t", "a", "b", "c", "d", "e", "f"]
     for note in (None, ("fitted_order", 1.0000000123), ("residual_max", 5e-324)):
         assert experiments._csv(header, table, note) == csv_text(header, table, note)
+
+
+def test_format_cells_matches_percent_on_random_bit_patterns():
+    # 10**5 doubles drawn as uniform bit patterns: every exponent, both
+    # signs, subnormals, infinities and NaNs
+    bits = np.random.default_rng(19).integers(0, 2**64, 7 * 15000, dtype=np.uint64)
+    table = bits.view(np.float64).reshape(-1, 7)
+    expected = "\n".join(",".join("%.17g" % x for x in row) for row in table.tolist())
+    assert experiments._format_cells(table) == expected
 
 
 def test_csv_text_is_joined_without_a_further_copy():

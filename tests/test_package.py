@@ -40,13 +40,27 @@ def test_no_name_is_exported_by_two_modules():
             owner[name] = module.__name__
 
 
-def test_importing_the_package_leaves_numpy_fft_unloaded():
-    # numpy loads numpy.fft on first use; the survival sum reaches it only
-    # inside the function, so importing the package does not pay for it
+def child_stdout(code: str) -> str:
+    """Standard output of ``python -c code`` with this package importable."""
     src = str(Path(timebins.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, timebins, timebins.cli; print('numpy.fft' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_importing_the_package_leaves_numpy_fft_unloaded():
+    # numpy loads numpy.fft on first use; the survival sum reaches it only
+    # inside the function, so importing the package does not pay for it
+    code = "import sys, timebins, timebins.cli; print('numpy.fft' in sys.modules)"
+    assert child_stdout(code).strip() == "False"
+
+
+def test_importing_the_package_builds_no_csv_table():
+    # the CSV kernel's power-of-ten and digit tables are built on its first call
+    code = (
+        "import timebins, timebins.cli; from timebins import experiments as e; "
+        "print(e._pow10_table.cache_info().currsize, e._digit_tables.cache_info().currsize)"
+    )
+    assert child_stdout(code).split() == ["0", "0"]
