@@ -43,10 +43,6 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-10
-# From this many states on, check_states screens the stack with Gershgorin's
-# bound before eigvalsh: it costs a fixed ~50 us against eigvalsh's ~0.4 us
-# per qubit state, and at 256 such states it already takes half the time.
-SCREEN_MIN_STATES = 128
 
 # Largest allowed distance between the step matrix and the Kraus map on the
 # first step of a trajectory.
@@ -71,20 +67,14 @@ def check_states(stack: np.ndarray) -> None:
         stack = np.where(finite[:, None, None], stack, 0.0)
     herm = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
     tr = np.trace(stack, axis1=1, axis2=2).real
-    if len(stack) < SCREEN_MIN_STATES:
-        lo = np.linalg.eigvalsh(stack)[:, 0]
-    else:
-        # Gershgorin: no eigenvalue of the Hermitian matrix that eigvalsh
-        # reads (the lower triangle) is below min_i (rho_ii - sum_j!=i |rho_ij|),
-        # so only the states this bound does not clear at 0 need eigvalsh
-        d = np.arange(stack.shape[-1])
-        rows, cols = np.tril_indices(len(d), -1)
-        # entry (i, j) of the lower triangle counts in the radii of rows i and j
-        ends = np.equal.outer(rows, d) | np.equal.outer(cols, d)
-        radius = np.abs(stack[:, rows, cols]) @ ends
-        unclear = np.min(stack.diagonal(axis1=1, axis2=2).real - radius, axis=1) < 0.0
-        lo = np.zeros(len(stack))
-        lo[unclear] = np.linalg.eigvalsh(stack[unclear])[:, 0]
+    # Gershgorin: no eigenvalue of the Hermitian matrix that eigvalsh reads
+    # (the lower triangle) is below min_i (rho_ii - sum_j!=i |rho_ij|), so
+    # only the states this bound does not clear at 0 need eigvalsh
+    low = np.tril(np.abs(stack), -1)
+    radius = low.sum(1) + low.sum(2)
+    unclear = np.min(stack.diagonal(axis1=1, axis2=2).real - radius, axis=1) < 0.0
+    lo = np.zeros(len(stack))
+    lo[unclear] = np.linalg.eigvalsh(stack[unclear])[:, 0]
     bad = ~finite
     bad |= herm > HERMITICITY_TOL
     bad |= np.abs(tr - 1.0) > TRACE_TOL

@@ -192,10 +192,10 @@ def _word_table(items: list[bytes]) -> np.ndarray:
 
 
 @functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _digit_tables() -> tuple[np.ndarray, ...]:
     """The cell words and the trailing-zero counts the kernel reads:
-    - groups[v * 10**4 + g]: the first v digits of the 4-digit group g, each
-      followed by an empty point slot;
+    - groups[g]: the 4 digits of the group g, each followed by an empty
+      point slot, and masks[v]: the mask that keeps the first v of them;
     - zeros[g]: the trailing zeros of g as 4 digits;
     - prefix[(sign * 5 + lead) * 10 + digit]: sign, "0." + lead - 1 zeros
       (none for lead 0), the digit and its point slot;
@@ -203,9 +203,10 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
       no separator, ',' or a newline."""
     g = np.arange(10**4)
     digits = g[:, None] // 10 ** np.arange(3, -1, -1) % 10
-    groups = np.zeros((5, 10**4, 4, 2), np.uint8)
-    for v in range(5):
-        groups[v, :, :v, 0] = ord("0") + digits[:, :v]
+    groups = np.zeros((10**4, 4, 2), np.uint8)
+    groups[..., 0] = ord("0") + digits
+    masks = np.zeros((5, 4, 2), np.uint8)
+    masks[..., 0] = 0xFF * (np.arange(4) < np.arange(5)[:, None])
     zeros = sum((g % 10**j == 0).astype(np.intp) for j in range(1, 5))
     leads = [b""] + [b"0." + b"0" * k for k in range(4)]
     prefix = [
@@ -216,8 +217,8 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     ]
     exps = [f"e{e:+03d}".encode() for e in range(_EXP_MIN, -_EXP_MIN + 1)] + [b""]
     suffix = [exp.ljust(5, b"\0") + sep for exp in exps for sep in (b"", b",", b"\n")]
-    groups = groups.reshape(-1, 8).view(np.uint64).ravel()
-    tables = (groups, zeros, _word_table(prefix), _word_table(suffix))
+    groups, masks = (t.reshape(-1, 8).view(np.uint64).ravel() for t in (groups, masks))
+    tables = (groups, masks, zeros, _word_table(prefix), _word_table(suffix))
     for table in tables:
         table.flags.writeable = False  # shared by every call
     return tables
@@ -262,7 +263,7 @@ def _format_cells(block: np.ndarray) -> str:
     d[carry] = 10**16
     e10 += carry
 
-    groups, zeros, prefix, suffix = _digit_tables()
+    groups, masks, zeros, prefix, suffix = _digit_tables()
     # D is a first digit and four 4-digit groups; the significant digits are
     # those left once its trailing zeros go (the first digit is never 0)
     top, bottom = np.divmod(d, 10**8)
@@ -283,7 +284,7 @@ def _format_cells(block: np.ndarray) -> str:
     words = np.empty((len(x), _WORDS), np.uint64)
     words[:, 0] = prefix.take((np.signbit(x) * 5 + lead) * 10 + np.where(zero, 0, first))
     for i, q in enumerate(quads):
-        words[:, i + 1] = groups.take(np.clip(shown - (4 * i + 1), 0, 4) * 10**4 + q)
+        words[:, i + 1] = groups.take(q) & masks.take(np.clip(shown - (4 * i + 1), 0, 4))
     sep = np.ones((rows, cols), np.intp)
     sep[:, -1] = 2
     sep[-1, -1] = 0

@@ -83,7 +83,7 @@ def test_a_positive_state_the_gershgorin_bound_does_not_clear_passes(monkeypatch
     seen = eigvalsh_spy(monkeypatch)
     # eigenvalues (1 +- sqrt(0.68)) / 2 > 0, but 0.3 - 0.4 < 0
     mixed = np.array([[0.7, 0.4], [0.4, 0.3]], dtype=complex)
-    cleared = [EXCITED.matrix, GROUND.matrix, PLUS.matrix] * channel.SCREEN_MIN_STATES
+    cleared = [EXCITED.matrix, GROUND.matrix, PLUS.matrix]
     channel.check_states(np.stack(cleared + [mixed]))
     assert len(seen) == 1 and np.array_equal(seen[0], mixed[None])
 
@@ -93,7 +93,7 @@ def test_a_negative_eigenvalue_after_cleared_states_is_named(monkeypatch):
     c, s = math.cos(0.3), math.sin(0.3)
     rotation = np.array([[c, -s], [s, c]], dtype=complex)
     negative = rotation @ np.diag([1.0 + 2e-10, -2e-10]) @ rotation.T
-    cleared = [EXCITED.matrix, GROUND.matrix] * channel.SCREEN_MIN_STATES
+    cleared = [EXCITED.matrix, GROUND.matrix]
     stack = np.stack(cleared + [negative, EXCITED.matrix])
     with pytest.raises(StateError, match=r"^density matrix has negative eigenvalue -2.000e-10$"):
         channel.check_states(stack)

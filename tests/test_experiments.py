@@ -670,12 +670,15 @@ def test_out_path_from_config(tmp_path, capsys, monkeypatch):
 SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
 # next to the fixed/scientific switches at exponents -5/-4 and 16/17; next to
 # a power of ten, where log10 is one off (1e23) or the 17 digits carry into
-# the next decade (1e-14, 1e98); near-carries; an exact rounding tie; an
-# integer with zeros before the point; a signed zero and subnormals
+# the next decade (1e-14, 1e98); near-carries; an exact rounding tie; two
+# values whose exact 17-digit scaling lies 1.2e-17 above and 5.6e-17 below a
+# tie, closer than double-double arithmetic resolves (found with Fractions);
+# an integer with zeros before the point; a signed zero and subnormals
 EDGE_VALUES = [
     1e-5, 1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1e16, 1e17,
     99999999999999999.0, 1e23, 1e-14, 1e98, 0.99999999999999994, 9.9999999999999995e-5,
-    1234567890123456.25, 100.0, -0.0, 4e-320, -2.2250738585072e-310,
+    1234567890123456.25, 6.83280278535067e-11, 4.95286445202696e-09,
+    100.0, -0.0, 4e-320, -2.2250738585072e-310,
 ]
 # the smallest 7-column table whose one block goes through the kernel
 KERNEL_ROWS = -(-experiments.CSV_KERNEL_MIN_CELLS // 7)
