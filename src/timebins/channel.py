@@ -22,6 +22,7 @@ checked once, before any state is computed (``apply_channel``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,29 +57,43 @@ TRACE_ROUNDING = 1e-14
 POWER_BLOCK = 64
 
 
+@functools.cache
+def _triangles(d: int) -> tuple[np.ndarray, ...]:
+    """Rows of (d*d, n) state entries: the strict lower triangle and the diagonal,
+    the entries they mirror, and the (d, pairs) incidence of i with pairs (i, j)."""
+    i, j = np.tril_indices(d, -1)
+    diagonal, index = np.arange(d) * (d + 1), np.arange(d)[:, None]
+    incidence = 1.0 * ((index == i) | (index == j))
+    return np.append(i * d + j, diagonal), np.append(j * d + i, diagonal), incidence
+
+
 def check_states(stack: np.ndarray) -> None:
     """Check every state of a (n, d, d) stack at once as a density matrix
     (finiteness, Hermiticity, unit trace, smallest eigenvalue); StateError
-    names the earliest state that fails, with the first check it fails."""
+    names the earliest state that fails, with the first check it fails.  The
+    stack is read once, into rows of entries; the Hermiticity defect is the
+    largest |rho_ij - conj(rho_ji)| on the lower triangle and diagonal, and
+    eigvalsh runs only where Gershgorin's bound on the lower triangle (what
+    eigvalsh reads) does not clear a state."""
+    n, d = len(stack), stack.shape[-1]
+    entries = stack.reshape(n, d * d).T.copy()
     # every comparison with NaN is False, so non-finite states get their own
     # test, and the others run on zeros in their place
-    finite = np.isfinite(stack).all(axis=(1, 2))
+    finite = np.isfinite(entries).all(0)
     if not finite.all():
-        stack = np.where(finite[:, None, None], stack, 0.0)
-    herm = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
-    tr = np.trace(stack, axis1=1, axis2=2).real
-    # Gershgorin: no eigenvalue of the Hermitian matrix that eigvalsh reads
-    # (the lower triangle) is below min_i (rho_ii - sum_j!=i |rho_ij|), so
-    # only the states this bound does not clear at 0 need eigvalsh
-    low = np.tril(np.abs(stack), -1)
-    radius = low.sum(1) + low.sum(2)
-    unclear = np.min(stack.diagonal(axis1=1, axis2=2).real - radius, axis=1) < 0.0
-    lo = np.zeros(len(stack))
-    lo[unclear] = np.linalg.eigvalsh(stack[unclear])[:, 0]
-    bad = ~finite
-    bad |= herm > HERMITICITY_TOL
-    bad |= np.abs(tr - 1.0) > TRACE_TOL
-    bad |= lo < MIN_EIGENVALUE
+        entries = np.where(finite, entries, 0.0)
+    lower, upper, incidence = _triangles(d)
+    low = entries[lower]
+    herm = np.abs(low - entries[upper].conj()).max(0)
+    low, diag = low[: incidence.shape[1]], low[incidence.shape[1] :]
+    # in np.trace's order (pairwise from 4 entries), so a failure reads the same
+    tr = diag.real.sum(0) if d < 4 else np.ascontiguousarray(diag.T).sum(1).real
+    # no eigenvalue is below min_i (rho_ii - sum_j!=i |rho_ij|)
+    unclear = np.min(diag.real - incidence @ np.abs(low), axis=0) < 0.0
+    lo = np.zeros(n)
+    if unclear.any():
+        lo[unclear] = np.linalg.eigvalsh(stack[unclear])[:, 0]
+    bad = ~finite | (herm > HERMITICITY_TOL) | (abs(tr - 1.0) > TRACE_TOL) | (lo < MIN_EIGENVALUE)
     if not bad.any():
         return
     k = int(np.argmax(bad))

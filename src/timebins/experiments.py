@@ -10,6 +10,7 @@ produces byte-identical CSV files.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from pathlib import Path
 from typing import Sequence
@@ -95,9 +96,9 @@ SWEEP_SCALES = (1.0, 0.5, 0.25, 0.125)
 # ever built next to the CSV text.
 CSV_BLOCK_ROWS = 1024
 # Blocks of at least this many cells go through _format_cells, smaller ones
-# through one %.  The kernel costs about 0.25 ms a call, what % takes for some
-# 500 cells, and 0.2 us a cell against 0.75 us (2-vCPU host, numpy 2.4).
-CSV_KERNEL_MIN_CELLS = 1024
+# through one %.  The kernel costs about 0.2 ms a call and 0.3 us a cell, %
+# 0.7 us a cell: they cross near 450-500 cells (2-vCPU host, numpy 2.4).
+CSV_KERNEL_MIN_CELLS = 512
 
 
 def fit_order(rows: Sequence[tuple[float, float]]) -> float:
@@ -142,10 +143,6 @@ def _initial_vector(cfg: RunConfig, system: SystemModel) -> np.ndarray:
     return v
 
 
-def _purities(stack: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,kji->k", stack, stack).real
-
-
 # The '%.17g' kernel formats zeros and every |x| in (_KERNEL_MIN, _KERNEL_MAX),
 # where the Dekker splits of x and of the 10**k it needs stay finite and
 # normal.  Every other cell, and every cell whose scaled value lies within
@@ -154,12 +151,11 @@ _KERNEL_MIN, _KERNEL_MAX = 1e-280, 1e280
 _POW10_MIN, _POW10_MAX = -265, 298  # 16 - E for every decimal exponent E in range
 _TIE_MARGIN = 1e-6
 _SPLITTER = 134217729.0  # 2**27 + 1
-# A cell is six 8-byte words: sign, the "0.000" lead, the first digit and a
-# point slot; four words of 4 digits, each followed by a point slot; the
-# "e+308" part and the separator.  Unused bytes are 0 and squeezed out.
-_WORDS = 6
-_EXP_MIN = -300
-_NO_EXP = 2 * -_EXP_MIN + 1  # the suffix row of a fixed-notation cell
+# A cell is four 8-byte words: sign, "0.000" lead, first digit and point; 16
+# digits; exponent and separator.  Unused bytes are 0 and squeezed out.
+_WORDS = 4
+_EXP_MIN = -300  # the exponents of the tables run from -300 to 300
+_ZEROS = np.uint64(0x3030303030303030)  # eight '0' digits
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +167,7 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _pow10_table() -> np.ndarray:
-    """(4, n) rows hi, lo and hi's two Dekker halves with hi + lo = 10**k to
+    """(n, 4) rows of hi, lo and hi's two Dekker halves with hi + lo = 10**k to
     about 2**-106, for k = _POW10_MIN .. _POW10_MAX, built exactly from
     Python integers (whose true division rounds correctly)."""
     pairs = []
@@ -181,44 +177,33 @@ def _pow10_table() -> np.ndarray:
         a, b = hi.as_integer_ratio()
         pairs.append((hi, (num * b - a * den) / (den * b)))
     hi, lo = np.array(pairs).T
-    table = np.stack([hi, lo, *_split(hi)])
+    table = np.stack([hi, lo, *_split(hi)], axis=1)  # a row is one gather
     table.flags.writeable = False  # one array, shared by every call
     return table
 
 
-def _word_table(items: list[bytes]) -> np.ndarray:
-    """One 8-byte word per item, padded with 0 bytes."""
-    return np.frombuffer(b"".join(item.ljust(8, b"\0") for item in items), np.uint64)
-
-
 @functools.cache
 def _digit_tables() -> tuple[np.ndarray, ...]:
-    """The cell words and the trailing-zero counts the kernel reads:
-    - groups[g]: the 4 digits of the group g, each followed by an empty
-      point slot, and masks[v]: the mask that keeps the first v of them;
-    - zeros[g]: the trailing zeros of g as 4 digits;
-    - prefix[(sign * 5 + lead) * 10 + digit]: sign, "0." + lead - 1 zeros
-      (none for lead 0), the digit and its point slot;
-    - suffix[row * 3 + sep]: "e-300" .. "e+300" (row _NO_EXP: none), then
-      no separator, ',' or a newline."""
-    g = np.arange(10**4)
-    digits = g[:, None] // 10 ** np.arange(3, -1, -1) % 10
-    groups = np.zeros((10**4, 4, 2), np.uint8)
-    groups[..., 0] = ord("0") + digits
-    masks = np.zeros((5, 4, 2), np.uint8)
-    masks[..., 0] = 0xFF * (np.arange(4) < np.arange(5)[:, None])
-    zeros = sum((g % 10**j == 0).astype(np.intp) for j in range(1, 5))
+    """The cell words and the layout the kernel reads:
+    - groups[g]: the 4 digits of the group g as one 4-byte word, and
+      masks[i, n]: the mask of digit word i (digits 1-8, 9-16) for n shown;
+    - notation[E - _EXP_MIN]: the digits before the point and the lead of
+      '%g' at the decimal exponent E (fixed notation for -4 <= E < 17);
+    - prefix[((sign * 5 + lead) * 10 + digit) * 2 + point]: sign, "0." +
+      lead - 1 zeros (none for lead 0), the digit and '.' if point, at the end;
+    - suffix[(E - _EXP_MIN) * 3 + sep]: "e-300" .. "e+300" (nothing in
+      fixed notation), then no separator, ',' or a newline."""
+    groups = np.frombuffer(b"".join(b"%04d" % g for g in range(10**4)), np.uint32)
+    masks = np.array([[256 ** min(max(n - k, 0), 8) - 1 for n in range(18)] for k in (1, 9)], "u8")
+    e = np.arange(_EXP_MIN, -_EXP_MIN + 1)
+    fixed = (e >= -4) & (e < 17)
+    notation = np.stack([np.where(fixed, np.maximum(e + 1, 0), 1), fixed * np.maximum(-e, 0)], 1)
     leads = [b""] + [b"0." + b"0" * k for k in range(4)]
-    prefix = [
-        sign.ljust(1, b"\0") + lead.ljust(5, b"\0") + str(digit).encode()
-        for sign in (b"", b"-")
-        for lead in leads
-        for digit in range(10)
-    ]
-    exps = [f"e{e:+03d}".encode() for e in range(_EXP_MIN, -_EXP_MIN + 1)] + [b""]
-    suffix = [exp.ljust(5, b"\0") + sep for exp in exps for sep in (b"", b",", b"\n")]
-    groups, masks = (t.reshape(-1, 8).view(np.uint64).ravel() for t in (groups, masks))
-    tables = (groups, masks, zeros, _word_table(prefix), _word_table(suffix))
+    product = itertools.product((b"", b"-"), leads, [b"%d" % g for g in range(10)], (b"", b"."))
+    prefix = b"".join(b"".join(p).rjust(8, b"\0") for p in product)
+    exps = [b"" if f else b"e%+03d" % k for k, f in zip(e.tolist(), fixed)]
+    suffix = b"".join((exp + sep).ljust(8, b"\0") for exp in exps for sep in (b"", b",", b"\n"))
+    tables = (groups, masks, notation, *(np.frombuffer(t, np.uint64) for t in (prefix, suffix)))
     for table in tables:
         table.flags.writeable = False  # shared by every call
     return tables
@@ -227,7 +212,7 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a * 10**k as a double-double (hi, lo), |lo| <= ulp(hi)/2, with Dekker's
     exact product of a and hi(10**k) plus a * lo(10**k)."""
-    t_hi, t_lo, t1, t2 = _pow10_table().take(k - _POW10_MIN, axis=1)
+    t_hi, t_lo, t1, t2 = _pow10_table().take(k - _POW10_MIN, axis=0).T
     p = a * t_hi
     a1, a2 = _split(a)
     e = ((a1 * t1 - p) + a1 * t2 + a2 * t1) + a2 * t2 + a * t_lo
@@ -235,15 +220,16 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, e - (hi - p)
 
 
-def _format_cells(block: np.ndarray) -> str:
+def _format_cells(block: np.ndarray, buffer: np.ndarray | None = None) -> str:
     """'%.17g' text of every cell of a 2-d float block, byte for byte: cells
-    joined by ',' and rows by newlines."""
-    rows, cols = block.shape
+    joined by ',' and rows by newlines.  The cells are laid out in the rows
+    of a (cells, _WORDS) uint64 buffer, which _csv reuses from block to block."""
+    cols = block.shape[1]
     x = block.ravel()
     a = np.abs(x)
     fast = (a > _KERNEL_MIN) & (a < _KERNEL_MAX)  # False for NaN
     zero = a == 0.0
-    a = np.where(fast, a, 1.0)
+    np.copyto(a, 1.0, where=~fast)
     # D = round(a * 10**(16 - E)) is the 17-digit integer of a; E from log10
     # may be one off next to a power of ten, so the scaled value is checked
     # against [1e16, 1e17) as a double-double and rescaled where it is not
@@ -262,39 +248,45 @@ def _format_cells(block: np.ndarray) -> str:
     carry = d == 10**17  # 9.99..95 rounds up to 10.0
     d[carry] = 10**16
     e10 += carry
+    d[zero] = 0  # a zero is its sign and one digit 0
+    e10[slow] = 0  # a cell % writes is laid out as one in fixed notation
 
-    groups, masks, zeros, prefix, suffix = _digit_tables()
-    # D is a first digit and four 4-digit groups; the significant digits are
-    # those left once its trailing zeros go (the first digit is never 0)
-    top, bottom = np.divmod(d, 10**8)
-    first, top = np.divmod(top, 10**8)
-    quads = [*np.divmod(top, 10**4), *np.divmod(bottom, 10**4)]
-    trailing = zeros.take(quads[3])
-    run = quads[3] == 0
-    for q in quads[2::-1]:
-        trailing += run * zeros.take(q)
-        run &= q == 0
-    n_sig = 17 - trailing
+    groups, masks, notation, prefix, suffix = _digit_tables()
+    # D's first digit and 4-digit groups (// by a constant is far cheaper than %)
+    top = d // 10**8
+    bottom = (d - top * 10**8).astype(np.int32)
+    first = top // 10**8
+    top = (top - first * 10**8).astype(np.int32)
+    q0, q2 = top // 10**4, bottom // 10**4
+    words = (np.empty((x.size, _WORDS), np.uint64) if buffer is None else buffer)[: x.size]
+    digits = words[:, 1:3].view(np.uint32)
+    for i, q in enumerate([q0, top - q0 * 10**4, q2, bottom - q2 * 10**4]):
+        digits[:, i] = groups.take(q)
+    # the significant digits end at the byte where the bit length of a digit
+    # word less its '0's ends (exact in a double: each byte is at most 9)
+    ends = [np.frexp((words[:, i] - _ZEROS).astype(float))[1] + 7 >> 3 for i in (1, 2)]
+    n_sig = 1 + np.where(ends[1], 8 + ends[1], ends[0])
 
     # %g: fixed notation for -4 <= E < 17, else d.ddd e+XX
-    sci = (e10 < -4) | (e10 >= 17)
-    whole = np.where(sci, 1, np.maximum(e10 + 1, 0))  # digits before the point
+    row = e10 - _EXP_MIN
+    whole, lead = notation.take(row, axis=0).T  # digits before the point, lead
+    key = (np.signbit(x) * 5 + lead) * 10 + first
+    words[:, 0] = prefix.take(2 * key + ((whole == 1) & (n_sig > 1)))
     shown = np.maximum(n_sig, whole)
-    lead = np.where(sci, 0, np.maximum(-e10, 0))
-    words = np.empty((len(x), _WORDS), np.uint64)
-    words[:, 0] = prefix.take((np.signbit(x) * 5 + lead) * 10 + np.where(zero, 0, first))
-    for i, q in enumerate(quads):
-        words[:, i + 1] = groups.take(q) & masks.take(np.clip(shown - (4 * i + 1), 0, 4))
-    sep = np.ones((rows, cols), np.intp)
-    sep[:, -1] = 2
-    sep[-1, -1] = 0
-    exp_row = np.where(sci & ~slow, e10 - _EXP_MIN, _NO_EXP)
-    words[:, 5] = suffix.take(exp_row * 3 + sep.ravel())
-    # digit 0 sits at byte 6 of a cell and digit p >= 1 at byte 2p + 6, so
-    # the point slot after the first `whole` digits is byte 2 whole + 5
+    words[:, 1] &= masks[0].take(shown)
+    words[:, 2] &= masks[1].take(shown)
+    end = row * 3 + 1  # then ',', a newline after a row, nothing after the block
+    end[cols - 1 :: cols] += 1
+    end[-1] -= 2
+    words[:, 3] = suffix.take(end)
+    # digit p >= 1 is byte p + 7; a point after digit whole - 1 >= 1 moves the
+    # digits and separator after it up a byte (no exponent in fixed notation)
     cells = words.view(np.uint8)
-    point = np.flatnonzero((n_sig > whole) & (whole > 0))
-    cells[point, 2 * whole[point] + 5] = ord(".")
+    inner = np.flatnonzero((n_sig > whole) & (whole > 1))
+    for w in np.flatnonzero(np.bincount(whole[inner])):
+        rows_w = inner[whole[inner] == w]
+        cells[rows_w, w + 8 : 26] = cells[rows_w, w + 7 : 25]
+        cells[rows_w, w + 7] = ord(".")
     slow = np.flatnonzero(slow)
     if slow.size:
         width = 8 * (_WORDS - 1)  # all but the separator's word
@@ -310,10 +302,11 @@ def _csv(
     is given.  17 significant digits round-trip doubles exactly."""
     row = ",".join(["%.17g"] * table.shape[1])
     blocks = [",".join(header)]
+    buffer = np.empty((min(len(table), CSV_BLOCK_ROWS) * table.shape[1], _WORDS), np.uint64)
     for start in range(0, len(table), CSV_BLOCK_ROWS):
         block = table[start : start + CSV_BLOCK_ROWS]
         if block.size >= CSV_KERNEL_MIN_CELLS:
-            blocks.append(_format_cells(block))
+            blocks.append(_format_cells(block, buffer))
         else:
             blocks.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
     if note is not None:
@@ -329,18 +322,10 @@ def _timeseries_csv(
 ) -> str:
     extra = extra or {}
     header = ["t", "rho_gg", "rho_ee", "re_rho_eg", "im_rho_eg", "trace", "purity"]
-    table = np.column_stack(
-        [
-            times,
-            stack[:, 0, 0].real,
-            stack[:, 1, 1].real,
-            stack[:, 1, 0].real,
-            stack[:, 1, 0].imag,
-            np.trace(stack, axis1=1, axis2=2).real,
-            _purities(stack),
-            *extra.values(),
-        ]
-    )
+    trace = np.trace(stack, axis1=1, axis2=2).real
+    rho = stack[:, 0, 0].real, stack[:, 1, 1].real, stack[:, 1, 0].real, stack[:, 1, 0].imag
+    purity = np.einsum("kij,kji->k", stack, stack).real
+    table = np.column_stack([times, *rho, trace, purity, *extra.values()])
     return _csv(header + list(extra), table)
 
 
@@ -374,7 +359,7 @@ def _timeseries_report(
     final = stack[-1]
     kind = _oracle_kind(cfg)
     if kind is None:
-        purity = _purities(stack[-1:])[0]
+        purity = np.einsum("ij,ji->", final, final).real
         summary = f"final_trace={np.trace(final).real:.6f} final_purity={purity:.6f}"
         return csv, summary, EXIT_OK
     reference = analytic_oracle(kind, cfg.gamma, times[-1:], rho0)[0]

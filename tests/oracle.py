@@ -19,7 +19,9 @@ Gram matrix replaced.
 against the Kraus iteration.  ``stepwise_propagate`` is ``channel.propagate``
 with one matrix-vector product per step, the loop its blocked powers
 replaced, and ``csv_text`` is ``experiments._csv`` formatting one row at a
-time with ``str.format``.
+time with ``str.format``.  ``plain_check_states`` is ``channel.check_states``
+on full matrices, with ``eigvalsh`` on every state, the check that its single
+read of the lower triangle and its Gershgorin screen replaced.
 ``expm_per_matrix``, ``coarse_maps_per_width`` and
 ``ordering_residual_per_width`` are the one-width-at-a-time loops that the
 stacked ``expm``, ``coarse_map`` and ``ordering_residual`` replaced: each
@@ -37,7 +39,16 @@ import numpy as np
 
 import timebins.model as model
 from timebins.chain import ChainState, reduced_system
-from timebins.channel import DensityMatrix, apply_channel, extract_kraus, iterate_channel
+from timebins.channel import (
+    HERMITICITY_TOL,
+    MIN_EIGENVALUE,
+    TRACE_TOL,
+    DensityMatrix,
+    apply_channel,
+    extract_kraus,
+    iterate_channel,
+)
+from timebins.errors import StateError
 from timebins.microscopic import emitter_spectrum
 from timebins.operators import expm, vn_entropy
 
@@ -174,6 +185,33 @@ def stepwise_propagate(s: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarra
     for k in range(steps):
         np.dot(s, flat[k], out=flat[k + 1])
     return flat.reshape(steps + 1, d, d)
+
+
+def plain_check_states(stack: np.ndarray) -> None:
+    """The density-matrix checks of a (n, d, d) stack on full matrices:
+    Hermiticity from every entry of rho - rho^dag, the trace, and eigvalsh's
+    smallest eigenvalue of every state; StateError names the earliest state
+    that fails, with the first check it fails."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        stack = np.where(finite[:, None, None], stack, 0.0)
+    herm = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    lo = np.linalg.eigvalsh(stack)[:, 0]
+    bad = ~finite
+    bad |= herm > HERMITICITY_TOL
+    bad |= np.abs(tr - 1.0) > TRACE_TOL
+    bad |= lo < MIN_EIGENVALUE
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    if not finite[k]:
+        raise StateError("density matrix has non-finite entries")
+    if herm[k] > HERMITICITY_TOL:
+        raise StateError(f"density matrix not Hermitian (defect {herm[k]:.3e})")
+    if abs(tr[k] - 1.0) > TRACE_TOL:
+        raise StateError(f"density matrix trace {float(tr[k])!r} is not 1")
+    raise StateError(f"density matrix has negative eigenvalue {lo[k]:.3e}")
 
 
 def csv_text(header, table: np.ndarray, note=None) -> str:

@@ -27,7 +27,13 @@ from timebins.model import (
     two_level_system,
 )
 
-from oracle import kraus_completeness, kraus_map, kraus_step_matrix, stepwise_propagate
+from oracle import (
+    kraus_completeness,
+    kraus_map,
+    kraus_step_matrix,
+    plain_check_states,
+    stepwise_propagate,
+)
 
 
 def tls_family(gamma=1.0, dt=0.01, n_max=2, omega0=0.0, drive=0.0):
@@ -98,6 +104,84 @@ def test_a_negative_eigenvalue_after_cleared_states_is_named(monkeypatch):
     with pytest.raises(StateError, match=r"^density matrix has negative eigenvalue -2.000e-10$"):
         channel.check_states(stack)
     assert len(seen) == 1 and np.array_equal(seen[0], negative[None])
+
+
+def random_states(rng, n, d):
+    """n valid (d, d) states: mixed, pure and diagonal ones in turn, so that
+    Gershgorin's bound clears some and not others."""
+    a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    rho = a @ a.conj().swapaxes(1, 2)
+    rho[1::3] = a[1::3, :, :1] @ a[1::3, :, :1].conj().swapaxes(1, 2)  # pure
+    rho[2::3] = np.abs(rho[2::3]) * np.eye(d)  # diagonal
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return 0.5 * (rho + rho.conj().swapaxes(1, 2))
+
+
+def negative_state(rng, d):
+    """A unit-trace Hermitian state with eigenvalues 1 + 2e-10, -2e-10, 0 ..."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    values = np.zeros(d)
+    values[:2] = [1.0 + 2e-10, -2e-10]
+    return (q * values) @ q.conj().T
+
+
+def plant(rng, stack, defect):
+    """Put one defect into a random state of the stack."""
+    k = int(rng.integers(len(stack)))
+    d = stack.shape[-1]
+    i, j = (d - 1, 0) if d > 1 else (0, 0)
+    if defect == "nan":
+        stack[k, i, j] = np.nan
+    elif defect == "inf":
+        stack[k, j, i] = -np.inf
+    elif defect == "off-diagonal":
+        stack[k, i, j] += 3e-10 - 2e-10j
+    elif defect == "imaginary-diagonal":
+        stack[k, d - 1, d - 1] += 1e-9j
+    elif defect in ("trace-up", "trace-down"):
+        stack[k, 0, 0] += 2e-10 if defect == "trace-up" else -2e-10
+    elif defect == "negative":
+        stack[k] = negative_state(rng, d)
+
+
+def outcome(check, stack):
+    try:
+        check(stack)
+    except StateError as exc:
+        return str(exc)
+    return None
+
+
+DEFECTS = ["nan", "inf", "off-diagonal", "imaginary-diagonal", "trace-up", "trace-down",
+           "negative"]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, 5, 300])
+def test_check_states_matches_the_full_matrix_check(n, d):
+    # d = 5: np.trace adds the diagonal pairwise from four entries on, and
+    # check_states must name the same trace to the last digit
+    rng = np.random.default_rng(100 * n + d)
+    several = [DEFECTS[::-1], DEFECTS[2:5], ["negative"] * 3]
+    cases = [[]] + [[defect] for defect in DEFECTS] + several
+    for defects in cases if n else [[]]:
+        if d == 1 and {"off-diagonal", "negative"} & set(defects):
+            continue  # a 1 x 1 state has no off-diagonal entry, and trace 1 is its eigenvalue
+        stack = random_states(rng, n, d)
+        for defect in defects:
+            plant(rng, stack, defect)
+        expected = outcome(plain_check_states, stack)
+        assert outcome(channel.check_states, stack) == expected, defects
+        assert (expected is None) == (not defects), defects
+
+
+def test_an_imaginary_diagonal_is_a_hermiticity_defect():
+    # eigvalsh reads only the real part of the diagonal, so only the
+    # Hermiticity check sees Im rho_ii
+    rho = EXCITED.matrix + np.diag([0.0, 1e-9j])
+    assert np.linalg.eigvalsh(rho)[0] == 0.0
+    with pytest.raises(StateError, match=r"^density matrix not Hermitian \(defect 2.000e-09\)$"):
+        channel.check_states(rho[None])
 
 
 def test_extract_kraus_identity_map():

@@ -1,0 +1,32 @@
+"""The layer-split tool times named package functions over replayed runs."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_split.py"
+
+
+def run_tool(*args):
+    return subprocess.run(
+        [sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300
+    )
+
+
+def test_layer_split_times_private_functions_on_a_two_run_list():
+    done = run_tool("trajectory:1", "--runs", "2", "--passes", "2",
+                    "--functions", "experiments._csv", "channel.check_states")
+    assert done.returncode == 0, done.stderr
+    head, *rows = done.stdout.splitlines()
+    assert head == "trajectory:1, first 2 runs: 2 passes, median of each, in ms"
+    times = {row.split()[0]: float(row.split()[1]) for row in rows}
+    assert list(times) == ["pass", "experiments._csv", "channel.check_states"]
+    # both runs write a CSV of checked states, and each part is inside the pass
+    assert 0.0 < times["experiments._csv"] < times["pass"]
+    assert 0.0 < times["channel.check_states"] < times["pass"]
+
+
+def test_layer_split_refuses_a_spec_without_seeds():
+    done = run_tool("trajectory")
+    assert done.returncode != 0
+    assert "expected workload:seed" in done.stderr

@@ -1,0 +1,139 @@
+"""Time named package functions over in-process replays of benchmark run lists.
+
+    python3 tools/layer_split.py trajectory:7 [scan:1,2 ...] [--passes 10]
+        [--functions experiments._csv channel.check_states channel.propagate]
+        [--runs N] [--src DIR]
+
+Builds the run list of each ``workload:seeds`` from ``perfbench/workloads.py``,
+as ``tools/same_output.py`` does, and runs every config through
+``timebins.cli.main`` in this process with BLAS pinned to one thread (only
+the first ``--runs`` of the list, if given): one warm-up pass (lazy tables,
+first calls), then ``--passes`` timed passes.
+Each named function, ``module.name`` with private names allowed, has every
+binding in the package's modules replaced by one timing wrapper, so the
+calls made through another module's import are counted too.  A function's
+time is inclusive (what it calls counts), and a call made while the same
+function is already running is not counted again.
+
+Prints, per function, the median time per pass and its share of the median
+pass, with the smallest and largest pass.  Nothing under ``perfbench/`` is
+written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import statistics
+import sys
+import tempfile
+import time
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+FUNCTIONS = ("experiments._csv", "channel.check_states", "channel.propagate")
+
+
+def _plans(specs: list[str]) -> list[tuple[str, int]]:
+    plans = []
+    for spec in specs:
+        workload, _, seeds = spec.partition(":")
+        if not seeds:
+            raise SystemExit(f"expected workload:seed[,seed...], got {spec!r}")
+        plans += [(workload, int(seed)) for seed in seeds.split(",")]
+    return plans
+
+
+def _wrap_all(names: list[str], totals: dict[str, float]) -> list[tuple[object, str, object]]:
+    """Replace every package binding of each named function by a timer that
+    adds its outermost calls' durations to totals[name]; returns what to
+    put back."""
+    modules = [m for k, m in sys.modules.items() if m is not None and k.startswith("timebins")]
+    saved = []
+    for name in names:
+        module, _, attr = name.partition(".")
+        original = getattr(sys.modules[f"timebins.{module}"], attr)
+        depth = [0]
+
+        def timed(*args, _fn=original, _name=name, _depth=depth, **kwargs):
+            _depth[0] += 1
+            start = time.perf_counter()
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                _depth[0] -= 1
+                if not _depth[0]:
+                    totals[_name] += time.perf_counter() - start
+
+        for holder in modules:
+            for key, value in list(vars(holder).items()):
+                if value is original:
+                    saved.append((holder, key, original))
+                    setattr(holder, key, timed)
+    return saved
+
+
+def split(
+    specs: list[str], names: list[str], passes: int, src: str, runs: int | None = None
+) -> dict[str, list[float]]:
+    """Seconds per timed pass: the whole pass under "pass", and each name."""
+    for var in THREADS:  # read once, when numpy loads
+        os.environ[var] = "1"
+    sys.dont_write_bytecode = True  # leave no cache files under perfbench/
+    sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
+    import timebins.cli as cli
+    import workloads
+
+    texts = [spec.text() for w, seed in _plans(specs) for spec in workloads.build(w, seed)]
+    texts = texts[:runs]
+    totals = dict.fromkeys(names, 0.0)
+    saved = _wrap_all(names, totals)
+    times: dict[str, list[float]] = {"pass": [], **{name: [] for name in names}}
+    try:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg, out = Path(tmp) / "run.cfg", str(Path(tmp) / "run.csv")
+            for n in range(passes + 1):  # pass 0 warms up
+                totals.update(dict.fromkeys(names, 0.0))
+                start = time.perf_counter()
+                for text in texts:
+                    cfg.write_text(text, encoding="utf-8")
+                    cli.main(["--config", str(cfg), "--out", out])
+                if n:
+                    times["pass"].append(time.perf_counter() - start)
+                    for name in names:
+                        times[name].append(totals[name])
+    finally:
+        for holder, key, original in reversed(saved):
+            setattr(holder, key, original)
+    return times
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("specs", nargs="+", metavar="workload:seeds")
+    parser.add_argument("--functions", nargs="+", default=list(FUNCTIONS), metavar="module.name")
+    parser.add_argument("--passes", type=int, default=10)
+    parser.add_argument("--runs", type=int, default=None, help="time the first RUNS runs only")
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    args = parser.parse_args(argv)
+    if args.passes < 1:
+        parser.error("--passes must be at least 1")
+    times = split(args.specs, args.functions, args.passes, args.src, args.runs)
+    whole = statistics.median(times["pass"])
+    runs = f", first {args.runs} runs" if args.runs is not None else ""
+    print(f"{' '.join(args.specs)}{runs}: {args.passes} passes, median of each, in ms")
+    for name, values in times.items():
+        mid = statistics.median(values)
+        print(f"{name:<28} {1e3 * mid:9.1f}  {100 * mid / whole:5.1f}%"
+              f"  ({1e3 * min(values):.1f} .. {1e3 * max(values):.1f})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
