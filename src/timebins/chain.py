@@ -9,8 +9,8 @@ in vacuum just before the system, and the bins still ahead are never stored.
 
 A state is read once after each collision: its amplitudes, viewed as real
 pairs in rows of the system index, give the real Gram matrix of the system's
-columns, and both the norm check and the reduced system state are read off
-that (2 s, 2 s) matrix.
+columns, and the norm and finiteness checks and the reduced system state are
+read off that (2 s, 2 s) matrix.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class ChainState:
 
     ``gram`` is w^T w for the real view w of the amplitudes, one row per
     index of the bins and 2 s columns (the real and imaginary part of each
-    system amplitude); its trace is the squared norm.
+    system amplitude); its trace is the squared norm.  Every check on a
+    chain state is made here; the ``StateVector`` it holds is a plain record.
     """
 
     vec: StateVector
@@ -50,16 +51,27 @@ class ChainState:
     gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        bins = self.vec.dims[:-1]
-        if any(d != self.bin_dim for d in bins):
-            raise ValueError(f"bins must share dimension {self.bin_dim}, got {bins}")
+        data, dims = self.vec.data, self.vec.dims
+        if not dims:
+            raise ValueError("need at least one tensor factor")
+        if any(d < 1 for d in dims):
+            raise ValueError(f"factor dimensions must be >= 1, got {dims}")
+        if data.shape != (math.prod(dims),):
+            raise ValueError(f"vector length {data.shape} does not match factor dimensions {dims}")
+        if any(d != self.bin_dim for d in dims[:-1]):
+            raise ValueError(f"bins must share dimension {self.bin_dim}, got {dims[:-1]}")
         if not 0 <= self.cursor <= self.n_bins:
             raise ValueError(f"cursor {self.cursor} out of range for {self.n_bins} bins")
-        w = self.vec.data.view(float).reshape(-1, 2 * self.sys_dim)
-        gram = w.T @ w
+        w = data.view(float).reshape(-1, 2 * self.sys_dim)
+        # a NaN or inf amplitude, or a square that overflows, leaves the trace
+        # non-finite; only a refusal reads the amplitudes again, to say which
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = w.T @ w
+            drift = abs(math.sqrt(float(np.trace(gram))) - 1.0)
         object.__setattr__(self, "gram", gram)
-        drift = abs(math.sqrt(float(np.trace(gram))) - 1.0)
-        if drift > NORM_TOL:
+        if not drift <= NORM_TOL:
+            if not np.isfinite(data).all():
+                raise ValueError("state vector has non-finite amplitudes")
             raise ValueError(f"chain state norm drifted by {drift:.3e}")
 
     @property
@@ -79,9 +91,8 @@ def init_chain(amplitudes, n_bins: int, n_max: int) -> ChainState:
         raise ValueError("need at least one bin")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    vec = StateVector(amplitudes, (np.size(amplitudes),))
-    sys_dim = vec.dims[0]
-    d_bin = n_max + 1
+    state = ChainState(StateVector(amplitudes, (np.size(amplitudes),)), n_max + 1, n_bins)
+    sys_dim, d_bin = state.sys_dim, state.bin_dim
     # the cap is on the size after the last collision; a count past 64 bits
     # is over it whatever the sizes, and is named by its formula: forming and
     # printing d_bin**n_bins can take minutes
@@ -92,7 +103,7 @@ def init_chain(amplitudes, n_bins: int, n_max: int) -> ChainState:
             f"chain would need {total} amplitudes (> {MAX_AMPLITUDES}); "
             "reduce n_bins or n_max"
         )
-    return ChainState(vec, d_bin, n_bins)
+    return state
 
 
 def step_chain(state: ChainState, u: np.ndarray) -> ChainState:

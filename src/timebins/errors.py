@@ -4,7 +4,8 @@ __all__ = ["GuardError", "StateError"]
 
 
 class GuardError(RuntimeError):
-    """A numeric guard tripped: an incomplete Kraus family, recurrence, or overflow."""
+    """A numeric guard tripped: an incomplete Kraus family, an unstable RK4
+    step, recurrence, or overflow."""
 
 
 class StateError(ValueError):

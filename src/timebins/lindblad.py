@@ -14,7 +14,8 @@ Everything runs on one row-major Liouvillian matrix L (vec(rho) = rho.ravel()).
 For this linear autonomous ODE one classic RK4 step is exactly the matrix
 polynomial S_rk4 = sum_{k<=4} (L dt)^k / k!, so a trajectory is one call to
 ``channel.propagate``, which fills it a block of powers of S_rk4 at a time,
-and whose states are checked in one pass (``channel.check_states``).
+and whose states are checked in one pass (``channel.check_states``).  A step
+whose S_rk4 has a spectral radius past 1 is refused before that call.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DensityMatrix, check_states, propagate
+from .errors import GuardError
 from .model import SystemModel
 
 __all__ = [
@@ -32,6 +34,9 @@ __all__ = [
     "analytic_oracle",
     "liouvillian_matrix",
 ]
+
+# Rounding allowance on the spectral radius 1 of a stable RK4 step matrix.
+RK4_RADIUS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,19 +67,31 @@ def integrate_rk4(
 ) -> np.ndarray:
     """The (steps+1, d, d) stack of ``steps`` classic RK4 steps from rho0.
 
-    Every computed state must pass the DensityMatrix checks: StateError names
-    the first that fails (for this trace-preserving generator, only a broken
-    input can make one fail).
+    S_rk4 has the eigenvalue 1 (its left eigenvector is the trace), and a
+    larger one grows its mode without bound: GuardError, before any state is
+    computed, when S_rk4 is not finite or its spectral radius exceeds 1 by
+    more than RK4_RADIUS_TOL = 1e-12, a rounding allowance (``eigvals`` finds
+    the 1 to about 1e-15).  Every computed state must then pass the
+    DensityMatrix checks: StateError names the first that fails, which at a
+    stable step means a broken input, or a step too coarse for RK4, which is
+    not a positive map, to keep the states positive.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    a = liouvillian_matrix(model) * dt
-    one = np.eye(a.shape[0])
-    step = one  # Horner form of sum_{k<=4} a^k / k!
-    for k in (4, 3, 2, 1):
-        step = one + (a @ step) / k
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        a = liouvillian_matrix(model) * dt
+        one = np.eye(a.shape[0])
+        step = one  # Horner form of sum_{k<=4} a^k / k!
+        for k in (4, 3, 2, 1):
+            step = one + (a @ step) / k
+    radius = np.abs(np.linalg.eigvals(step)).max() if np.isfinite(step).all() else np.inf
+    if not radius <= 1.0 + RK4_RADIUS_TOL:
+        raise GuardError(
+            f"RK4 step unstable at gamma*dt = {model.gamma * dt:.4g}: "
+            f"spectral radius {radius:.4g} > 1; reduce dt"
+        )
     stack = propagate(step, rho0.matrix, steps)
     check_states(stack[1:])
     return stack

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from timebins.config import parse_config
 from timebins.errors import GuardError, StateError
 from timebins.experiments import fit_order
 from timebins.lindblad import LindbladModel, analytic_oracle, integrate_rk4
-from timebins.model import coarse_map, two_level_system
+from timebins.model import coarse_map, truncated_oscillator, two_level_system
 
 from oracle import csv_text
 
@@ -461,11 +462,27 @@ def test_run_too_long_to_hold_exits_3(tmp_path, capsys, request, text):
 
 
 def test_invalid_computed_state_exits_3(tmp_path, capsys):
-    # one RK4 step of gamma dt = 5 leaves a negative population
-    code, out = run_cli(tmp_path, "experiment = lindblad\ndt = 5\nt_final = 10\n")
+    # RK4 steps of dt = 1.2 on oscillator3 are stable, but not positive: the
+    # states leave the density matrices
+    text = "experiment = lindblad\nsystem = oscillator3\ndt = 1.2\nt_final = 10\n"
+    code, out = run_cli(tmp_path, text)
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric guard: density matrix has negative eigenvalue")
+    assert not out.exists()
+
+
+def test_an_unstable_rk4_step_exits_3_without_a_warning(tmp_path, capsys):
+    text = "experiment = lindblad\ngamma = 1e4\ndt = 0.05\nt_final = 2\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, text)
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numeric guard: RK4 step unstable at gamma*dt = 500: "
+        "spectral radius 2.583e+09 > 1; reduce dt\n"
+    )
+    assert caught == []
     assert not out.exists()
 
 
@@ -481,9 +498,10 @@ def _bad_collision(monkeypatch):
 
 
 def _bad_rk4(monkeypatch):
-    # one RK4 step of gamma dt = 5 leaves a negative population
-    model = LindbladModel(two_level_system(), 1.0)
-    integrate_rk4(model, DensityMatrix.pure([0.0, 1.0]), 5.0, 2)
+    # a stable RK4 step of gamma dt = 1.2 on oscillator3 leaves a negative
+    # population
+    model = LindbladModel(truncated_oscillator(), 1.0)
+    integrate_rk4(model, DensityMatrix.pure([0.0, 0.0, 1.0]), 1.2, 9)
 
 
 def _bad_closed_form(monkeypatch):

@@ -1,12 +1,14 @@
 """Unit tests for the continuum-limit reference integrator and oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from timebins.channel import DensityMatrix, check_states
-from timebins.errors import StateError
+import timebins.lindblad as lindblad
+from timebins.errors import GuardError, StateError
 from timebins.lindblad import (
     LindbladModel,
     analytic_oracle,
@@ -169,6 +171,32 @@ def test_rk4_guard_aborts_on_broken_trace():
         four_stage_rk4(decay_model(), rho, 0.01, 5)
     assert str(fast.value) == str(slow.value)
     assert str(fast.value).startswith("density matrix trace 1.00000002")
+
+
+def test_rk4_refuses_an_unstable_step_before_propagating(monkeypatch):
+    def propagate(*args):
+        raise AssertionError("an unstable step was propagated")
+
+    monkeypatch.setattr(lindblad, "propagate", propagate)
+    # RK4's polynomial 1 + x + x^2/2 + x^3/6 + x^4/24 is 1.375 at x = -gamma dt
+    # = -3, past its stability region; at gamma = 1e300 the step overflows
+    for gamma, dt, message in (
+        (60.0, 0.05, r"^RK4 step unstable at gamma\*dt = 3: spectral radius 1\.375 > 1; "),
+        (1e300, 1.0, r"^RK4 step unstable at gamma\*dt = 1e\+300: spectral radius inf > 1; "),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(GuardError, match=message):
+                integrate_rk4(decay_model(gamma=gamma), EXCITED, dt, 40)
+        assert caught == []
+
+
+def test_rk4_takes_a_step_just_inside_its_stability_region():
+    # the real stability bound is gamma dt = 2.785...; at 2.78 the states of
+    # undriven decay stay valid, rho_ee decaying as p(-2.78)^k
+    series = integrate_rk4(decay_model(), EXCITED, 2.78, 20)
+    p = 1.0 - 2.78 + 2.78**2 / 2 - 2.78**3 / 6 + 2.78**4 / 24
+    np.testing.assert_allclose(series[:, 1, 1].real, p ** np.arange(21), rtol=1e-12)
 
 
 def test_rk4_rejects_bad_steps():

@@ -1,11 +1,13 @@
 """Unit tests for the dense operator-algebra kernel."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from timebins.chain import ChainState
 from timebins.model import (
     CoarseParams,
     bin_generator,
@@ -35,14 +37,22 @@ def random_operator(rng, dims):
     return Operator(m, dims)
 
 
+def refused(vec, message):
+    """``ChainState`` makes every check on a chain's state vector; assert it
+    refuses ``vec`` with ``message`` and emits no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=message):
+            ChainState(vec, 2, n_bins=1)
+    assert caught == []
+
+
 def test_statevector_validates_length():
-    with pytest.raises(ValueError):
-        StateVector(np.zeros(3), (2, 2))
+    refused(StateVector(np.zeros(3), (2, 2)),
+            r"^vector length \(3,\) does not match factor dimensions \(2, 2\)$")
     assert np.linalg.norm(StateVector(basis_state(4, 2), (4,)).data) == 1.0
-    with pytest.raises(ValueError, match="at least one tensor factor"):
-        StateVector(np.ones(1), ())
-    with pytest.raises(ValueError, match="factor dimensions must be >= 1"):
-        StateVector(np.zeros(0), (2, 0))
+    refused(StateVector(np.ones(1), ()), "^need at least one tensor factor$")
+    refused(StateVector(np.zeros(0), (2, 0)), r"^factor dimensions must be >= 1, got \(2, 0\)$")
 
 
 @pytest.mark.parametrize(
@@ -51,13 +61,16 @@ def test_statevector_validates_length():
 def test_statevector_rejects_non_finite_amplitudes(bad):
     data = np.array([0.6, 0.8, 0.0, 0.0], dtype=complex)
     data[2] = bad
-    with pytest.raises(ValueError, match="state vector has non-finite amplitudes"):
-        StateVector(data, (2, 2))
+    refused(StateVector(data, (2, 2)), "^state vector has non-finite amplitudes$")
 
 
 def test_statevector_takes_finite_amplitudes_whose_squares_overflow():
-    # the sum of squares is inf, but every amplitude is finite
-    vec = StateVector(np.array([1e200, 1e200j, 0.0]), (3,))
+    # a plain record: it keeps what it is given, as a flat complex array and
+    # a tuple of ints, and reads no amplitude (ChainState refuses this one
+    # for its norm)
+    vec = StateVector(np.array([[1e200], [1e200j], [0.0]]), [np.int64(3)])
+    assert vec.data.shape == (3,) and vec.data.dtype == complex
+    assert vec.dims == (3,) and type(vec.dims[0]) is int
     assert np.all(np.isfinite(vec.data))
 
 

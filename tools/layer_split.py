@@ -4,9 +4,9 @@
         [--functions experiments._csv channel.check_states channel.propagate]
         [--runs N] [--src DIR]
 
-Builds the run list of each ``workload:seeds`` from ``perfbench/workloads.py``,
-as ``tools/same_output.py`` does, and runs every config through
-``timebins.cli.main`` in this process with BLAS pinned to one thread (only
+Builds the run list of each ``workload:seeds`` from ``perfbench/workloads.py``
+and runs every config through ``timebins.cli.main`` in this process, loaded
+as ``tools/same_output.py`` loads it, with BLAS pinned to one thread (only
 the first ``--runs`` of the list, if given): one warm-up pass (lazy tables,
 first calls), then ``--passes`` timed passes.
 Each named function, ``module.name`` with private names allowed, has every
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import os
 import statistics
 import sys
 import tempfile
@@ -33,19 +32,9 @@ import time
 import warnings
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+from same_output import ROOT, _load, _plans
+
 FUNCTIONS = ("experiments._csv", "channel.check_states", "channel.propagate")
-
-
-def _plans(specs: list[str]) -> list[tuple[str, int]]:
-    plans = []
-    for spec in specs:
-        workload, _, seeds = spec.partition(":")
-        if not seeds:
-            raise SystemExit(f"expected workload:seed[,seed...], got {spec!r}")
-        plans += [(workload, int(seed)) for seed in seeds.split(",")]
-    return plans
 
 
 def _wrap_all(names: list[str], totals: dict[str, float]) -> list[tuple[object, str, object]]:
@@ -81,13 +70,7 @@ def split(
     specs: list[str], names: list[str], passes: int, src: str, runs: int | None = None
 ) -> dict[str, list[float]]:
     """Seconds per timed pass: the whole pass under "pass", and each name."""
-    for var in THREADS:  # read once, when numpy loads
-        os.environ[var] = "1"
-    sys.dont_write_bytecode = True  # leave no cache files under perfbench/
-    sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
-    import timebins.cli as cli
-    import workloads
-
+    cli, workloads = _load(src)
     texts = [spec.text() for w, seed in _plans(specs) for spec in workloads.build(w, seed)]
     texts = texts[:runs]
     totals = dict.fromkeys(names, 0.0)

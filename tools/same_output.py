@@ -73,7 +73,9 @@ def _run(cli, text: str, work: Path) -> dict:
     }
 
 
-def record(path: str, specs: list[str], src: str) -> int:
+def _load(src: str):
+    """``timebins.cli`` from the ``src`` directory and perfbench's
+    ``workloads``, imported in this process with BLAS pinned to one thread."""
     for name in THREADS:  # read once, when numpy loads
         os.environ[name] = "1"
     sys.dont_write_bytecode = True  # leave no cache files under perfbench/
@@ -81,6 +83,11 @@ def record(path: str, specs: list[str], src: str) -> int:
     import timebins.cli as cli
     import workloads
 
+    return cli, workloads
+
+
+def record(path: str, specs: list[str], src: str) -> int:
+    cli, workloads = _load(src)
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload, seed in _plans(specs):
