@@ -125,11 +125,15 @@ def step_chain(state: ChainState, u: np.ndarray) -> ChainState:
 
 
 def reduced_system(state: ChainState) -> np.ndarray:
-    """The (s, s) reduced state, symmetrized and checked (``check_states``):
-    the partial trace over every bin, rho_ij = sum over the bins of v_i conj(v_j),
-    read off the Gram matrix as re_i re_j + im_i im_j + i (im_i re_j - re_i im_j)."""
-    g = state.gram
-    rho = g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
-    rho = 0.5 * (rho + rho.conj().T)
+    """The (s, s) reduced state, symmetrized and checked (``check_states``)."""
+    rho = reduced_from_gram(state.gram)
     check_states(rho[None])
     return rho
+
+
+def reduced_from_gram(g: np.ndarray) -> np.ndarray:
+    """The partial trace over every bin, rho_ij = sum over the bins of
+    v_i conj(v_j), symmetrized and unchecked, of a (..., 2 s, 2 s) stack of
+    Gram matrices g: re_i re_j + im_i im_j + i (im_i re_j - re_i im_j)."""
+    rho = g[..., 0::2, 0::2] + g[..., 1::2, 1::2] + 1j * (g[..., 1::2, 0::2] - g[..., 0::2, 1::2])
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))

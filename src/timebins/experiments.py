@@ -12,28 +12,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .chain import MAX_AMPLITUDES, init_chain, reduced_system, step_chain
-from .channel import (
-    DensityMatrix,
-    check_states,
-    completeness_defect,
-    extract_kraus,
-    iterate_channel,
-)
+from .chain import MAX_AMPLITUDES, init_chain, reduced_from_gram, step_chain
+from .channel import (DensityMatrix, check_states, completeness_defect, extract_kraus,
+                      iterate_channel)
 from .config import ConfigError, RunConfig
 from .errors import GuardError
 from .lindblad import LindbladModel, analytic_oracle, integrate_rk4
-from .microscopic import (
-    FrequencyGrid,
-    build_microscopic,
-    evolve_microscopic,
-    fit_decay_rate,
-)
+from .microscopic import FrequencyGrid, build_microscopic, evolve_microscopic, fit_decay_rate
 from .model import (
     CoarseParams,
     SystemModel,
@@ -44,7 +33,7 @@ from .model import (
     truncated_oscillator,
     two_level_system,
 )
-from .operators import vn_entropy
+from .operators import vn_entropies
 
 __all__ = [
     "run_experiment",
@@ -401,18 +390,18 @@ def _run_joint_chain(cfg: RunConfig) -> tuple[str, str, int]:
     rho0 = DensityMatrix.pure(vec)
     reference = iterate_channel(family, rho0, cfg.n_bins)
 
-    reduced = [reduced_system(state)]
+    # the reduced states, read off each collision's Gram, are checked and diagonalized at once
+    grams = [state.gram]
     for _ in range(cfg.n_bins):
         state = step_chain(state, unitary)
-        reduced.append(reduced_system(state))
-    stack = np.stack(reduced)
-    entropies = [vn_entropy(rho) for rho in reduced]
+        grams.append(state.gram)
+    stack = reduced_from_gram(np.stack(grams))
+    check_states(stack)
+    entropies = vn_entropies(stack)
     defects = np.max(np.abs(stack - reference), axis=(1, 2))
 
     times = np.arange(cfg.n_bins + 1) * cfg.dt
-    csv = _timeseries_csv(
-        times, stack, extra={"entropy": entropies, "markov_defect": defects}
-    )
+    csv = _timeseries_csv(times, stack, extra={"entropy": entropies, "markov_defect": defects})
     defect_max = float(np.max(defects))
     peak = int(np.argmax(entropies))
     summary = (
@@ -558,6 +547,7 @@ def run_experiment(cfg: RunConfig, out_override: str | None = None) -> int:
     runner = _RUNNERS[cfg.experiment]
     csv, summary, code = runner(cfg)
     out_path = out_override or cfg.out_path or f"{cfg.experiment}.csv"
-    Path(out_path).write_text(csv, encoding="utf-8")
+    with open(out_path, "wb") as out:  # the text is ASCII
+        out.write(csv.encode("ascii"))
     print(summary)
     return code

@@ -27,6 +27,7 @@ import numpy as np
 from .channel import DensityMatrix, check_states, propagate
 from .errors import GuardError
 from .model import SystemModel
+from .operators import kron
 
 __all__ = [
     "LindbladModel",
@@ -58,8 +59,8 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     c = model.system.lowering
     one = np.eye(h.shape[0])
     cdc = c.conj().T @ c
-    dissipator = np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, one) + np.kron(one, cdc.T))
-    return -1j * (np.kron(h, one) - np.kron(one, h.T)) + model.gamma * dissipator
+    dissipator = kron(c, c.conj()) - 0.5 * (kron(cdc, one) + kron(one, cdc.T))
+    return -1j * (kron(h, one) - kron(one, h.T)) + model.gamma * dissipator
 
 
 def integrate_rk4(
@@ -88,9 +89,11 @@ def integrate_rk4(
             step = one + (a @ step) / k
     radius = np.abs(np.linalg.eigvals(step)).max() if np.isfinite(step).all() else np.inf
     if not radius <= 1.0 + RK4_RADIUS_TOL:
+        # the largest |lambda| dt of L dt says whether gamma or H is too fast
+        reach = np.abs(np.linalg.eigvals(a)).max() if np.isfinite(a).all() else np.inf
         raise GuardError(
-            f"RK4 step unstable at gamma*dt = {model.gamma * dt:.4g}: "
-            f"spectral radius {radius:.4g} > 1; reduce dt"
+            f"RK4 step unstable at gamma*dt = {model.gamma * dt:.4g}, max|lambda|*dt = "
+            f"{reach:.4g}: spectral radius {radius:.4g} > 1; reduce dt"
         )
     stack = propagate(step, rho0.matrix, steps)
     check_states(stack[1:])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DensityMatrix, apply_channel, extract_kraus, iterate_channel
-from .operators import HERMITICITY_TOL, expm
+from .operators import HERMITICITY_TOL, expm, kron
 
 __all__ = [
     "SystemModel",
@@ -113,8 +113,8 @@ def bin_generator(system: SystemModel, params: CoarseParams) -> np.ndarray:
     db = lowering_matrix(d_bin)
     sigma = system.lowering
     dt = np.asarray(params.dt, dtype=float)[..., None, None]
-    free = np.kron(system.hamiltonian, np.eye(d_bin, dtype=complex))
-    exchange = np.kron(sigma, db.conj().T) - np.kron(sigma.conj().T, db)
+    free = kron(system.hamiltonian, np.eye(d_bin, dtype=complex))
+    exchange = kron(sigma, db.conj().T) - kron(sigma.conj().T, db)
     return (-1j * dt) * free + np.sqrt(params.gamma * dt) * exchange
 
 

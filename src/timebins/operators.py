@@ -44,6 +44,11 @@ class StateVector:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices: the same products, in one broadcast."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 def expm(a: np.ndarray) -> np.ndarray:
     """Unitary exponential of an anti-Hermitian generator, or of each matrix of
     a (k, n, n) stack, from one ``eigh``; the checks name the first that fails.
@@ -55,13 +60,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expm needs a square matrix or a stack of them, got shape {m.shape}")
-    finite = np.isfinite(m).all(axis=(-2, -1)).ravel()
-    with np.errstate(invalid="ignore"):  # inf - inf: that matrix fails as non-finite
+    # a non-finite entry leaves its defect non-finite; only a refusal asks which
+    with np.errstate(invalid="ignore"):
         defect = np.abs(m + m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).ravel()
-    k = int(np.argmax(~finite | (defect > HERMITICITY_TOL)))  # 0 if none fails
-    if not finite[k]:
-        raise ValueError("expm requires finite entries")
-    if defect[k] > HERMITICITY_TOL:
+    bad = ~(defect <= HERMITICITY_TOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not np.isfinite(m.reshape(-1, *m.shape[-2:])[k]).all():
+            raise ValueError("expm requires finite entries")
         raise ValueError(f"expm needs an anti-Hermitian generator (defect {defect[k]:.3e})")
     lam, v = np.linalg.eigh(1j * m)
     phase = -2.0 * np.sin(0.5 * lam) ** 2 - 1j * np.sin(lam)
@@ -69,16 +75,19 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def vn_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy -sum(lam ln lam) in nats.
-
-    Eigenvalues below 1e-14 are dropped; small negatives from roundoff are
-    clamped to zero so truncation noise cannot produce NaN.
-    """
+    """Von Neumann entropy -sum(lam ln lam) in nats.  Eigenvalues below 1e-14,
+    roundoff negatives among them, are dropped, so noise cannot produce NaN."""
     rho = square_matrix(rho)
     defect = float(np.max(np.abs(rho - rho.conj().T)))
     if defect > HERMITICITY_TOL:
         raise ValueError(f"vn_entropy needs a Hermitian matrix (defect {defect:.3e})")
-    evals = np.linalg.eigvalsh(rho)
-    evals = np.where(evals < 0.0, 0.0, evals)
-    pos = evals[evals > 1e-14]
-    return float(-np.sum(pos * np.log(pos))) + 0.0  # avoid -0.0 for pure states
+    return float(vn_entropies(rho))
+
+
+def vn_entropies(stack: np.ndarray) -> np.ndarray:
+    """``vn_entropy`` of each Hermitian matrix of a (..., n, n) stack, unchecked,
+    from one ``eigvalsh``; a dropped eigenvalue, first in its ascending row,
+    becomes 1, whose term 1 ln 1 is 0, so the kept terms sum in the same order."""
+    evals = np.linalg.eigvalsh(stack)
+    pos = np.where(evals > 1e-14, evals, 1.0)
+    return -np.sum(pos * np.log(pos), axis=-1) + 0.0  # avoid -0.0 for pure states

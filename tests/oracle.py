@@ -27,6 +27,12 @@ read of the lower triangle and its Gershgorin screen replaced.
 stacked ``expm``, ``coarse_map`` and ``ordering_residual`` replaced: each
 width builds its own generator and exponential, and each ordering residual
 runs its own coarse collision and its own sub-bin chain.
+``kron_bin_generator`` and ``kron_liouvillian_matrix`` build the generator
+and the Liouvillian with ``np.kron``, which ``operators.kron``'s single
+broadcast replaced; ``filtered_vn_entropy`` is the entropy of one matrix from
+its kept eigenvalues alone, which the stacked ``operators.vn_entropies``
+replaced; ``two_pass_expm_refusal`` is ``expm``'s guard with its separate
+finiteness pass, which the single defect pass replaced.
 """
 
 from __future__ import annotations
@@ -222,6 +228,51 @@ def csv_text(header, table: np.ndarray, note=None) -> str:
     if note is not None:
         lines.append("# {} = {:.17g}".format(*note))
     return "\n".join(lines) + "\n"
+
+
+def kron_bin_generator(system, params) -> np.ndarray:
+    """``model.bin_generator`` with its products formed by ``np.kron``."""
+    d_bin = params.n_max + 1
+    db = model.lowering_matrix(d_bin)
+    sigma = system.lowering
+    dt = np.asarray(params.dt, dtype=float)[..., None, None]
+    free = np.kron(system.hamiltonian, np.eye(d_bin, dtype=complex))
+    exchange = np.kron(sigma, db.conj().T) - np.kron(sigma.conj().T, db)
+    return (-1j * dt) * free + np.sqrt(params.gamma * dt) * exchange
+
+
+def kron_liouvillian_matrix(lindblad_model) -> np.ndarray:
+    """``lindblad.liouvillian_matrix`` with its products formed by ``np.kron``."""
+    h = lindblad_model.system.hamiltonian
+    c = lindblad_model.system.lowering
+    one = np.eye(h.shape[0])
+    cdc = c.conj().T @ c
+    dissipator = np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, one) + np.kron(one, cdc.T))
+    return -1j * (np.kron(h, one) - np.kron(one, h.T)) + lindblad_model.gamma * dissipator
+
+
+def filtered_vn_entropy(rho: np.ndarray) -> float:
+    """-sum(lam ln lam) over the eigenvalues of one Hermitian matrix above
+    1e-14, negatives clamped to 0 first."""
+    evals = np.linalg.eigvalsh(rho)
+    evals = np.where(evals < 0.0, 0.0, evals)
+    pos = evals[evals > 1e-14]
+    return float(-np.sum(pos * np.log(pos))) + 0.0
+
+
+def two_pass_expm_refusal(a: np.ndarray) -> str | None:
+    """The message ``expm`` refuses a (k, n, n) stack or a matrix with, from a
+    finiteness pass and a defect pass, or None when it takes it."""
+    m = np.asarray(a, dtype=complex)
+    finite = np.isfinite(m).all(axis=(-2, -1)).ravel()
+    with np.errstate(invalid="ignore"):
+        defect = np.abs(m + m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).ravel()
+    k = int(np.argmax(~finite | (defect > 1e-12)))
+    if not finite[k]:
+        return "expm requires finite entries"
+    if defect[k] > 1e-12:
+        return f"expm needs an anti-Hermitian generator (defect {defect[k]:.3e})"
+    return None
 
 
 def expm_per_matrix(stack: np.ndarray) -> np.ndarray:

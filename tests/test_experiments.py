@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import timebins
+import timebins.channel as channel
 import timebins.experiments as experiments
 from timebins.channel import DensityMatrix, iterate_channel
 from timebins.cli import main
@@ -292,6 +293,71 @@ def test_joint_chain_builds_the_one_bin_unitary_once(tmp_path, capsys, monkeypat
     assert len(calls) == 1
 
 
+def count_check_states(monkeypatch):
+    """Route every package binding of channel.check_states through a counter."""
+    calls = []
+    original = channel.check_states
+
+    def counted(stack):
+        calls.append(len(stack))
+        return original(stack)
+
+    for module in [m for k, m in sys.modules.items() if k.startswith("timebins")]:
+        if getattr(module, "check_states", None) is original:
+            monkeypatch.setattr(module, "check_states", counted)
+    return calls
+
+
+def test_a_joint_chain_checks_its_reduced_states_in_one_call(tmp_path, capsys, monkeypatch):
+    calls = count_check_states(monkeypatch)
+    counts = {}
+    for n_bins in (2, 8):
+        start = len(calls)
+        code, _ = run_cli(tmp_path, f"experiment = joint-chain\nn_bins = {n_bins}\n")
+        assert code == 0
+        counts[n_bins] = calls[start:]
+    assert len(counts[2]) == len(counts[8])
+    assert 9 in counts[8]  # the 9 reduced states, in one stack
+
+
+def test_no_experiment_calls_np_kron(tmp_path, capsys, monkeypatch):
+    def kron(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", kron)
+    for text in (
+        "experiment = lindblad\nsystem = oscillator3\nomega0 = 0.5\n",
+        "experiment = joint-chain\nsystem = tls-driven\ndrive = 0.7\nn_bins = 3\n",
+        "experiment = kraus-report\nn_max = 2\n",
+        "experiment = ordering-probe\nsystem = dephasing\n",
+    ):
+        code, out = run_cli(tmp_path, text)
+        assert code in (0, 1) and out.exists()
+
+
+def test_a_bad_reduced_state_names_the_earliest_collision(tmp_path, capsys, monkeypatch):
+    # scale the Gram matrix of collisions 3 and 5, as a broken read would:
+    # the reduced state of collision 3 fails its trace check first
+    collisions = []
+    original = experiments.step_chain
+
+    def step_chain(state, u):
+        state = original(state, u)
+        collisions.append(state)
+        scale = {3: 2.0, 5: 3.0}.get(len(collisions))
+        if scale is not None:
+            object.__setattr__(state, "gram", scale * state.gram)
+        return state
+
+    monkeypatch.setattr(experiments, "step_chain", step_chain)
+    code, out = run_cli(tmp_path, "experiment = joint-chain\nn_bins = 6\ndt = 0.1\n")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numeric guard: density matrix trace 1.9999999999999996 is not 1\n"
+    )
+    assert not out.exists()
+
+
 def test_microscopic_run(tmp_path, capsys):
     code, out = run_cli(
         tmp_path,
@@ -479,10 +545,23 @@ def test_an_unstable_rk4_step_exits_3_without_a_warning(tmp_path, capsys):
         code, out = run_cli(tmp_path, text)
     assert code == 3
     assert capsys.readouterr().err == (
-        "numeric guard: RK4 step unstable at gamma*dt = 500: "
+        "numeric guard: RK4 step unstable at gamma*dt = 500, max|lambda|*dt = 500: "
         "spectral radius 2.583e+09 > 1; reduce dt\n"
     )
     assert caught == []
+    assert not out.exists()
+
+
+def test_an_unstable_rk4_step_names_a_drive_that_is_too_fast(tmp_path, capsys):
+    # gamma dt = 1 is inside RK4's stability region; the drive's Rabi
+    # frequency puts the largest |lambda| dt of L dt at 4.06, outside it
+    text = "experiment = lindblad\nsystem = tls-driven\ndrive = 2\ndt = 1\n"
+    code, out = run_cli(tmp_path, text)
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numeric guard: RK4 step unstable at gamma*dt = 1, max|lambda|*dt = 4.062: "
+        "spectral radius 6.872 > 1; reduce dt\n"
+    )
     assert not out.exists()
 
 

@@ -30,3 +30,20 @@ def test_layer_split_refuses_a_spec_without_seeds():
     done = run_tool("trajectory")
     assert done.returncode != 0
     assert "expected workload:seed" in done.stderr
+
+
+def test_layer_split_times_a_runner_called_through_the_dispatch_table():
+    # run_experiment calls the runners through experiments._RUNNERS, so only
+    # rebinding that dict's entries times them; scan's first runs are
+    # kraus-report runs
+    done = run_tool("scan:1", "--runs", "2", "--passes", "1",
+                    "--functions", "experiments._run_kraus_report", "experiments._run_collision")
+    assert done.returncode == 0, done.stderr
+    rows = [row.split() for row in done.stdout.splitlines()[1:]]
+    assert [(row[0], row[-2], row[-1]) for row in rows] == [
+        ("pass", "2", "runs"),
+        ("experiments._run_kraus_report", "2", "calls"),
+        ("experiments._run_collision", "0", "calls"),
+    ]
+    assert 0.0 < float(rows[1][1]) < float(rows[0][1])
+    assert float(rows[2][1]) == 0.0

@@ -22,6 +22,8 @@ from timebins.model import (
     two_level_system,
 )
 
+from oracle import kron_liouvillian_matrix
+
 
 EXCITED = DensityMatrix.pure([0.0, 1.0])
 GROUND = DensityMatrix.pure([1.0, 0.0])
@@ -181,14 +183,44 @@ def test_rk4_refuses_an_unstable_step_before_propagating(monkeypatch):
     # RK4's polynomial 1 + x + x^2/2 + x^3/6 + x^4/24 is 1.375 at x = -gamma dt
     # = -3, past its stability region; at gamma = 1e300 the step overflows
     for gamma, dt, message in (
-        (60.0, 0.05, r"^RK4 step unstable at gamma\*dt = 3: spectral radius 1\.375 > 1; "),
-        (1e300, 1.0, r"^RK4 step unstable at gamma\*dt = 1e\+300: spectral radius inf > 1; "),
+        (60.0, 0.05, r"^RK4 step unstable at gamma\*dt = 3, max\|lambda\|\*dt = 3: "
+                     r"spectral radius 1\.375 > 1; "),
+        (1e300, 1.0, r"^RK4 step unstable at gamma\*dt = 1e\+300, max\|lambda\|\*dt = 1e\+300: "
+                     r"spectral radius inf > 1; "),
     ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(GuardError, match=message):
                 integrate_rk4(decay_model(gamma=gamma), EXCITED, dt, 40)
         assert caught == []
+
+
+@pytest.mark.parametrize("system", [
+    two_level_system(0.7),
+    two_level_system(0.3, 1.1),
+    truncated_oscillator(3, 0.5),
+    dephasing_variant(two_level_system(0.4, 0.9)),
+])
+def test_liouvillian_matrix_equals_the_np_kron_build(system):
+    for gamma in (0.0, 1.0, 2.3):
+        model = LindbladModel(system, gamma)
+        assert np.array_equal(liouvillian_matrix(model), kron_liouvillian_matrix(model))
+
+
+def test_rk4_finds_the_largest_eigenvalue_of_l_dt_only_when_it_refuses(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    integrate_rk4(decay_model(), EXCITED, 0.1, 5)
+    assert calls == [(4, 4)]  # the step matrix's spectral radius only
+    with pytest.raises(GuardError, match=r"max\|lambda\|\*dt = 3: "):
+        integrate_rk4(decay_model(gamma=60.0), EXCITED, 0.05, 5)
+    assert calls == [(4, 4)] * 3
 
 
 def test_rk4_takes_a_step_just_inside_its_stability_region():

@@ -19,7 +19,15 @@ from timebins.model import (
     two_level_system,
 )
 
-from oracle import Operator, commutator, dagger, identity, kron
+from oracle import Operator, commutator, dagger, identity, kron, kron_bin_generator
+
+# the four systems of the CLI, with a Hamiltonian that fills every block
+SYSTEMS = {
+    "tls": two_level_system(0.7),
+    "tls-driven": two_level_system(0.3, 1.1),
+    "oscillator3": truncated_oscillator(3, 0.5),
+    "dephasing": dephasing_variant(two_level_system(0.4, 0.9)),
+}
 
 
 def test_two_level_system_hamiltonians():
@@ -97,6 +105,18 @@ def test_bin_generator_decoupled_limit():
     gen = bin_generator(system, params)
     expected = (-1j * 0.05) * kron(Operator(system.hamiltonian, (2,)), identity((3,)))
     np.testing.assert_allclose(gen, expected.data, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_max", range(1, 7))
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_bin_generator_equals_the_np_kron_build(name, n_max):
+    # the broadcast products are np.kron's own, so every entry is the same float
+    system = SYSTEMS[name]
+    for dt in (0.05, np.array([0.3, 0.05, 1e-3, 0.0125])):
+        params = CoarseParams(1.7, dt, n_max)
+        got = bin_generator(system, params)
+        assert np.array_equal(got, kron_bin_generator(system, params))
+        assert got.shape == np.shape(dt) + 2 * (system.dim * (n_max + 1),)
 
 
 def test_bin_generator_hand_built_matrix():

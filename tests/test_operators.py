@@ -15,16 +15,18 @@ from timebins.model import (
     truncated_oscillator,
     two_level_system,
 )
-from timebins.operators import StateVector, expm, vn_entropy
+from timebins.operators import StateVector, expm, vn_entropies, vn_entropy
 
 from oracle import (
     Operator,
     basis_state,
     commutator,
     dagger,
+    filtered_vn_entropy,
     identity,
     kron,
     partial_trace,
+    two_pass_expm_refusal,
 )
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -327,3 +329,66 @@ def test_matrix_functions_reject_a_matrix_that_is_not_square(shape):
         expm(np.zeros(expm_shape, dtype=complex))
     with pytest.raises(ValueError, match="square matrix"):
         vn_entropy(np.zeros(shape, dtype=complex))
+
+
+def entropy_test_states(rng, s):
+    """Mixed, pure and nearly pure (s, s) states: eigenvalues spread over
+    (0, 1), a rank-one projector with roundoff eigenvalues around 0, and
+    eigenvalues planted at and around the 1e-14 cut."""
+    states = []
+    for _ in range(40):
+        m = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        rho = m @ m.conj().T
+        states.append(rho / np.trace(rho).real)
+        v = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        states.append(np.outer(v, v.conj()) / np.vdot(v, v).real)
+        q, _ = np.linalg.qr(m)
+        small = rng.choice([0.0, 3e-15, 1e-14, 2e-14, 1e-13, -2e-15], size=s - 1)
+        p = np.append(small, 1.0 - small.sum())
+        rho = (q * p) @ q.conj().T
+        states.append(0.5 * (rho + rho.conj().T))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_stacked_entropies_equal_the_per_state_filtered_sum(s):
+    # one eigvalsh over the stack, the dropped eigenvalues turned into 0
+    # terms, gives every entropy to the last bit
+    stack = entropy_test_states(np.random.default_rng(43 + s), s)
+    expected = [filtered_vn_entropy(rho) for rho in stack]
+    got = vn_entropies(stack)
+    assert got.shape == (len(stack),)
+    assert got.tolist() == expected
+    assert [vn_entropy(rho) for rho in stack] == expected
+    assert all(math.copysign(1.0, x) == 1.0 for x in got.tolist() if x == 0.0)
+
+
+def test_expm_refusals_name_the_first_failing_matrix_as_two_passes_did():
+    # NaN, +-inf in either part and a defect past 1e-12, alone or after an
+    # earlier failure, in stacks of 1-4 matrices and in single matrices
+    rng = np.random.default_rng(47)
+    plants = [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+              complex(-np.inf, 0.0), complex(0.0, np.inf), complex(0.0, -np.inf),
+              complex(np.inf, np.inf), 1e-11, 1e-9j, 1e308]
+    seen = set()
+    for trial in range(600):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        m = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        stack = m - m.conj().swapaxes(1, 2)
+        for _ in range(int(rng.integers(0, 3))):
+            idx, i, j = int(rng.integers(k)), int(rng.integers(n)), int(rng.integers(n))
+            plant = plants[int(rng.integers(len(plants)))]
+            stack[idx, i, j] = plant if abs(plant) > 1 or plant != plant else stack[idx, i, j] + plant
+            if plant == 1e308:
+                stack[idx, j, i] = 1e308  # finite entries whose sum overflows
+        for a in (stack, stack[0]):
+            with np.errstate(over="ignore"):  # 1e308 + 1e308 warns in both guards
+                expected = two_pass_expm_refusal(a)
+                seen.add(expected if expected is None else expected[:20])
+                if expected is None:
+                    np.testing.assert_allclose(expm(a), scipy.linalg.expm(a), atol=1e-10)
+                    continue
+                with pytest.raises(ValueError) as refused:
+                    expm(a)
+            assert str(refused.value) == expected
+    assert seen == {None, "expm requires finite", "expm needs an anti-H"}

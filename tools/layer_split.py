@@ -10,13 +10,15 @@ as ``tools/same_output.py`` loads it, with BLAS pinned to one thread (only
 the first ``--runs`` of the list, if given): one warm-up pass (lazy tables,
 first calls), then ``--passes`` timed passes.
 Each named function, ``module.name`` with private names allowed, has every
-binding in the package's modules replaced by one timing wrapper, so the
-calls made through another module's import are counted too.  A function's
-time is inclusive (what it calls counts), and a call made while the same
-function is already running is not counted again.
+binding in the package's modules, and every entry of their module-level
+dicts (such as ``experiments._RUNNERS``), replaced by one timing wrapper, so
+the calls made through another module's import or through a dispatch table
+are counted too.  A function's time is inclusive (what it calls counts), and
+a call made while the same function is already running is not counted again.
 
 Prints, per function, the median time per pass and its share of the median
-pass, with the smallest and largest pass.  Nothing under ``perfbench/`` is
+pass, with the smallest and largest pass, and its outermost calls per pass
+(the median; the pass row gives its runs).  Nothing under ``perfbench/`` is
 written.
 """
 
@@ -37,11 +39,16 @@ from same_output import ROOT, _load, _plans
 FUNCTIONS = ("experiments._csv", "channel.check_states", "channel.propagate")
 
 
-def _wrap_all(names: list[str], totals: dict[str, float]) -> list[tuple[object, str, object]]:
-    """Replace every package binding of each named function by a timer that
-    adds its outermost calls' durations to totals[name]; returns what to
-    put back."""
+def _wrap_all(
+    names: list[str], totals: dict[str, float], calls: dict[str, int]
+) -> list[tuple[dict, str, object]]:
+    """Replace every package binding of each named function, in a module or
+    in a module-level dict, by a timer that adds its outermost calls'
+    durations to totals[name] and their number to calls[name]; returns what
+    to put back."""
     modules = [m for k, m in sys.modules.items() if m is not None and k.startswith("timebins")]
+    holders = [vars(m) for m in modules]
+    holders += [v for h in holders for k, v in h.items() if type(v) is dict and k[:2] != "__"]
     saved = []
     for name in names:
         module, _, attr = name.partition(".")
@@ -57,25 +64,28 @@ def _wrap_all(names: list[str], totals: dict[str, float]) -> list[tuple[object, 
                 _depth[0] -= 1
                 if not _depth[0]:
                     totals[_name] += time.perf_counter() - start
+                    calls[_name] += 1
 
-        for holder in modules:
-            for key, value in list(vars(holder).items()):
+        for holder in holders:
+            for key, value in list(holder.items()):
                 if value is original:
                     saved.append((holder, key, original))
-                    setattr(holder, key, timed)
+                    holder[key] = timed
     return saved
 
 
 def split(
     specs: list[str], names: list[str], passes: int, src: str, runs: int | None = None
-) -> dict[str, list[float]]:
-    """Seconds per timed pass: the whole pass under "pass", and each name."""
+) -> tuple[dict[str, list[float]], dict[str, list[int]]]:
+    """Seconds and outermost calls per timed pass: the whole pass (its runs)
+    under "pass", and each name."""
     cli, workloads = _load(src)
     texts = [spec.text() for w, seed in _plans(specs) for spec in workloads.build(w, seed)]
     texts = texts[:runs]
-    totals = dict.fromkeys(names, 0.0)
-    saved = _wrap_all(names, totals)
+    totals, calls = dict.fromkeys(names, 0.0), dict.fromkeys(names, 0)
+    saved = _wrap_all(names, totals, calls)
     times: dict[str, list[float]] = {"pass": [], **{name: [] for name in names}}
+    counts: dict[str, list[int]] = {"pass": [], **{name: [] for name in names}}
     try:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
@@ -83,18 +93,21 @@ def split(
             cfg, out = Path(tmp) / "run.cfg", str(Path(tmp) / "run.csv")
             for n in range(passes + 1):  # pass 0 warms up
                 totals.update(dict.fromkeys(names, 0.0))
+                calls.update(dict.fromkeys(names, 0))
                 start = time.perf_counter()
                 for text in texts:
                     cfg.write_text(text, encoding="utf-8")
                     cli.main(["--config", str(cfg), "--out", out])
                 if n:
                     times["pass"].append(time.perf_counter() - start)
+                    counts["pass"].append(len(texts))
                     for name in names:
                         times[name].append(totals[name])
+                        counts[name].append(calls[name])
     finally:
         for holder, key, original in reversed(saved):
-            setattr(holder, key, original)
-    return times
+            holder[key] = original
+    return times, counts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -107,14 +120,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
-    times = split(args.specs, args.functions, args.passes, args.src, args.runs)
+    times, counts = split(args.specs, args.functions, args.passes, args.src, args.runs)
     whole = statistics.median(times["pass"])
     runs = f", first {args.runs} runs" if args.runs is not None else ""
     print(f"{' '.join(args.specs)}{runs}: {args.passes} passes, median of each, in ms")
     for name, values in times.items():
         mid = statistics.median(values)
+        unit = "runs" if name == "pass" else "calls"
         print(f"{name:<28} {1e3 * mid:9.1f}  {100 * mid / whole:5.1f}%"
-              f"  ({1e3 * min(values):.1f} .. {1e3 * max(values):.1f})")
+              f"  ({1e3 * min(values):.1f} .. {1e3 * max(values):.1f})"
+              f"  {statistics.median_low(counts[name])} {unit}")
     return 0
 
 
