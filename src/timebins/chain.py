@@ -1,16 +1,17 @@
-"""Exact pure-state evolution of the system plus the time bins it has met.
+"""Exact pure-state evolution of the system plus the time bins it has met,
+as a matrix product state on bin_0 (x) ... (x) bin_{k-1} (x) system.
 
 Each bin arrives in vacuum and meets the system exactly once, mirroring the
 causal input-output structure; this is what makes the reduced system
 dynamics reproduce the Kraus iteration exactly while the global state becomes
-entangled.  So the state holds only the bins met so far, on
-bin_0 (x) ... (x) bin_{k-1} (x) system: each collision appends the cursor bin
-in vacuum just before the system, and the bins still ahead are never stored.
-
-A state is read once after each collision: its amplitudes, viewed as real
-pairs in rows of the system index, give the real Gram matrix of the system's
-columns, and the norm and finiteness checks and the reduced system state are
-read off that (2 s, 2 s) matrix.
+entangled.  It also caps every cut's Schmidt rank at s, so the product is
+exact with no truncation: the bins met are left-isometric tensors (bond,
+bin, bond'), and the centre holds the amplitudes on (bond, system), the
+global norm and the reduced state.  A collision applies U's vacuum-input
+columns to the centre and splits (bond, new bin) from the system with one
+QR: Q is the new bin, R the new centre.  The centre is read once, as real
+pairs in rows of the bond index, to form the (2 s, 2 s) real Gram matrix of
+the system's columns; the checks and the reduced state are read off it.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .operators import StateVector
 
 __all__ = ["ChainState", "MAX_AMPLITUDES", "init_chain", "step_chain", "reduced_system"]
 
-# Most amplitudes a chain may reach, and the bound on every size a run config
-# sets (steps, microscopic modes, one-bin unitary entries), each refused before
-# any array exists: a run at the cap peaks near 2 GB (300-500 bytes a row).
-# Numpy may be granted more than the machine holds; the kernel then kills the run.
+# Most amplitudes the dense chain of a run may reach (the product state stays
+# small, but the cap keeps every accepted chain within the dense oracle's
+# reach), and the bound on every size a run config sets (steps, microscopic
+# modes, one-bin unitary entries), each refused before any array exists: a
+# run at the cap peaks near 2 GB (300-500 bytes a row).
 MAX_AMPLITUDES = 1 << 22
 NORM_TOL = 1e-10
 
@@ -37,31 +39,36 @@ NORM_TOL = 1e-10
 @dataclass(frozen=True)
 class ChainState:
     """Normalized state on the bins met so far (x) system, in a chain of
-    n_bins identical bins of dimension bin_dim.
+    n_bins identical bins of dimension bin_dim: the bin tensors ``bins`` and
+    the centre ``vec`` on (bond, system).
 
-    ``gram`` is w^T w for the real view w of the amplitudes, one row per
-    index of the bins and 2 s columns (the real and imaginary part of each
-    system amplitude); its trace is the squared norm.  Every check on a
-    chain state is made here; the ``StateVector`` it holds is a plain record.
+    ``gram`` is w^T w for the real view w of the centre, one row per bond
+    index and 2 s columns (the real and imaginary part of each system
+    amplitude); its trace is the squared norm.  Every check on a chain state
+    is made here; the ``StateVector`` it holds is a plain record.  Only the
+    newest bin is checked: every bin of a stepped chain was once the newest.
     """
 
     vec: StateVector
     bin_dim: int
     n_bins: int
+    bins: tuple[np.ndarray, ...] = ()
     gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         data, dims = self.vec.data, self.vec.dims
-        if not dims:
-            raise ValueError("need at least one tensor factor")
-        if any(d < 1 for d in dims):
+        if len(dims) != 2:
+            raise ValueError(f"the centre needs dimensions (bond, system), got {dims}")
+        if min(dims) < 1:
             raise ValueError(f"factor dimensions must be >= 1, got {dims}")
-        if data.shape != (math.prod(dims),):
+        if data.shape != (dims[0] * dims[1],):
             raise ValueError(f"vector length {data.shape} does not match factor dimensions {dims}")
-        if any(d != self.bin_dim for d in dims[:-1]):
-            raise ValueError(f"bins must share dimension {self.bin_dim}, got {dims[:-1]}")
-        if not 0 <= self.cursor <= self.n_bins:
+        if self.cursor > self.n_bins:
             raise ValueError(f"cursor {self.cursor} out of range for {self.n_bins} bins")
+        newest = self.bins[-1].shape if self.bins else (1, self.bin_dim, 1)
+        if newest[1:] != (self.bin_dim, dims[0]):
+            raise ValueError(f"bins must share dimension {self.bin_dim} and meet the "
+                             f"centre's bond {dims[0]}, got a newest bin of shape {newest}")
         w = data.view(float).reshape(-1, 2 * self.sys_dim)
         # a NaN or inf amplitude, or a square that overflows, leaves the trace
         # non-finite; only a refusal reads the amplitudes again, to say which
@@ -81,7 +88,7 @@ class ChainState:
     @property
     def cursor(self) -> int:
         """The number of bins met, which is the index of the next one."""
-        return len(self.vec.dims) - 1
+        return len(self.bins)
 
 
 def init_chain(amplitudes, n_bins: int, n_max: int) -> ChainState:
@@ -91,18 +98,16 @@ def init_chain(amplitudes, n_bins: int, n_max: int) -> ChainState:
         raise ValueError("need at least one bin")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    state = ChainState(StateVector(amplitudes, (np.size(amplitudes),)), n_max + 1, n_bins)
+    state = ChainState(StateVector(amplitudes, (1, np.size(amplitudes))), n_max + 1, n_bins)
     sys_dim, d_bin = state.sys_dim, state.bin_dim
-    # the cap is on the size after the last collision; a count past 64 bits
-    # is over it whatever the sizes, and is named by its formula: forming and
-    # printing d_bin**n_bins can take minutes
+    # the cap is on the dense size after the last collision; a count past 64
+    # bits is over it whatever the sizes, and is named by its formula: forming
+    # and printing d_bin**n_bins can take minutes
     bits = math.log2(sys_dim) + n_bins * math.log2(d_bin)
     total = sys_dim * d_bin**n_bins if bits <= 64 else f"{sys_dim}*{d_bin}**{n_bins}"
     if bits > 64 or total > MAX_AMPLITUDES:
-        raise GuardError(
-            f"chain would need {total} amplitudes (> {MAX_AMPLITUDES}); "
-            "reduce n_bins or n_max"
-        )
+        raise GuardError(f"chain would need {total} amplitudes (> {MAX_AMPLITUDES}); "
+                         "reduce n_bins or n_max")
     return state
 
 
@@ -116,12 +121,13 @@ def step_chain(state: ChainState, u: np.ndarray) -> ChainState:
     if u.shape != (s * d, s * d):
         raise ValueError(f"map shape {u.shape} does not match (system, bin) = {(s, d)}")
     # the bin enters in vacuum, so only U's bin-0 input columns act; rows
-    # reordered from (system, bin) to (bin, system): the bin lands last among
-    # the bins met, just before the system
+    # reordered from (system, bin) to (bin, system), so QR splits the bin off
+    # with the bond.  NaN passes through QR to the centre's check.
     from_vacuum = u.reshape(s, d, s, d)[:, :, :, 0].swapaxes(0, 1).reshape(d * s, s)
     out = state.vec.data.reshape(-1, s) @ from_vacuum.T
-    vec = StateVector(out.reshape(-1), state.vec.dims[:-1] + (d, s))
-    return ChainState(vec, d, state.n_bins)
+    q, r = np.linalg.qr(out.reshape(-1, s))
+    bins = state.bins + (q.reshape(-1, d, q.shape[1]),)
+    return ChainState(StateVector(r, r.shape), d, state.n_bins, bins)
 
 
 def reduced_system(state: ChainState) -> np.ndarray:
@@ -132,8 +138,8 @@ def reduced_system(state: ChainState) -> np.ndarray:
 
 
 def reduced_from_gram(g: np.ndarray) -> np.ndarray:
-    """The partial trace over every bin, rho_ij = sum over the bins of
-    v_i conj(v_j), symmetrized and unchecked, of a (..., 2 s, 2 s) stack of
-    Gram matrices g: re_i re_j + im_i im_j + i (im_i re_j - re_i im_j)."""
+    """The partial trace over every bin, rho_ij = sum over the bond of the
+    centre's c_i conj(c_j), symmetrized and unchecked, of a (..., 2 s, 2 s)
+    stack of Gram matrices g: re_i re_j + im_i im_j + i (im_i re_j - re_i im_j)."""
     rho = g[..., 0::2, 0::2] + g[..., 1::2, 1::2] + 1j * (g[..., 1::2, 0::2] - g[..., 0::2, 1::2])
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))

@@ -60,8 +60,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expm needs a square matrix or a stack of them, got shape {m.shape}")
-    # a non-finite entry leaves its defect non-finite; only a refusal asks which
-    with np.errstate(invalid="ignore"):
+    # a non-finite entry or an overflowing sum leaves it non-finite; only a refusal asks which
+    with np.errstate(over="ignore", invalid="ignore"):
         defect = np.abs(m + m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).ravel()
     bad = ~(defect <= HERMITICITY_TOL)
     if bad.any():

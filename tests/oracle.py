@@ -10,11 +10,14 @@ is that solver with every pole summed directly, the slow path it replaced.
 ``direct_survival`` is ``microscopic.evolve_microscopic`` summing
 weight_l e^{-i l t} directly over blocks of roots, the sum its chirp-z
 transform replaced.
-``dense_step_chain`` is the full-length collision on system (x) all N bins
-that ``chain.step_chain`` replaced, ``dense_vector`` embeds a chain state
-in that layout, and ``conj_reduced_system`` is the reduced state formed as
-v^T conj(v) from the complex amplitudes, which ``chain.reduced_system``'s
-Gram matrix replaced.
+``dense_step_chain`` is the full-length collision on system (x) all N bins,
+and ``bins_met_step_chain`` the collision on the dense bins-met vector, the
+two layouts the matrix product state of ``chain.step_chain`` replaced;
+``bins_met_vector`` contracts a chain state to the bins-met vector,
+``dense_vector`` embeds it in the full-length layout, and
+``conj_reduced_system`` is the reduced state formed as v^T conj(v) from the
+contracted amplitudes, which ``chain.reduced_system``'s Gram matrix of the
+centre replaced.
 ``factorization_report`` is criterion 4's comparison of the exact chain
 against the Kraus iteration.  ``stepwise_propagate`` is ``channel.propagate``
 with one matrix-vector product per step, the loop its blocked powers
@@ -265,7 +268,7 @@ def two_pass_expm_refusal(a: np.ndarray) -> str | None:
     finiteness pass and a defect pass, or None when it takes it."""
     m = np.asarray(a, dtype=complex)
     finite = np.isfinite(m).all(axis=(-2, -1)).ravel()
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         defect = np.abs(m + m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).ravel()
     k = int(np.argmax(~finite | (defect > 1e-12)))
     if not finite[k]:
@@ -457,22 +460,41 @@ def _full_sum_roots(
     return origin + tau, weights
 
 
+def bins_met_vector(state: ChainState) -> np.ndarray:
+    """The chain state on bin_0 (x) ... (x) bin_{k-1} (x) system: its bin
+    tensors and centre contracted left to right."""
+    v = np.ones((1, 1), dtype=complex)
+    for b in state.bins:
+        v = (v @ b.reshape(b.shape[0], -1)).reshape(-1, b.shape[2])
+    return (v @ state.vec.data.reshape(v.shape[1], -1)).reshape(-1)
+
+
 def dense_vector(state: ChainState) -> np.ndarray:
     """The chain state on system (x) bin_0 (x) ... (x) bin_{N-1}, with the
     bins not yet met in vacuum."""
     s, d = state.sys_dim, state.bin_dim
-    met = state.vec.data.reshape(-1, s)
+    met = bins_met_vector(state).reshape(-1, s)
     full = np.zeros((s, met.shape[0], d ** (state.n_bins - state.cursor)), dtype=complex)
     full[:, :, 0] = met.T
     return full.reshape(-1)
 
 
 def conj_reduced_system(state: ChainState) -> np.ndarray:
-    """Partial trace over every bin as v^T conj(v) on the complex amplitudes,
-    symmetrized."""
-    v = state.vec.data.reshape(-1, state.sys_dim)
+    """Partial trace over every bin as v^T conj(v) on the contracted complex
+    amplitudes, symmetrized."""
+    v = bins_met_vector(state).reshape(-1, state.sys_dim)
     rho = v.T @ v.conj()
     return 0.5 * (rho + rho.conj().T)
+
+
+def bins_met_step_chain(vec: np.ndarray, u: np.ndarray, sys_dim: int, bin_dim: int) -> np.ndarray:
+    """Apply the (s d, s d) matrix u on (system, next bin) of a dense vector
+    on bin_0 (x) ... (x) bin_{k-1} (x) system, the next bin entering in vacuum
+    just before the system: one product with u's vacuum-input columns over
+    every amplitude."""
+    s, d = sys_dim, bin_dim
+    from_vacuum = u.reshape(s, d, s, d)[:, :, :, 0].swapaxes(0, 1).reshape(d * s, s)
+    return (vec.reshape(-1, s) @ from_vacuum.T).reshape(-1)
 
 
 def dense_step_chain(

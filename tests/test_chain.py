@@ -26,6 +26,8 @@ from timebins.operators import StateVector
 
 from oracle import (
     basis_state,
+    bins_met_step_chain,
+    bins_met_vector,
     conj_reduced_system,
     dense_step_chain,
     dense_vector,
@@ -115,11 +117,62 @@ def test_step_chain_matches_the_full_length_oracle(name, n_max):
         )
 
 
+@pytest.mark.parametrize("name", ["tls", "tls-driven", "oscillator3"])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_matrix_product_state_matches_the_bins_met_oracle(name, n_max):
+    # the product state contracted, amplitude by amplitude, and its reduced
+    # state, against the dense bins-met chain it replaced, at every collision;
+    # every bin stays an isometry and the centre keeps at most s rows
+    system = {
+        "tls": two_level_system(),
+        "tls-driven": two_level_system(omega0=0.4, drive=1.0),
+        "oscillator3": truncated_oscillator(3, omega0=0.2),
+    }[name]
+    s, d, n_bins = system.dim, n_max + 1, 8
+    u = coarse_map(system, CoarseParams(1.0, 0.3, n_max))
+    start = np.arange(1, s + 1) * np.exp(0.5j * np.arange(s))
+    state = init_chain(start / np.linalg.norm(start), n_bins, n_max)
+    dense = state.vec.data
+    for _ in range(n_bins):
+        dense = bins_met_step_chain(dense, u, s, d)
+        state = step_chain(state, u)
+        np.testing.assert_allclose(bins_met_vector(state), dense, rtol=0, atol=1e-14)
+        v = dense.reshape(-1, s)
+        np.testing.assert_allclose(reduced_system(state), v.T @ v.conj(), rtol=0, atol=1e-14)
+        q = state.bins[-1].reshape(-1, state.bins[-1].shape[2])
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-14)
+        assert state.vec.dims[0] <= s
+    assert dense.size == s * d**n_bins
+
+
+def test_a_map_that_is_not_unitary_is_refused_for_its_norm():
+    # the step never checks U itself: the centre's norm check catches it
+    u, _, state = tls_setup(n_bins=3)
+    for _ in range(3):
+        with pytest.raises(ValueError, match=r"^chain state norm drifted by 1\.000e-06$"):
+            step_chain(state, u * (1.0 + 1e-6))
+        state = step_chain(state, u)
+
+
+def test_a_nan_map_is_refused_as_non_finite_without_a_linalg_error():
+    # QR passes NaN on to the centre, whose check names it
+    u, _, state = tls_setup(n_bins=3)
+    bad = u.copy()
+    bad[0, 2] = np.nan  # an entry of the excited system's vacuum-input column
+    for _ in range(3):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="^state vector has non-finite amplitudes$") as err:
+                step_chain(state, bad)
+        assert type(err.value) is ValueError and caught == []
+        state = step_chain(state, u)
+
+
 @pytest.mark.parametrize("name, n_bins", [("tls-driven", 13), ("oscillator3", 10)])
 def test_gram_reduction_matches_the_conjugate_product(name, n_bins):
-    # the reduced state read off the real Gram matrix against v^T conj(v), at
-    # every collision of the largest chains the exact workload runs (up to
-    # 2 * 3**13 = 3 188 646 amplitudes)
+    # the reduced state read off the real Gram matrix of the centre against
+    # v^T conj(v) of the contracted chain, at every collision of the largest
+    # chains the exact workload runs (up to 2 * 3**13 = 3 188 646 amplitudes)
     system = {
         "tls-driven": two_level_system(omega0=0.4, drive=1.0),
         "oscillator3": truncated_oscillator(3, omega0=0.2),
@@ -134,7 +187,8 @@ def test_gram_reduction_matches_the_conjugate_product(name, n_bins):
         np.testing.assert_allclose(
             reduced_system(state), conj_reduced_system(state), rtol=0, atol=1e-14
         )
-    assert state.vec.data.size == s * 3**n_bins
+    assert bins_met_vector(state).size == s * 3**n_bins
+    assert state.vec.data.size == s * s
 
 
 def test_step_chain_identity_map_only_moves_cursor():
@@ -226,7 +280,7 @@ def test_reduced_system_checks_the_state_it_returns():
     u, _, state = tls_setup(dt=0.3, n_bins=3)
     state = step_chain(state, u)
     vec = StateVector(state.vec.data * (1.0 + 0.9e-10), state.vec.dims)
-    scaled = ChainState(vec, state.bin_dim, state.n_bins)
+    scaled = ChainState(vec, state.bin_dim, state.n_bins, state.bins)
     with pytest.raises(StateError, match=r"^density matrix trace 1\.00000000018\d* is not 1$"):
         reduced_system(scaled)
 
@@ -293,19 +347,26 @@ def test_entanglement_witness_unimodal():
 
 
 def test_chain_state_validation():
+    centre = StateVector(np.ones(4) / 2.0, (2, 2))
+    first, second = np.eye(2).reshape(1, 2, 2), np.eye(4)[:, :2].reshape(2, 2, 2)
     # two bins met (cursor 2) in a chain of one bin
     with pytest.raises(ValueError, match="out of range"):
-        ChainState(StateVector(np.ones(8) / math.sqrt(8.0), (2, 2, 2)), 2, n_bins=1)
+        ChainState(centre, 2, n_bins=1, bins=(first, second))
     with pytest.raises(ValueError, match="norm"):
-        ChainState(StateVector(np.ones(8), (2, 2, 2)), 2, n_bins=2)
+        ChainState(StateVector(np.ones(4), (2, 2)), 2, n_bins=2, bins=(first,))
     with pytest.raises(ValueError, match="share"):
-        ChainState(StateVector(np.ones(12) / math.sqrt(12.0), (2, 3, 2)), 2, n_bins=2)
+        ChainState(centre, 2, n_bins=2, bins=(np.eye(3)[:, :2].reshape(1, 3, 2),))
+    # a centre whose bond is not the newest bin's, or not 1 before any bin
+    with pytest.raises(ValueError, match=r"bond 2, got a newest bin of shape \(1, 2, 1\)$"):
+        ChainState(centre, 2, n_bins=2, bins=(np.eye(2)[:, :1].reshape(1, 2, 1),))
+    with pytest.raises(ValueError, match=r"bond 2, got a newest bin of shape \(1, 2, 1\)$"):
+        ChainState(centre, 2, n_bins=2)
 
 
 def test_chain_state_rejects_a_norm_that_overflows():
     # every amplitude is finite, but the squared norm overflows to inf, so
     # the chain's norm check rejects it, with no overflow warning
-    vec = StateVector(np.array([1e200, 0.0]), (2,))
+    vec = StateVector(np.array([1e200, 0.0]), (1, 2))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="^chain state norm drifted by inf$"):

@@ -83,6 +83,32 @@ def test_collision_csv_is_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_a_shorter_csv_written_over_a_longer_one_leaves_only_its_bytes(tmp_path):
+    short = "experiment = collision\ndt = 0.02\nt_final = 0.1\n"
+    _, fresh = run_cli(tmp_path, short, name="fresh")
+    _, out = run_cli(tmp_path, "experiment = collision\ndt = 0.02\nt_final = 2\n")
+    longer = out.stat().st_size
+    _, out = run_cli(tmp_path, short)
+    assert out.stat().st_size < longer
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_a_csv_goes_to_a_pipe_through_dev_stdout(tmp_path):
+    # a pipe cannot be cut to length, and needs no cutting
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment = collision\ndt = 0.02\nt_final = 0.1\n", encoding="utf-8")
+    _, fresh = run_cli(tmp_path, cfg.read_text(encoding="utf-8"), name="fresh")
+    proc = subprocess.run(
+        [sys.executable, "-m", "timebins", "--config", str(cfg), "--out", "/dev/stdout"],
+        env=child_env(),
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.startswith(fresh.read_bytes())
+    assert proc.stdout.count(b"\n") == fresh.read_bytes().count(b"\n") + 1  # the summary
+
+
 def test_collision_dephasing_summary(tmp_path, capsys):
     code, _ = run_cli(
         tmp_path, "experiment = collision\nsystem = dephasing\ndt = 0.01\nt_final = 1\n"
@@ -353,7 +379,7 @@ def test_a_bad_reduced_state_names_the_earliest_collision(tmp_path, capsys, monk
     code, out = run_cli(tmp_path, "experiment = joint-chain\nn_bins = 6\ndt = 0.1\n")
     assert code == 3
     assert capsys.readouterr().err == (
-        "numeric guard: density matrix trace 1.9999999999999996 is not 1\n"
+        "numeric guard: density matrix trace 1.999999999999999 is not 1\n"
     )
     assert not out.exists()
 

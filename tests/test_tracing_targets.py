@@ -80,6 +80,6 @@ def test_cli_runs_go_through_the_traced_names(tmp_path, capsys):
     assert "model.coarse_map" in ordering
     assert "model.ordering_residual" in ordering
     assert "lindblad.analytic_oracle" in [span[0] for span in runs["convergence"][0]]
-    # the state holds only the bins met: collision k reads 2 * 3**k amplitudes,
-    # and the counter charges 32 bytes for each
-    assert runs["joint-chain"][1]["chain.step_chain.bytes"] == 32 * 2 * (1 + 3 + 9 + 27)
+    # the counter charges 32 bytes for each amplitude of the centre a collision
+    # reads: 1 x 2 before the first, then at most s x s = 2 x 2
+    assert runs["joint-chain"][1]["chain.step_chain.bytes"] == 32 * (2 + 4 + 4 + 4)

@@ -1,7 +1,8 @@
 """Time named package functions over in-process replays of benchmark run lists.
 
     python3 tools/layer_split.py trajectory:7 [scan:1,2 ...] [--passes 10]
-        [--functions experiments._csv channel.check_states channel.propagate]
+        [--functions experiments._csv channel.check_states channel.propagate
+                     chain.step_chain microscopic.emitter_spectrum]
         [--runs N] [--src DIR]
 
 Builds the run list of each ``workload:seeds`` from ``perfbench/workloads.py``
@@ -36,7 +37,8 @@ from pathlib import Path
 
 from same_output import ROOT, _load, _plans
 
-FUNCTIONS = ("experiments._csv", "channel.check_states", "channel.propagate")
+FUNCTIONS = ("experiments._csv", "channel.check_states", "channel.propagate",
+             "chain.step_chain", "microscopic.emitter_spectrum")
 
 
 def _wrap_all(
