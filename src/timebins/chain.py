@@ -17,7 +17,7 @@ the system's columns; the checks and the reduced state are read off it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -45,17 +45,22 @@ class ChainState:
     ``gram`` is w^T w for the real view w of the centre, one row per bond
     index and 2 s columns (the real and imaginary part of each system
     amplitude); its trace is the squared norm.  Every check on a chain state
-    is made here; the ``StateVector`` it holds is a plain record.  Only the
-    newest bin is checked: every bin of a stepped chain was once the newest.
+    is made here; the ``StateVector`` it holds is a plain record.
+
+    A state built directly has met no bins.  Only ``step_chain`` passes
+    ``_bins``, each a Q factor of its QR and so a left isometry: the centre's
+    norm is then the global norm, and no bin needs a check of its own.
     """
 
     vec: StateVector
     bin_dim: int
     n_bins: int
-    bins: tuple[np.ndarray, ...] = ()
+    _bins: InitVar[tuple[np.ndarray, ...]] = ()
+    bins: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     gram: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _bins: tuple[np.ndarray, ...]) -> None:
+        object.__setattr__(self, "bins", _bins)
         data, dims = self.vec.data, self.vec.dims
         if len(dims) != 2:
             raise ValueError(f"the centre needs dimensions (bond, system), got {dims}")
@@ -65,10 +70,8 @@ class ChainState:
             raise ValueError(f"vector length {data.shape} does not match factor dimensions {dims}")
         if self.cursor > self.n_bins:
             raise ValueError(f"cursor {self.cursor} out of range for {self.n_bins} bins")
-        newest = self.bins[-1].shape if self.bins else (1, self.bin_dim, 1)
-        if newest[1:] != (self.bin_dim, dims[0]):
-            raise ValueError(f"bins must share dimension {self.bin_dim} and meet the "
-                             f"centre's bond {dims[0]}, got a newest bin of shape {newest}")
+        if not self.bins and dims[0] != 1:
+            raise ValueError(f"a chain that has met no bins needs bond 1, got dimensions {dims}")
         w = data.view(float).reshape(-1, 2 * self.sys_dim)
         # a NaN or inf amplitude, or a square that overflows, leaves the trace
         # non-finite; only a refusal reads the amplitudes again, to say which
@@ -106,8 +109,10 @@ def init_chain(amplitudes, n_bins: int, n_max: int) -> ChainState:
     bits = math.log2(sys_dim) + n_bins * math.log2(d_bin)
     total = sys_dim * d_bin**n_bins if bits <= 64 else f"{sys_dim}*{d_bin}**{n_bins}"
     if bits > 64 or total > MAX_AMPLITUDES:
-        raise GuardError(f"chain would need {total} amplitudes (> {MAX_AMPLITUDES}); "
-                         "reduce n_bins or n_max")
+        raise GuardError(
+            f"chain would need {total} amplitudes (> {MAX_AMPLITUDES}); "
+            "reduce n_bins or n_max"
+        )
     return state
 
 
@@ -127,7 +132,7 @@ def step_chain(state: ChainState, u: np.ndarray) -> ChainState:
     out = state.vec.data.reshape(-1, s) @ from_vacuum.T
     q, r = np.linalg.qr(out.reshape(-1, s))
     bins = state.bins + (q.reshape(-1, d, q.shape[1]),)
-    return ChainState(StateVector(r, r.shape), d, state.n_bins, bins)
+    return ChainState(StateVector(r, r.shape), d, state.n_bins, _bins=bins)
 
 
 def reduced_system(state: ChainState) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from typing import Sequence
 
 import numpy as np
@@ -24,11 +23,26 @@ from .config import ConfigError, RunConfig
 from .errors import GuardError
 from .lindblad import LindbladModel, analytic_oracle, integrate_rk4
 from .microscopic import FrequencyGrid, build_microscopic, evolve_microscopic, fit_decay_rate
-from .model import (CoarseParams, SystemModel, coarse_map, dephasing_variant, expansion_report,
-                    ordering_residual, truncated_oscillator, two_level_system)
+from .model import (
+    CoarseParams,
+    SystemModel,
+    coarse_map,
+    dephasing_variant,
+    expansion_report,
+    ordering_residual,
+    truncated_oscillator,
+    two_level_system,
+)
 from .operators import vn_entropies
 
-__all__ = ["run_experiment", "fit_order", "EXIT_OK", "EXIT_TOLERANCE", "EXIT_CONFIG", "EXIT_GUARD"]
+__all__ = [
+    "run_experiment",
+    "fit_order",
+    "EXIT_OK",
+    "EXIT_TOLERANCE",
+    "EXIT_CONFIG",
+    "EXIT_GUARD",
+]
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -533,10 +547,7 @@ def run_experiment(cfg: RunConfig, out_override: str | None = None) -> int:
     runner = _RUNNERS[cfg.experiment]
     csv, summary, code = runner(cfg)
     out_path = out_override or cfg.out_path or f"{cfg.experiment}.csv"
-    # no O_TRUNC: cutting a file to length after the write is far cheaper
-    with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
-        out.write(csv.encode("ascii"))  # the text is ASCII
-        if out.seekable():  # a pipe, such as --out /dev/stdout may be, is not
-            out.truncate()
+    with open(out_path, "wb") as out:  # the text is ASCII
+        out.write(csv.encode("ascii"))
     print(summary)
     return code

@@ -11,10 +11,9 @@ is that solver with every pole summed directly, the slow path it replaced.
 weight_l e^{-i l t} directly over blocks of roots, the sum its chirp-z
 transform replaced.
 ``dense_step_chain`` is the full-length collision on system (x) all N bins,
-and ``bins_met_step_chain`` the collision on the dense bins-met vector, the
-two layouts the matrix product state of ``chain.step_chain`` replaced;
-``bins_met_vector`` contracts a chain state to the bins-met vector,
-``dense_vector`` embeds it in the full-length layout, and
+the dense layout that the matrix product state of ``chain.step_chain``
+replaced; ``bins_met_vector`` contracts a chain state to the dense vector on
+the bins met, ``dense_vector`` embeds that in the full-length layout, and
 ``conj_reduced_system`` is the reduced state formed as v^T conj(v) from the
 contracted amplitudes, which ``chain.reduced_system``'s Gram matrix of the
 centre replaced.
@@ -485,16 +484,6 @@ def conj_reduced_system(state: ChainState) -> np.ndarray:
     v = bins_met_vector(state).reshape(-1, state.sys_dim)
     rho = v.T @ v.conj()
     return 0.5 * (rho + rho.conj().T)
-
-
-def bins_met_step_chain(vec: np.ndarray, u: np.ndarray, sys_dim: int, bin_dim: int) -> np.ndarray:
-    """Apply the (s d, s d) matrix u on (system, next bin) of a dense vector
-    on bin_0 (x) ... (x) bin_{k-1} (x) system, the next bin entering in vacuum
-    just before the system: one product with u's vacuum-input columns over
-    every amplitude."""
-    s, d = sys_dim, bin_dim
-    from_vacuum = u.reshape(s, d, s, d)[:, :, :, 0].swapaxes(0, 1).reshape(d * s, s)
-    return (vec.reshape(-1, s) @ from_vacuum.T).reshape(-1)
 
 
 def dense_step_chain(

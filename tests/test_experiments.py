@@ -93,20 +93,22 @@ def test_a_shorter_csv_written_over_a_longer_one_leaves_only_its_bytes(tmp_path)
     assert out.read_bytes() == fresh.read_bytes()
 
 
-def test_a_csv_goes_to_a_pipe_through_dev_stdout(tmp_path):
-    # a pipe cannot be cut to length, and needs no cutting
+@pytest.mark.parametrize("target", ["/dev/stdout", "/dev/null"])
+def test_a_csv_goes_to_a_pipe_or_to_dev_null(tmp_path, target):
+    # neither is a regular file: the run still exits 0 and prints its summary
     cfg = tmp_path / "run.cfg"
     cfg.write_text("experiment = collision\ndt = 0.02\nt_final = 0.1\n", encoding="utf-8")
     _, fresh = run_cli(tmp_path, cfg.read_text(encoding="utf-8"), name="fresh")
     proc = subprocess.run(
-        [sys.executable, "-m", "timebins", "--config", str(cfg), "--out", "/dev/stdout"],
+        [sys.executable, "-m", "timebins", "--config", str(cfg), "--out", target],
         env=child_env(),
         capture_output=True,
         timeout=300,
     )
     assert proc.returncode == 0 and proc.stderr == b""
-    assert proc.stdout.startswith(fresh.read_bytes())
-    assert proc.stdout.count(b"\n") == fresh.read_bytes().count(b"\n") + 1  # the summary
+    csv = fresh.read_bytes() if target == "/dev/stdout" else b""
+    assert proc.stdout.startswith(csv)
+    assert proc.stdout.count(b"\n") == csv.count(b"\n") + 1  # the summary
 
 
 def test_collision_dephasing_summary(tmp_path, capsys):
