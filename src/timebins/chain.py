@@ -9,9 +9,8 @@ exact with no truncation: the bins met are left-isometric tensors (bond,
 bin, bond'), and the centre holds the amplitudes on (bond, system), the
 global norm and the reduced state.  A collision applies U's vacuum-input
 columns to the centre and splits (bond, new bin) from the system with one
-QR: Q is the new bin, R the new centre.  The centre is read once, as real
-pairs in rows of the bond index, to form the (2 s, 2 s) real Gram matrix of
-the system's columns; the checks and the reduced state are read off it.
+QR: Q is the new bin, R the new centre.  The centre c is read once, as the
+reduced state c^T conj(c); the checks are read off it.
 """
 
 from __future__ import annotations
@@ -42,10 +41,9 @@ class ChainState:
     n_bins identical bins of dimension bin_dim: the bin tensors ``bins`` and
     the centre ``vec`` on (bond, system).
 
-    ``gram`` is w^T w for the real view w of the centre, one row per bond
-    index and 2 s columns (the real and imaginary part of each system
-    amplitude); its trace is the squared norm.  Every check on a chain state
-    is made here; the ``StateVector`` it holds is a plain record.
+    ``rho`` is the (s, s) reduced state c^T conj(c) of the centre c,
+    symmetrized and unchecked; its trace is the squared norm.  Every check on
+    a chain state is made here; the ``StateVector`` it holds is a plain record.
 
     A state built directly has met no bins.  Only ``step_chain`` passes
     ``_bins``, each a Q factor of its QR and so a left isometry: the centre's
@@ -57,36 +55,34 @@ class ChainState:
     n_bins: int
     _bins: InitVar[tuple[np.ndarray, ...]] = ()
     bins: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    gram: np.ndarray = field(init=False, repr=False, compare=False)
+    rho: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _bins: tuple[np.ndarray, ...]) -> None:
         object.__setattr__(self, "bins", _bins)
-        data, dims = self.vec.data, self.vec.dims
-        if len(dims) != 2:
-            raise ValueError(f"the centre needs dimensions (bond, system), got {dims}")
-        if min(dims) < 1:
-            raise ValueError(f"factor dimensions must be >= 1, got {dims}")
-        if data.shape != (dims[0] * dims[1],):
-            raise ValueError(f"vector length {data.shape} does not match factor dimensions {dims}")
+        c = self.vec.data
+        if c.ndim != 2:
+            raise ValueError(f"the centre needs dimensions (bond, system), got {c.shape}")
+        if min(c.shape) < 1:
+            raise ValueError(f"factor dimensions must be >= 1, got {c.shape}")
         if self.cursor > self.n_bins:
             raise ValueError(f"cursor {self.cursor} out of range for {self.n_bins} bins")
-        if not self.bins and dims[0] != 1:
-            raise ValueError(f"a chain that has met no bins needs bond 1, got dimensions {dims}")
-        w = data.view(float).reshape(-1, 2 * self.sys_dim)
+        if not self.bins and c.shape[0] != 1:
+            raise ValueError(f"a chain that has met no bins needs bond 1, got dimensions {c.shape}")
         # a NaN or inf amplitude, or a square that overflows, leaves the trace
         # non-finite; only a refusal reads the amplitudes again, to say which
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = w.T @ w
-            drift = abs(math.sqrt(float(np.trace(gram))) - 1.0)
-        object.__setattr__(self, "gram", gram)
+            rho = c.T @ c.conj()
+            rho = 0.5 * (rho + rho.conj().T)
+            drift = abs(math.sqrt(rho.trace().real) - 1.0)
+        object.__setattr__(self, "rho", rho)
         if not drift <= NORM_TOL:
-            if not np.isfinite(data).all():
+            if not np.isfinite(c).all():
                 raise ValueError("state vector has non-finite amplitudes")
             raise ValueError(f"chain state norm drifted by {drift:.3e}")
 
     @property
     def sys_dim(self) -> int:
-        return self.vec.dims[-1]
+        return self.vec.data.shape[1]
 
     @property
     def cursor(self) -> int:
@@ -101,7 +97,7 @@ def init_chain(amplitudes, n_bins: int, n_max: int) -> ChainState:
         raise ValueError("need at least one bin")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    state = ChainState(StateVector(amplitudes, (1, np.size(amplitudes))), n_max + 1, n_bins)
+    state = ChainState(StateVector(np.reshape(amplitudes, (1, -1))), n_max + 1, n_bins)
     sys_dim, d_bin = state.sys_dim, state.bin_dim
     # the cap is on the dense size after the last collision; a count past 64
     # bits is over it whatever the sizes, and is named by its formula: forming
@@ -129,22 +125,13 @@ def step_chain(state: ChainState, u: np.ndarray) -> ChainState:
     # reordered from (system, bin) to (bin, system), so QR splits the bin off
     # with the bond.  NaN passes through QR to the centre's check.
     from_vacuum = u.reshape(s, d, s, d)[:, :, :, 0].swapaxes(0, 1).reshape(d * s, s)
-    out = state.vec.data.reshape(-1, s) @ from_vacuum.T
+    out = state.vec.data @ from_vacuum.T
     q, r = np.linalg.qr(out.reshape(-1, s))
     bins = state.bins + (q.reshape(-1, d, q.shape[1]),)
-    return ChainState(StateVector(r, r.shape), d, state.n_bins, _bins=bins)
+    return ChainState(StateVector(r), d, state.n_bins, _bins=bins)
 
 
 def reduced_system(state: ChainState) -> np.ndarray:
     """The (s, s) reduced state, symmetrized and checked (``check_states``)."""
-    rho = reduced_from_gram(state.gram)
-    check_states(rho[None])
-    return rho
-
-
-def reduced_from_gram(g: np.ndarray) -> np.ndarray:
-    """The partial trace over every bin, rho_ij = sum over the bond of the
-    centre's c_i conj(c_j), symmetrized and unchecked, of a (..., 2 s, 2 s)
-    stack of Gram matrices g: re_i re_j + im_i im_j + i (im_i re_j - re_i im_j)."""
-    rho = g[..., 0::2, 0::2] + g[..., 1::2, 1::2] + 1j * (g[..., 1::2, 0::2] - g[..., 0::2, 1::2])
-    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    check_states(state.rho[None])
+    return state.rho.copy()

@@ -98,9 +98,11 @@ def parse_config(text: str) -> RunConfig:
     for key in ("gamma", "dt", "t_final", "half_width"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
-    # the one-bin generator holds gamma dt and the Hamiltonian times dt
-    for key in ("gamma", "omega0", "drive"):
-        if not math.isfinite(getattr(cfg, key) * cfg.dt):
+    # the one-bin generator holds gamma dt and the Hamiltonian times dt, whose
+    # largest entry on oscillator3 is 2 omega0
+    levels = 2 if cfg.system == "oscillator3" else 1
+    for key, top in (("gamma", 1), ("omega0", levels), ("drive", 1)):
+        if not math.isfinite(top * getattr(cfg, key) * cfg.dt):
             raise ConfigError(f"{key} * dt overflows to infinity")
     if cfg.n_max < 1:
         raise ConfigError("n_max must be >= 1")

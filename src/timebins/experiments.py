@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import MAX_AMPLITUDES, init_chain, reduced_from_gram, step_chain
+from .chain import MAX_AMPLITUDES, init_chain, step_chain
 from .channel import (DensityMatrix, check_states, completeness_defect, extract_kraus,
                       iterate_channel)
 from .config import ConfigError, RunConfig
@@ -326,6 +326,8 @@ def _steps(t_final: float, dt: float) -> int:
 
 
 def _coarse_params(system: SystemModel, cfg: RunConfig, dt: float | np.ndarray) -> CoarseParams:
+    if not np.all(np.asarray(dt) > 0.0):
+        raise ConfigError(f"dt = {cfg.dt:g} underflows to 0 in a sweep's finer bins")
     side = system.dim * (cfg.n_max + 1)
     if not side * side < MAX_AMPLITUDES:
         raise GuardError(
@@ -385,17 +387,19 @@ def _run_joint_chain(cfg: RunConfig) -> tuple[str, str, int]:
     # the amplitude cap refuses an oversized chain before any unitary is built,
     # and the unitary's own size guard an oversized unitary
     state = init_chain(vec, cfg.n_bins, cfg.n_max)
+    if not math.isfinite(cfg.n_bins * cfg.dt):
+        raise ConfigError("n_bins * dt overflows to infinity")
     unitary = coarse_map(system, _coarse_params(system, cfg, cfg.dt))
     family = extract_kraus(unitary, system.dim, cfg.n_max)
     rho0 = DensityMatrix.pure(vec)
     reference = iterate_channel(family, rho0, cfg.n_bins)
 
-    # the reduced states, read off each collision's Gram, are checked and diagonalized at once
-    grams = [state.gram]
+    # the reduced states, read off each collision's centre, are checked and diagonalized at once
+    rhos = [state.rho]
     for _ in range(cfg.n_bins):
         state = step_chain(state, unitary)
-        grams.append(state.gram)
-    stack = reduced_from_gram(np.stack(grams))
+        rhos.append(state.rho)
+    stack = np.stack(rhos)
     check_states(stack)
     entropies = vn_entropies(stack)
     defects = np.max(np.abs(stack - reference), axis=(1, 2))
@@ -425,6 +429,8 @@ def _run_microscopic(cfg: RunConfig) -> tuple[str, str, int]:
     if not cfg.n_modes < MAX_AMPLITUDES:
         raise GuardError(f"n_modes = {cfg.n_modes} modes cannot be held in memory")
     grid = FrequencyGrid(cfg.n_modes, cfg.half_width)
+    if not grid.spacing**2 >= np.finfo(float).tiny:  # the secular solver divides by it
+        raise ConfigError(f"half_width = {cfg.half_width:g}: grid spacing too fine to square")
     survival = evolve_microscopic(build_microscopic(grid, cfg.gamma), times)
 
     # In the single-excitation sector the reduced state is diag(1-p, p).

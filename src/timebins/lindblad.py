@@ -117,9 +117,10 @@ def analytic_oracle(
     t = np.asarray(times, dtype=float)
     r = rho0.matrix
     ee = float(r[1, 1].real)
-    if kind == "spontaneous":
-        ee = ee * np.exp(-gamma * t)
-    coherence = complex(r[1, 0]) * np.exp(-gamma * t / 2.0)
+    with np.errstate(over="ignore"):  # a gamma t past the largest float decays to 0 all the same
+        if kind == "spontaneous":
+            ee = ee * np.exp(-gamma * t)
+        coherence = complex(r[1, 0]) * np.exp(-gamma * t / 2.0)
     out = np.empty((t.size, 2, 2), dtype=complex)
     out[:, 0, 0] = 1.0 - ee
     out[:, 0, 1] = coherence.conj()

@@ -2,7 +2,7 @@
 the package needs.
 
 Matrices are plain square complex arrays; a state vector is a plain record of
-its amplitudes and the ordered list of factor dimensions it lives on.
+its amplitudes, an array with one axis per factor it lives on.
 Composite indices are row-major with the leftmost factor most significant,
 the order of ``np.kron``.  Within each factor, basis index 0 is the ground
 state / vacuum, ascending with excitation number.
@@ -32,16 +32,15 @@ def square_matrix(m, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Dense complex vector on a tensor product of finite factors: a plain
-    record that checks nothing and reads no amplitude (``chain.ChainState``,
-    its only user, checks it)."""
+    """Complex amplitudes as an array whose axes are the factors they live on:
+    a plain record that checks nothing and reads no amplitude
+    (``chain.ChainState``, its only user, holds its centre on (bond, system)
+    here and checks it)."""
 
     data: np.ndarray
-    dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=complex).ravel())
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=complex))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

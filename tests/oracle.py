@@ -15,10 +15,14 @@ the dense layout that the matrix product state of ``chain.step_chain``
 replaced; ``bins_met_vector`` contracts a chain state to the dense vector on
 the bins met, ``dense_vector`` embeds that in the full-length layout, and
 ``conj_reduced_system`` is the reduced state formed as v^T conj(v) from the
-contracted amplitudes, which ``chain.reduced_system``'s Gram matrix of the
-centre replaced.
+contracted amplitudes, which ``chain.reduced_system`` reads off the centre
+alone.
+``fuzz_config`` draws the seeded random configs of the CLI fuzz test, and
+``fuzz_rows`` counts the table rows an accepted one writes.
 ``factorization_report`` is criterion 4's comparison of the exact chain
-against the Kraus iteration.  ``stepwise_propagate`` is ``channel.propagate``
+against the Kraus iteration, and ``feedback_markov_defect`` its negative
+control: a dense chain in which a bin meets the system a second time.
+``stepwise_propagate`` is ``channel.propagate``
 with one matrix-vector product per step, the loop its blocked powers
 replaced, and ``csv_text`` is ``experiments._csv`` formatting one row at a
 time with ``str.format``.  ``plain_check_states`` is ``channel.check_states``
@@ -40,6 +44,7 @@ finiteness pass, which the single defect pass replaced.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -56,7 +61,9 @@ from timebins.channel import (
     extract_kraus,
     iterate_channel,
 )
+from timebins.config import EXPERIMENTS, SYSTEMS, RunConfig
 from timebins.errors import StateError
+from timebins.experiments import SWEEP_SCALES
 from timebins.microscopic import emitter_spectrum
 from timebins.operators import expm, vn_entropy
 
@@ -499,6 +506,31 @@ def dense_step_chain(
     return np.einsum("iajb,jpbq->ipaq", u4, v4).reshape(-1)
 
 
+def feedback_markov_defect(
+    u: np.ndarray, family: np.ndarray, start: np.ndarray, n_bins: int, delay: int | None
+) -> float:
+    """The largest Markov defect over the collisions of a dense chain from the
+    system state ``start`` in which, with ``delay`` set, bin k - delay meets
+    the system a second time right after bin k (``delay`` None: no bin
+    returns).  The reference is the Kraus iteration with one step for every
+    collision, returns included, so the defect counts only the memory that a
+    returning bin, no longer in vacuum, carries back."""
+    s, d = len(start), family.shape[0]
+    vec = np.zeros((s, d**n_bins), dtype=complex)
+    vec[:, 0] = start
+    vec = vec.reshape(-1)
+    order = []
+    for k in range(n_bins):
+        order += [k] if delay is None or k < delay else [k, k - delay]
+    reference = iterate_channel(family, DensityMatrix.pure(start), len(order))
+    defect = 0.0
+    for m, k in enumerate(order, start=1):
+        vec = dense_step_chain(vec, u, s, d, k)
+        v = vec.reshape(s, -1)
+        defect = max(defect, float(np.max(np.abs(v @ v.conj().T - reference[m]))))
+    return defect
+
+
 @dataclass(frozen=True)
 class FactorizationReport:
     """System-field entanglement entropy next to the Markov-recursion defect.
@@ -521,3 +553,67 @@ def factorization_report(
     reference = iterate_channel(family, rho0, state.cursor)[-1]
     defect = float(np.max(np.abs(reduced - reference)))
     return FactorizationReport(entropy=vn_entropy(reduced), markov_defect=defect)
+
+
+# Literal values a fuzzed key may take in place of a drawn one.
+FUZZ_LITERALS = ("0", "-1", "5e-324", "1e308", "nan", "inf")
+
+
+def fuzz_config(rng: random.Random) -> str:
+    """One config text for the CLI fuzz test.
+
+    Each key is left unset or drawn: floats log-uniformly over wide ranges,
+    or one of ``FUZZ_LITERALS``; sizes small, invalid, or far over the cap
+    (never near it: a run at the cap peaks near 2 GB).  A drawn ``t_final``
+    is a step count times the run's bin width, and ``dt`` is at least 0.01,
+    so a run holds at most 300 bins (2400 for a sweep's finest width) unless
+    its step count is far over the cap.  One config in twenty also gets a
+    malformed line.
+    """
+    def number(lo: float, hi: float, signed: bool = False) -> str:
+        if rng.random() < 0.15:
+            return rng.choice(FUZZ_LITERALS)
+        value = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        return repr(-value if signed and rng.random() < 0.5 else value)
+
+    def size(small: int, invalid: str, far: str) -> str:
+        roll = rng.random()
+        return invalid if roll < 0.05 else far if roll < 0.1 else str(small)
+
+    keys = {"experiment": rng.choice(EXPERIMENTS + ("warp",) * (rng.random() < 0.05))}
+    keys["system"] = rng.choice(SYSTEMS)
+    drawn = {
+        "gamma": lambda: number(1e-3, 1e3),
+        "dt": lambda: number(1e-2, 10.0),
+        "omega0": lambda: number(1e-3, 1e2, signed=True),
+        "drive": lambda: number(1e-3, 1e2, signed=True),
+        "half_width": lambda: number(1.0, 100.0),
+        "n_max": lambda: size(rng.randint(1, 3), rng.choice(("0", "-1")), "5000"),
+        "n_bins": lambda: size(rng.randint(1, 8), rng.choice(("0", "-1")), "60"),
+        "n_modes": lambda: size(
+            2 * rng.randint(1, 100) + 1, rng.choice(("4", "1")), str(2**40 + 1)
+        ),
+    }
+    for key, draw in drawn.items():
+        # a Hamiltonian rules out the closed forms, and with them microscopic
+        # and convergence runs, so it is drawn less often
+        if rng.random() < (0.2 if key in ("omega0", "drive") else 0.4):
+            keys[key] = draw()
+    if rng.random() < 0.6:
+        dt = float(keys.get("dt", RunConfig.dt))  # every drawn dt parses
+        steps = 10.0 ** rng.uniform(9, 15) if rng.random() < 0.05 else rng.randint(1, 300)
+        keys["t_final"] = repr(dt * steps) if 0.0 < dt < math.inf else number(1e-3, 1e3)
+    lines = [f"{key} = {value}" for key, value in keys.items()]
+    if rng.random() < 0.05:
+        lines.insert(rng.randrange(len(lines) + 1),
+                     rng.choice(("gamma = 1", "colour = red", "dt 0.1", "n_max = 2.5")))
+    return "\n".join(lines) + "\n"
+
+
+def fuzz_rows(cfg: RunConfig) -> int:
+    """The table rows, header and ``#`` lines left out, of an accepted run."""
+    if cfg.experiment == "joint-chain":
+        return cfg.n_bins + 1
+    if cfg.experiment in ("convergence", "kraus-report", "ordering-probe"):
+        return len(SWEEP_SCALES)
+    return max(1, round(cfg.t_final / cfg.dt)) + 1

@@ -15,6 +15,7 @@ from timebins.chain import (
 )
 from timebins.channel import DensityMatrix, extract_kraus, iterate_channel
 from timebins.errors import GuardError, StateError
+from timebins.experiments import MARKOV_DEFECT_TOL
 from timebins.model import (
     CoarseParams,
     coarse_map,
@@ -31,6 +32,7 @@ from oracle import (
     dense_step_chain,
     dense_vector,
     factorization_report,
+    feedback_markov_defect,
 )
 
 
@@ -120,7 +122,7 @@ def test_step_chain_matches_the_full_length_oracle(name, n_max):
         )
         q = state.bins[-1].reshape(-1, state.bins[-1].shape[2])
         np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-14)
-        assert state.vec.dims[0] <= s
+        assert state.vec.data.shape[0] <= s
 
 
 def test_a_map_that_is_not_unitary_is_refused_for_its_norm():
@@ -147,8 +149,8 @@ def test_a_nan_map_is_refused_as_non_finite_without_a_linalg_error():
 
 
 @pytest.mark.parametrize("name, n_bins", [("tls-driven", 13), ("oscillator3", 10)])
-def test_gram_reduction_matches_the_conjugate_product(name, n_bins):
-    # the reduced state read off the real Gram matrix of the centre against
+def test_centre_reduction_matches_the_contracted_product(name, n_bins):
+    # the reduced state read off the (bond, s) centre alone against
     # v^T conj(v) of the contracted chain, at every collision of the largest
     # chains the exact workload runs (up to 2 * 3**13 = 3 188 646 amplitudes)
     system = {
@@ -256,10 +258,23 @@ def test_reduced_system_checks_the_state_it_returns():
     # a norm off by 0.9e-10 passes the chain's norm check, but the trace of
     # the reduced state is off by twice that, past the state check's 1e-10
     _, _, state = tls_setup(start=np.array([0.6, 0.8j]))
-    vec = StateVector(state.vec.data * (1.0 + 0.9e-10), state.vec.dims)
+    vec = StateVector(state.vec.data * (1.0 + 0.9e-10))
     scaled = ChainState(vec, state.bin_dim, state.n_bins)
     with pytest.raises(StateError, match=r"^density matrix trace 1\.00000000018\d* is not 1$"):
         reduced_system(scaled)
+
+
+@pytest.mark.parametrize("start", [[0.0, 1.0], [0.6, 0.8j]])
+def test_a_bin_that_returns_breaks_the_markov_recursion(start):
+    # negative control for the factorization assumption: with every bin met
+    # once the reduced state is the Kraus iteration to roundoff, but a bin
+    # that meets the system again carries back what it took, and the defect
+    # against the iteration, one step per collision, is of order one
+    u, family, _ = tls_setup(dt=0.3, n_max=2)
+    start = np.array(start, dtype=complex)
+    assert feedback_markov_defect(u, family, start, 8, delay=None) <= 1e-14
+    for delay in (1, 2, 3):
+        assert feedback_markov_defect(u, family, start, 8, delay) > 1e8 * MARKOV_DEFECT_TOL
 
 
 def test_factorization_report_initial_state():
@@ -326,11 +341,11 @@ def test_entanglement_witness_unimodal():
 def test_chain_state_validation():
     # only step_chain hands a state its bins: a state built directly has met
     # none, so its cursor is 0 and its centre's bond is 1
-    centre = StateVector(np.ones(4) / 2.0, (2, 2))
+    centre = StateVector(np.ones((2, 2)) / 2.0)
     with pytest.raises(ValueError, match=r"^cursor 0 out of range for -1 bins$"):
-        ChainState(StateVector(np.array([0.6, 0.8]), (1, 2)), 2, n_bins=-1)
+        ChainState(StateVector(np.array([[0.6, 0.8]])), 2, n_bins=-1)
     with pytest.raises(ValueError, match="norm"):
-        ChainState(StateVector(np.ones(2), (1, 2)), 2, n_bins=2)
+        ChainState(StateVector(np.ones((1, 2))), 2, n_bins=2)
     with pytest.raises(ValueError, match=r"needs bond 1, got dimensions \(2, 2\)$"):
         ChainState(centre, 2, n_bins=2)
     # a bin that is not an isometry cannot be handed in: the centre's norm
@@ -342,7 +357,7 @@ def test_chain_state_validation():
 def test_chain_state_rejects_a_norm_that_overflows():
     # every amplitude is finite, but the squared norm overflows to inf, so
     # the chain's norm check rejects it, with no overflow warning
-    vec = StateVector(np.array([1e200, 0.0]), (1, 2))
+    vec = StateVector(np.array([[1e200, 0.0]]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="^chain state norm drifted by inf$"):

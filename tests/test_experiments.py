@@ -364,7 +364,7 @@ def test_no_experiment_calls_np_kron(tmp_path, capsys, monkeypatch):
 
 
 def test_a_bad_reduced_state_names_the_earliest_collision(tmp_path, capsys, monkeypatch):
-    # scale the Gram matrix of collisions 3 and 5, as a broken read would:
+    # scale the reduced state of collisions 3 and 5, as a broken read would:
     # the reduced state of collision 3 fails its trace check first
     collisions = []
     original = experiments.step_chain
@@ -374,7 +374,7 @@ def test_a_bad_reduced_state_names_the_earliest_collision(tmp_path, capsys, monk
         collisions.append(state)
         scale = {3: 2.0, 5: 3.0}.get(len(collisions))
         if scale is not None:
-            object.__setattr__(state, "gram", scale * state.gram)
+            object.__setattr__(state, "rho", scale * state.rho)
         return state
 
     monkeypatch.setattr(experiments, "step_chain", step_chain)
@@ -708,8 +708,10 @@ def test_non_finite_config_value_exit_code(tmp_path, capsys, line):
         "experiment = joint-chain\ngamma = 1e200\ndt = 1e200\n",
         "experiment = collision\nomega0 = 1e200\ndt = 1e200\n",
         "experiment = joint-chain\nsystem = tls-driven\ndrive = -1e200\ndt = 1e200\n",
+        "experiment = kraus-report\nsystem = oscillator3\nomega0 = 1e308\n",
     ],
-    ids=["collision-gamma", "joint-chain-gamma", "collision-omega0", "joint-chain-drive"],
+    ids=["collision-gamma", "joint-chain-gamma", "collision-omega0", "joint-chain-drive",
+         "oscillator3-omega0"],
 )
 def test_generator_overflow_is_a_config_error(tmp_path, capsys, text):
     # each value is finite, but their product in the one-bin generator is not
@@ -721,10 +723,51 @@ def test_generator_overflow_is_a_config_error(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("experiment = convergence\nsystem = dephasing\ndt = 5e-324\nt_final = 1.1e-321\n",
+         "config error: dt = 4.94066e-324 underflows to 0 in a sweep's finer bins\n"),
+        ("experiment = microscopic\nhalf_width = 5e-324\n",
+         "config error: half_width = 4.94066e-324: grid spacing too fine to square\n"),
+        ("experiment = microscopic\nhalf_width = 1e-160\nn_modes = 11\n",
+         "config error: half_width = 1e-160: grid spacing too fine to square\n"),
+        ("experiment = joint-chain\ndt = 1e308\nn_bins = 3\n",
+         "config error: n_bins * dt overflows to infinity\n"),
+    ],
+    ids=["sweep-dt-underflow", "grid-spacing-zero", "grid-spacing-subnormal",
+         "chain-times-overflow"],
+)
+def test_a_size_past_the_float_range_is_a_config_error(tmp_path, capsys, text, err):
+    # without its refusal, each ends in a traceback or a RuntimeWarning
+    code, out = run_cli(tmp_path, text)
+    assert (code, capsys.readouterr().err) == (2, err)
+    assert not out.exists()
+
+
+def test_a_decay_past_the_float_range_reads_zero(tmp_path, capsys):
+    # gamma t overflows in the closed form, whose exponential is 0 all the same
+    code, out = run_cli(tmp_path, "experiment = collision\ngamma = 1e308\nt_final = 2.1\n")
+    assert code == 0
+    assert capsys.readouterr().out.startswith("rho_ee=0.000000 analytic=0.000000 ")
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "absent.cfg")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"experiment = collision\n# \xff\n")
+    out = tmp_path / "run.csv"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: 'utf-8' codec can't decode byte 0xff in position 25: invalid start byte\n"
+    )
+    assert captured.out == "" and not out.exists()
 
 
 USAGE = "usage: timebins [-h] --config CONFIG [--out OUT]\n"

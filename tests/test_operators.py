@@ -50,11 +50,12 @@ def refused(vec, message):
 
 
 def test_statevector_validates_length():
-    refused(StateVector(np.zeros(3), (2, 2)),
-            r"^vector length \(3,\) does not match factor dimensions \(2, 2\)$")
-    assert np.linalg.norm(StateVector(basis_state(4, 2), (4,)).data) == 1.0
-    refused(StateVector(np.ones(1), ()), r"^the centre needs dimensions \(bond, system\), got \(\)$")
-    refused(StateVector(np.zeros(0), (2, 0)), r"^factor dimensions must be >= 1, got \(2, 0\)$")
+    # the centre's shape is its dimensions, so a length cannot mismatch them
+    assert np.linalg.norm(StateVector(basis_state(4, 2)).data) == 1.0
+    refused(StateVector(np.ones(1)), r"^the centre needs dimensions \(bond, system\), got \(1,\)$")
+    refused(StateVector(np.ones((1, 1, 2))),
+            r"^the centre needs dimensions \(bond, system\), got \(1, 1, 2\)$")
+    refused(StateVector(np.zeros((2, 0))), r"^factor dimensions must be >= 1, got \(2, 0\)$")
 
 
 @pytest.mark.parametrize(
@@ -63,17 +64,17 @@ def test_statevector_validates_length():
 def test_statevector_rejects_non_finite_amplitudes(bad):
     data = np.array([0.6, 0.8, 0.0, 0.0], dtype=complex)
     data[2] = bad
-    refused(StateVector(data, (1, 4)), "^state vector has non-finite amplitudes$")
+    refused(StateVector(data.reshape(1, 4)), "^state vector has non-finite amplitudes$")
 
 
 def test_statevector_takes_finite_amplitudes_whose_squares_overflow():
-    # a plain record: it keeps what it is given, as a flat complex array and
-    # a tuple of ints, and reads no amplitude (ChainState refuses this one
-    # for its norm)
-    vec = StateVector(np.array([[1e200], [1e200j], [0.0]]), [np.int64(3)])
-    assert vec.data.shape == (3,) and vec.data.dtype == complex
-    assert vec.dims == (3,) and type(vec.dims[0]) is int
+    # a plain record: it keeps what it is given, as a complex array of the
+    # same shape, and reads no amplitude (ChainState refuses this one for
+    # its norm)
+    vec = StateVector(np.array([[1e200, 1e200j, 0.0]]))
+    assert vec.data.shape == (1, 3) and vec.data.dtype == complex
     assert np.all(np.isfinite(vec.data))
+    refused(vec, "^chain state norm drifted by inf$")
 
 
 def test_kron_identities():

@@ -74,3 +74,22 @@ def test_compare_names_the_largest_column_difference_over_all_runs(tmp_path):
         compare(tmp_path, record(), nan).stdout
     )
     assert "largest CSV column |delta|: 0\n" in compare(tmp_path, record(), record()).stdout
+
+
+def test_compare_names_the_largest_stdout_number_change(tmp_path):
+    summary = "markov_defect_max={} entropy_peak=0.314862 at_t=0.078200\n"
+    a = {"scan:1:s000": record(stdout=summary.format("6.66e-16"))["scan:1:s000_collision"],
+         "scan:1:s001": record(stdout=summary.format("1e-15"))["scan:1:s000_collision"]}
+    b = {"scan:1:s000": {**a["scan:1:s000"], "stdout": summary.format("7.77e-16")},
+         "scan:1:s001": {**a["scan:1:s001"], "stdout": summary.format("1.5e-15")}}
+    done = compare(tmp_path, a, b)
+    assert done.returncode == 0
+    assert "  max |delta| in stdout numbers: 1.1e-16\n" in done.stdout
+    assert "largest stdout number |delta|: 5e-16 in scan:1:s001\n" in done.stdout
+    # a changed word, or a changed line count, is not a roundoff change
+    for changed in ("markov_defect_maximum=6.66e-16 entropy_peak=0.314862 at_t=0.078200\n",
+                    summary.format("6.66e-16") + "extra\n"):
+        assert "largest stdout number |delta|: inf in scan:1:s000_collision\n" in compare(
+            tmp_path, record(stdout=summary.format("6.66e-16")), record(stdout=changed)
+        ).stdout
+    assert "largest stdout number |delta|: 0\n" in compare(tmp_path, record(), record()).stdout

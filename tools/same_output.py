@@ -14,9 +14,12 @@ lists.  Nothing under ``perfbench/`` is written.
 ``compare`` prints every run that differs: the fields that differ, the
 largest absolute difference in each numeric CSV column, and the CSV's ``#``
 lines apart, since a fitted value there can move more than the columns it is
-fitted to.  Its last lines name the largest column difference over all runs,
-with its run and column (the ``#`` lines left out), and count the runs that
-differ.  It exits 1 when a run is missing from one record, or when an exit
+fitted to; for a stdout that differs, it also prints the largest change in
+its numbers, line by line, when the words between them match (infinite when
+they do not).  Its last lines name the largest column difference and the
+largest stdout change over all runs, each with its run (and column; the
+``#`` lines left out), and count the runs that differ.  It exits 1 when a
+run is missing from one record, or when an exit
 code, stderr or warning differs; a difference only in stdout or CSV text is
 printed for the reader to judge and exits 0.
 """
@@ -29,6 +32,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -38,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # fields whose difference fails the comparison
 STRICT = ("exit", "error", "stderr", "warnings")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _plans(specs: list[str]) -> list[tuple[str, int]]:
@@ -128,11 +133,28 @@ def _csv_diff(a: str, b: str) -> tuple[list[str], dict[str, float]]:
     return lines + ([f"  max |delta| per column: {moved}"] if moved else []), worst
 
 
+def _stdout_delta(a: str, b: str) -> float:
+    """The largest absolute change between the numbers of two stdout texts,
+    over the lines that differ; a line whose words (the text between its
+    numbers) differ, or a different line count, counts as infinite."""
+    a_lines, b_lines = a.splitlines(), b.splitlines()
+    if len(a_lines) != len(b_lines):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(a_lines, b_lines):
+        if x != y and NUMBER.split(x) != NUMBER.split(y):
+            return math.inf
+        for p, q in zip(NUMBER.findall(x), NUMBER.findall(y)):
+            worst = max(worst, abs(float(p) - float(q)))
+    return worst
+
+
 def compare(path_a: str, path_b: str) -> int:
     a = json.loads(Path(path_a).read_text(encoding="utf-8"))
     b = json.loads(Path(path_b).read_text(encoding="utf-8"))
     failed = differing = 0
     largest = (0.0, "", "")  # (|delta|, run, column)
+    largest_stdout = (0.0, "")  # (|delta|, run)
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
             print(f"{name}: only in {path_a if name in a else path_b}")
@@ -153,9 +175,15 @@ def compare(path_a: str, path_b: str) -> int:
                 largest = max([largest, *((d, name, col) for col, d in worst.items())])
             else:
                 print(f"  {f}: {ra[f]!r}  ->  {rb[f]!r}")
+            if f == "stdout":
+                delta = _stdout_delta(ra[f], rb[f])
+                print(f"  max |delta| in stdout numbers: {delta:.2g}")
+                largest_stdout = max(largest_stdout, (delta, name))
     delta, run, column = largest
     where = f" in {run}, column {column}" if delta else ""
     print(f"largest CSV column |delta|: {delta:.3g}{where}")
+    delta, run = largest_stdout
+    print(f"largest stdout number |delta|: {delta:.3g}{f' in {run}' if delta else ''}")
     print(f"{len(set(a) | set(b))} runs: {differing} differ, {failed} in exit code, "
           "stderr, warnings or presence")
     return 1 if failed else 0
