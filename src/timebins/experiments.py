@@ -440,7 +440,7 @@ def _run_microscopic(cfg: RunConfig) -> tuple[str, str, int]:
     check_states(stack)
     csv = _timeseries_csv(times, stack)
 
-    rate = -fit_decay_rate(times, survival, window)
+    rate = -fit_decay_rate(times, survival, window) + 0.0  # a zero slope prints 0.000000
     rel_err = abs(rate - cfg.gamma) / cfg.gamma
     summary = f"fitted_rate={rate:.6f} target={cfg.gamma:.6f} rel_err={rel_err:.3g}"
     code = EXIT_OK if rel_err <= MICROSCOPIC_RATE_RTOL else EXIT_TOLERANCE

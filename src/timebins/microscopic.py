@@ -20,12 +20,10 @@ costs O(n) time per iteration and a working set of a few (ROOT_BLOCK, 2 NEAR)
 arrays, instead of a dense O(n^3) eigendecomposition.
 
 The survival amplitude c_e(t) = sum_l weight_l e^{-i l t} at equally spaced
-times is a chirp-z transform (Rabiner, Schafer & Rader 1969): every interior
-root lies in its own gap of the grid, within half a spacing of the gap's
-midpoint, so a short Taylor series in that offset leaves sums over the
-uniform ladder of midpoints, each one FFT convolution (Bluestein 1970).
-That is O((n + times) log(n + times)) time per Taylor term instead of
-times x modes complex exponentials.
+times t_j = j dt is a phasor recurrence: each term is multiplied by its own
+phasor e^{-i l dt} once per sample, and set to weight_l e^{-i l t_j} afresh
+every RESTART samples.  That is O(n) time per sample and a few complex arrays
+of the spectrum's length, not a times x modes array of exponentials.
 
 The grid is finite, so the dynamics is quasi-periodic; evolution is guarded
 to times below the recurrence time 2 pi / d_omega.
@@ -56,9 +54,9 @@ NEAR = 16
 # Roots are solved this many at a time, so the solver's working set is a few
 # (ROOT_BLOCK, 2 NEAR) float arrays besides the grid.
 ROOT_BLOCK = 2048
-# The survival sum keeps the Taylor terms of e^{-i sigma t} up to the first
-# whose bound (spacing t_final / 2)^q / q! is below this.
-TAYLOR_TOL = 1e-17
+# The survival recurrence restarts from its exact terms every RESTART samples,
+# since its rounding grows by up to about 1e-16 in the survival per sample.
+RESTART = 256
 # Iterations of safeguarded Newton steps before a block falls back to plain
 # bisection, which halves every bracket and so always ends.
 NEWTON_ITERATIONS = 40
@@ -284,28 +282,15 @@ def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
     times t_j = j dt from 0.
 
     c_e(t) = sum_l weight_l e^{-i l t} over the spectrum of
-    ``emitter_spectrum``.  The recurrence guard needs every |t| below
-    2 pi / spacing; beyond it the finite grid revives.  Times that are not
-    one-dimensional, equally spaced from 0 to rounding, are a ValueError.
-
-    The two outer roots, and the emitter's own level when it decouples, are
-    summed directly.  Interior root k = 1 ... n-1 lies between poles k-1 and
-    k, so l_k = u_k spacing + sigma_k with u_k = k - n/2 and |sigma_k| <
-    spacing / 2; with x = spacing t / 2 and s_k = 2 sigma_k / spacing
-
-        sum_k weight_k e^{-i l_k t} = sum_q (-i x)^q / q! sum_k weight_k s_k^q e^{-i u_k spacing t},
-
-    for q below Q, the first power whose bound (spacing t_final / 2)^Q / Q!
-    is below TAYLOR_TOL.  With theta = spacing dt and u_k j = (u_k^2 + j^2 -
-    (j - u_k)^2) / 2, each sum over k is the convolution of weight_k s_k^q
-    e^{-i theta u_k^2/2} with e^{i theta (m + n/2)^2/2} at m = j - k, one FFT
-    product of a size past n + len(times), times e^{-i theta j^2/2}.  The
-    midpoints are counted from the middle of the grid, so the largest chirp
-    phases go with the far poles, whose weights are smallest.
+    ``emitter_spectrum``, each term multiplied by its phasor e^{-i l dt}
+    once per sample; a decoupled emitter, whose one level is 0, survives
+    with exactly 1.0.  The recurrence guard needs every |t| below
+    2 pi / spacing; beyond it the finite grid revives.  Times that are
+    empty, not one-dimensional, or not equally spaced from 0 to rounding are
+    a ValueError.
     """
-    t_final = float(np.max(np.abs(times)))
-    spacing = arrow.grid.spacing
-    recurrence = 2.0 * math.pi / spacing
+    t_final = float(np.max(np.abs(times), initial=0.0))
+    recurrence = 2.0 * math.pi / arrow.grid.spacing
     if not t_final < recurrence:
         raise GuardError(
             f"t_final={t_final:g} reaches the grid recurrence time {recurrence:g}; "
@@ -313,51 +298,21 @@ def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
         )
     times = np.asarray(times, dtype=float)
     uniform = "times must be one-dimensional and equally spaced from 0"
-    if times.ndim != 1:
-        raise ValueError(uniform)
     count = times.size
+    if times.ndim != 1 or count == 0:
+        raise ValueError(uniform)
     dt = times[-1] / (count - 1) if count > 1 else 0.0
-    j = np.arange(count)
-    if np.max(np.abs(times - j * dt)) > 4.0 * np.spacing(t_final):
+    if np.max(np.abs(times - np.arange(count) * dt)) > 4.0 * np.spacing(t_final):
         raise ValueError(uniform)
 
     energies, weights = emitter_spectrum(arrow)
-    # the two outer roots, or the decoupled emitter's own level, directly
-    outer = [0, -1] if energies.size > 1 else [0]
-    amplitude = np.exp(-1j * np.outer(times, energies[outer])) @ weights[outer]
-    if energies.size == 1:
-        return np.abs(amplitude) ** 2
-
-    n = arrow.grid.n_modes
-    u = np.arange(1, n) - 0.5 * n
-    scaled = (energies[1:-1] - u * spacing) / (0.5 * spacing)
-
-    x = 0.5 * spacing * t_final
-    terms, bound = 1, x
-    while bound >= TAYLOR_TOL:
-        terms += 1
-        bound *= x / terms
-
-    theta = spacing * dt
-    size = 1 << (n + count - 2).bit_length()
-    pre = np.exp(-0.5j * theta * (u * u))
-    m = np.arange(1 - n, count - 1)
-    kernel = np.zeros(size, dtype=complex)
-    kernel[m] = np.exp(0.5j * theta * (m + 0.5 * n) ** 2)
-    kernel = np.fft.fft(kernel)
-    sums = np.empty((terms, count), dtype=complex)
-    padded = np.zeros(size, dtype=complex)
-    power = weights[1:-1]
-    for q in range(terms):
-        padded[1:n] = power * pre
-        sums[q] = np.fft.ifft(np.fft.fft(padded) * kernel)[:count]
-        power = power * scaled
-    # Horner in z = -i x_j over the Taylor terms
-    z = -0.5j * spacing * times
-    series = sums[-1]
-    for q in range(terms - 1, 0, -1):
-        series = sums[q - 1] + series * z / q
-    amplitude += np.exp(-0.5j * theta * (j * j)) * series
+    phasors = np.exp(-1j * dt * energies)
+    amplitude = np.empty(count, dtype=complex)
+    for k in range(count):
+        if k % RESTART == 0:
+            terms = weights * np.exp(-1j * (k * dt) * energies)
+        amplitude[k] = terms.sum()
+        terms *= phasors
     return np.abs(amplitude) ** 2
 
 

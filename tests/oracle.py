@@ -8,8 +8,8 @@ dense complex single-excitation Hamiltonian and its ``eigh`` are the oracle
 of the secular-equation solver in ``microscopic``, and ``full_sum_spectrum``
 is that solver with every pole summed directly, the slow path it replaced.
 ``direct_survival`` is ``microscopic.evolve_microscopic`` summing
-weight_l e^{-i l t} directly over blocks of roots, the sum its chirp-z
-transform replaced.
+weight_l e^{-i l t} directly over blocks of roots, at any times, the oracle
+of its phasor recurrence.
 ``dense_step_chain`` is the full-length collision on system (x) all N bins,
 the dense layout that the matrix product state of ``chain.step_chain``
 replaced; ``bins_met_vector`` contracts a chain state to the dense vector on

@@ -409,6 +409,15 @@ def test_microscopic_narrow_band_fails_tolerance(tmp_path, capsys):
     assert "rel_err=" in capsys.readouterr().out
 
 
+def test_microscopic_zero_slope_prints_a_positive_zero_rate(tmp_path, capsys):
+    # so narrow a band that the emitter does not decay: the fitted slope is 0
+    code, _ = run_cli(
+        tmp_path, "experiment = microscopic\nhalf_width = 1e-150\nn_modes = 11\n"
+    )
+    assert code == 1
+    assert capsys.readouterr().out.startswith("fitted_rate=0.000000 ")
+
+
 def test_microscopic_recurrence_guard_exit_code(tmp_path, capsys):
     code, _ = run_cli(
         tmp_path,

@@ -120,25 +120,28 @@ def test_recurrence_guard_rejects_a_nan_time():
 
 
 @pytest.mark.parametrize(
-    "n_modes, gamma, t_final, every",
+    "n_modes, gamma, t_final, every, samples",
     [
-        # the largest grid: 6 Taylor terms; the direct sum at every 20th time
-        (102401, 1.0, 6.0, 20),
-        # 0.95 of the recurrence time: spacing t_final / 2 = 0.95 pi needs
-        # 29 Taylor terms, and the far poles' chirp phases reach 1.2e4 rad;
-        # at gamma = 0.005 the survival there is still 0.3
-        (1601, 1.0, None, 1),
-        (1601, 0.005, None, 1),
+        # the largest grid: the direct sum at every 20th time
+        (102401, 1.0, 6.0, 20, 301),
+        # 0.95 of the recurrence time, where the far poles' phases reach
+        # 1.2e4 rad; at gamma = 0.005 the survival there is still 0.3
+        (1601, 1.0, None, 1, 301),
+        (1601, 0.005, None, 1, 301),
         # every root within an ulp or less of its pole
-        (401, 1e-8, 6.0, 1),
-        (401, 1e-30, 6.0, 1),
+        (401, 1e-8, 6.0, 1, 301),
+        (401, 1e-30, 6.0, 1, 301),
+        # a long series: the recurrence's rounding grows with the samples,
+        # which its restarts bound (with none, 5.9e-13 here); the direct sum
+        # at every 150th time
+        (1601, 0.005, None, 150, 30001),
     ],
 )
-def test_chirp_z_survival_matches_the_direct_sum(n_modes, gamma, t_final, every):
+def test_recurrence_survival_matches_the_direct_sum(n_modes, gamma, t_final, every, samples):
     arrow = build_microscopic(FrequencyGrid(n_modes, 20.0), gamma)
     if t_final is None:
         t_final = 0.95 * 2.0 * math.pi / arrow.grid.spacing
-    times = np.linspace(0.0, t_final, 301)
+    times = np.linspace(0.0, t_final, samples)
     survival = evolve_microscopic(arrow, times)
     reference = direct_survival(arrow, times[::every])
     np.testing.assert_allclose(survival[::every], reference, rtol=0, atol=1e-13)
@@ -151,6 +154,7 @@ def test_chirp_z_survival_matches_the_direct_sum(n_modes, gamma, t_final, every)
         np.linspace(0.1, 1.0, 10),  # not from 0
         np.linspace(0.0, 1.0, 10) + 1e-12,
         np.linspace(0.0, 1.0, 10).reshape(2, 5),  # not one-dimensional
+        np.array([]),  # no times at all
     ],
 )
 def test_survival_needs_equally_spaced_times_from_zero(times):
@@ -269,10 +273,10 @@ def test_secular_solver_working_set_is_blocked():
 
 
 def test_survival_sum_is_blocked_like_the_solver():
-    # the chirp-z survival sum keeps a few complex arrays of its FFT size
-    # (8192 here), so the evolution needs no more memory than the solve: a
-    # whole (times x modes) complex exponential would be 31 MB here, against
-    # 2.9 MB for the solver's few (2048, 32) float arrays and the grid
+    # the survival recurrence keeps a few complex arrays of the spectrum's
+    # length (6402 here), so the evolution needs no more memory than the
+    # solve: a whole (times x modes) complex exponential would be 31 MB here,
+    # against 2.9 MB for the solver's few (2048, 32) float arrays and the grid
     arrow = build_microscopic(FrequencyGrid(6401, 20.0), 1.0)
     times = np.linspace(0.0, 3.0, 301)
     solve = traced_peak(emitter_spectrum, arrow)

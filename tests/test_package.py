@@ -51,8 +51,8 @@ def child_stdout(code: str) -> str:
 
 
 def test_importing_the_package_leaves_numpy_fft_unloaded():
-    # numpy loads numpy.fft on first use; the survival sum reaches it only
-    # inside the function, so importing the package does not pay for it
+    # numpy loads numpy.fft on first use, and nothing in the package uses
+    # it, so importing the package does not pay for it
     code = "import sys, timebins, timebins.cli; print('numpy.fft' in sys.modules)"
     assert child_stdout(code).strip() == "False"
 
