@@ -13,17 +13,21 @@ independent of time bins, Kraus operators, and master equations alike.
 The arrowhead is never formed.  Its eigenvalues are the roots of the secular
 equation l = g^2 sum_j 1/(l - w_j), one in each gap of the grid and one past
 each edge, and the emitter's weight in eigenvector l is
-1/(1 + g^2 sum_j 1/(l - w_j)^2).  Each root sums the poles within NEAR
-indices of its own directly; the two tails past them lie on the uniform grid,
-where they are digamma (and trigamma) differences.  So the whole spectrum
-costs O(n) time per iteration and a working set of a few (ROOT_BLOCK, 2 NEAR)
-arrays, instead of a dense O(n^3) eigendecomposition.
+1/(1 + g^2 sum_j 1/(l - w_j)^2).  The grid is exactly symmetric, so with
+S = diag(1, -J), J reversing the modes, S H S = -H: only the roots above the
+centre pole are solved, each from the flat band's estimate, and mirrored.
+Each root sums the poles within NEAR indices of its own directly; the two
+tails past them lie on the uniform grid, where they are digamma (and
+trigamma) differences.  So the whole spectrum costs O(n) time per iteration
+and a working set of a few (ROOT_BLOCK, 2 NEAR) arrays, instead of a dense
+O(n^3) eigendecomposition.
 
-The survival amplitude c_e(t) = sum_l weight_l e^{-i l t} at equally spaced
-times t_j = j dt is a phasor recurrence: each term is multiplied by its own
-phasor e^{-i l dt} once per sample, and set to weight_l e^{-i l t_j} afresh
-every RESTART samples.  That is O(n) time per sample and a few complex arrays
-of the spectrum's length, not a times x modes array of exponentials.
+The survival amplitude c_e(t) = sum_l weight_l e^{-i l t} is then real,
+2 sum_{l > 0} weight_l cos(l t), and at equally spaced times t_j = j dt a
+phasor recurrence: each term of the upper half is multiplied by its own
+phasor e^{-i l dt} once per sample, and set afresh every RESTART samples.
+That is O(n) time per sample and a few complex arrays, not a times x modes
+array of exponentials.
 
 The grid is finite, so the dynamics is quasi-periodic; evolution is guarded
 to times below the recurrence time 2 pi / d_omega.
@@ -87,7 +91,9 @@ class FrequencyGrid:
 
     @property
     def frequencies(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.n_modes)
+        # the mirrored non-negative half: w_j = -w_{n-1-j} holds exactly
+        half = np.linspace(0.0, self.half_width, (self.n_modes + 1) // 2)
+        return np.concatenate([-half[:0:-1], half])
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,9 @@ def emitter_spectrum(arrow: Arrowhead) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the arrowhead in ascending order, and the emitter's
     weight in each eigenvector.
 
-    With g = 0 the emitter decouples, and its own level 0 with weight 1 is
-    the whole answer.
+    Only the roots above the centre pole are solved; the rest are their
+    mirror images.  With g = 0 the emitter decouples, and its own level 0
+    with weight 1 is the whole answer.
     """
     freqs = arrow.grid.frequencies
     c = arrow.coupling**2
@@ -121,17 +128,19 @@ def emitter_spectrum(arrow: Arrowhead) -> tuple[np.ndarray, np.ndarray]:
     n = freqs.size
     # every eigenvalue lies within ||diag|| + ||border|| of 0
     bound = float(np.max(np.abs(freqs))) + math.sqrt(n * c) + 1.0
-    # root k lies between the poles k-1 and k, or between a pole and the bound
-    left = np.concatenate([[-bound], freqs])
-    right = np.concatenate([freqs, [bound]])
-    energies = np.empty(n + 1)
-    weights = np.empty(n + 1)
-    for start in range(0, n + 1, ROOT_BLOCK):
+    # root k lies between the poles k-1 and k, the top one between the last
+    # pole and the bound; the upper half starts in the gap above the centre
+    upper = (n + 1) // 2
+    left = freqs[upper - 1 :]
+    right = np.append(freqs[upper:], bound)
+    energies = np.empty(upper)
+    weights = np.empty(upper)
+    for start in range(0, upper, ROOT_BLOCK):
         block = slice(start, start + ROOT_BLOCK)
         energies[block], weights[block] = _secular_roots(
-            freqs, arrow.grid.spacing, c, left[block], right[block], start
+            freqs, arrow.grid.spacing, c, left[block], right[block], upper + start
         )
-    return energies, weights
+    return np.concatenate([-energies[::-1], energies]), np.concatenate([weights[::-1], weights])
 
 
 def _secular_roots(
@@ -142,41 +151,53 @@ def _secular_roots(
     right: np.ndarray,
     first: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roots first, first+1, ... of h(l) = l - c sum_j 1/(l - w_j), each in
-    its bracket (left, right), with the emitter weights 1/h'(l).
+    """Roots first, first+1, ... of h(l) = l - c sum_j 1/(l - w_j), all above
+    the centre pole, each in its bracket (left, right), with the emitter
+    weights 1/h'(l).
 
     Each root is solved as an offset tau from the pole nearer to it, so
     l - w_j = tau - (w_j - origin) keeps the full relative precision of tau
     however close the root is to that pole (Gu & Eisenstat 1995).  The
     iteration is Newton's method on p(tau) = |tau| h(origin + tau), which has
-    no pole at the origin and the sign of h.  Every evaluation shrinks the
-    bracket of tau; a step that would leave it bisects instead, and a step
-    below one ulp is lengthened to one ulp so that the bracket closes.  A root
-    is done when its bracket is one ulp wide.  Each evaluation costs O(NEAR)
-    per root (``_pole_sums``).
+    no pole at the origin and the sign of h.  An inner root starts at the
+    flat band's estimate, cot(pi x) = spacing (l - D(l)) / (pi c) with the
+    level shift D(l) = (c / spacing) ln|(l + W)/(l - W)|, x its offset from
+    the pole below in spacings; the top root, or an estimate outside the
+    bracket, starts mid-bracket.  Every evaluation shrinks the bracket of
+    tau; a step that would leave it bisects instead, and a step below one
+    ulp is lengthened to one ulp so that the bracket closes.  A root is done
+    when its bracket is one ulp wide, wherever it started.  Each evaluation
+    costs O(NEAR) per root (``_pole_sums``).
     """
     n = freqs.size
     k = np.arange(first, first + left.size)
-    outer = (k == 0) | (k == n)
+    outer = k == n
     mid = 0.5 * (left + right)
-    # h at mid, summed about the pole below it (the bottom root: above it)
-    ref = np.maximum(k - 1, 0)
-    t_mid = mid - freqs[ref]
-    h_mid = mid - c * (1.0 / t_mid + _pole_sums(t_mid, *_poles(freqs, ref), spacing)[0])
-    # the top root has only its left pole, the bottom root only its right one
-    from_left = np.where(outer, k == n, h_mid >= 0.0)
+    # h at mid, summed about the pole below it
+    t_mid = mid - left
+    h_mid = mid - c * (1.0 / t_mid + _pole_sums(t_mid, *_poles(freqs, k - 1), spacing)[0])
+    # the top root has only its left pole
+    from_left = outer | (h_mid >= 0.0)
     origin = np.where(from_left, left, right)
     pole = np.where(from_left, k - 1, k)
     sign = np.where(from_left, 1.0, -1.0)
     near, tails = _poles(freqs, pole)
-    far = np.where(outer, np.where(from_left, right, left), mid) - origin
+    far = np.where(outer, right, mid) - origin
     lo = np.minimum(far, 0.0)
     hi = np.maximum(far, 0.0)
     # |p| at each end of the bracket; an end never evaluated is a pole or the bound
     p_lo = np.full(k.size, np.inf)
     p_hi = np.full(k.size, np.inf)
 
-    tau = 0.5 * far
+    # the estimate as an offset from the nearer pole, l at mid-gap and then at
+    # the first estimate
+    shift = c / spacing * np.log((mid + freqs[-1]) / np.abs(mid - freqs[-1]))
+    guess = mid
+    for _ in range(2):
+        cot = guess - shift
+        seed = np.copysign(np.arctan2(math.pi * c, spacing * np.abs(cot)), cot) * spacing / math.pi
+        guess = np.where(seed > 0.0, left, right) + seed
+    tau = np.where((seed > lo) & (seed < hi) & ~outer, seed, 0.5 * far)
     active = np.arange(k.size)
     d, counts = near, tails
     iteration = 0
@@ -278,16 +299,16 @@ def _series(inv_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
-    """Survival probability |c_e(t)|^2 from c_e(0) = 1 at equally spaced
+    """Survival probability c_e(t)^2 from c_e(0) = 1 at equally spaced
     times t_j = j dt from 0.
 
-    c_e(t) = sum_l weight_l e^{-i l t} over the spectrum of
-    ``emitter_spectrum``, each term multiplied by its phasor e^{-i l dt}
-    once per sample; a decoupled emitter, whose one level is 0, survives
-    with exactly 1.0.  The recurrence guard needs every |t| below
-    2 pi / spacing; beyond it the finite grid revives.  Times that are
-    empty, not one-dimensional, or not equally spaced from 0 to rounding are
-    a ValueError.
+    c_e(t) = 2 sum_{l > 0} weight_l cos(l t) over the symmetric spectrum of
+    ``emitter_spectrum``, each term of its upper half multiplied by its
+    phasor e^{-i l dt} once per sample; a decoupled emitter, whose one level
+    0 has no mirror image, survives with exactly 1.0.  The recurrence guard
+    needs every |t| below 2 pi / spacing; beyond it the finite grid revives.
+    Times that are empty, not one-dimensional, or not equally spaced from 0
+    to rounding are a ValueError.
     """
     t_final = float(np.max(np.abs(times), initial=0.0))
     recurrence = 2.0 * math.pi / arrow.grid.spacing
@@ -306,14 +327,16 @@ def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
         raise ValueError(uniform)
 
     energies, weights = emitter_spectrum(arrow)
+    upper = energies.size // 2
+    energies, weights = energies[upper:], weights[upper:] * (2.0 if upper else 1.0)
     phasors = np.exp(-1j * dt * energies)
-    amplitude = np.empty(count, dtype=complex)
+    amplitude = np.empty(count)
     for k in range(count):
         if k % RESTART == 0:
             terms = weights * np.exp(-1j * (k * dt) * energies)
-        amplitude[k] = terms.sum()
+        amplitude[k] = terms.real.sum()
         terms *= phasors
-    return np.abs(amplitude) ** 2
+    return amplitude**2
 
 
 def fit_decay_rate(

@@ -5,8 +5,11 @@ arithmetic the tests are written in; the package itself works on plain
 arrays, so tests hand it ``.data``.  The Kraus loops are the per-operator sums that ``channel`` replaced with one
 broadcast product over the (count, d, d) stack, kept as its oracle.  The
 dense complex single-excitation Hamiltonian and its ``eigh`` are the oracle
-of the secular-equation solver in ``microscopic``, and ``full_sum_spectrum``
-is that solver with every pole summed directly, the slow path it replaced.
+of the secular-equation solver in ``microscopic``, ``full_sum_spectrum``
+is that solver with every pole summed directly, the slow path it replaced,
+and ``every_root_spectrum`` is that solver over all n + 1 roots, each started
+mid-bracket, the solve that its mirrored half spectrum and seeded start
+replaced.
 ``direct_survival`` is ``microscopic.evolve_microscopic`` summing
 weight_l e^{-i l t} directly over blocks of roots, at any times, the oracle
 of its phasor recurrence.
@@ -50,6 +53,7 @@ from typing import Iterable
 
 import numpy as np
 
+import timebins.microscopic as microscopic
 import timebins.model as model
 from timebins.chain import ChainState, reduced_system
 from timebins.channel import (
@@ -463,6 +467,94 @@ def _full_sum_roots(
     tau = np.where(p_lo <= p_hi, lo, hi)
     r = 1.0 / (tau[:, None] - offsets)
     weights = 1.0 / (1.0 + c * np.einsum("ij,ij->i", r, r))
+    return origin + tau, weights
+
+
+def every_root_spectrum(arrow) -> tuple[np.ndarray, np.ndarray]:
+    """``microscopic.emitter_spectrum`` solving every one of the n + 1 roots,
+    each from the middle of its bracket: the solve that the mirrored half
+    spectrum and the flat-band start replaced.  It shares the near-pole sums
+    and digamma tails (``microscopic._poles`` and ``_pole_sums``) and the
+    iteration, so the two agree to rounding."""
+    freqs = arrow.grid.frequencies
+    c = arrow.coupling**2
+    if c == 0.0:
+        return np.zeros(1), np.ones(1)
+    n = freqs.size
+    bound = float(np.max(np.abs(freqs))) + math.sqrt(n * c) + 1.0
+    left = np.concatenate([[-bound], freqs])
+    right = np.concatenate([freqs, [bound]])
+    energies = np.empty(n + 1)
+    weights = np.empty(n + 1)
+    for start in range(0, n + 1, microscopic.ROOT_BLOCK):
+        block = slice(start, start + microscopic.ROOT_BLOCK)
+        energies[block], weights[block] = _unseeded_roots(
+            freqs, arrow.grid.spacing, c, left[block], right[block], start
+        )
+    return energies, weights
+
+
+def _unseeded_roots(
+    freqs: np.ndarray, spacing: float, c: float, left: np.ndarray, right: np.ndarray, first: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots first, first+1, ... of the secular equation, the bottom root
+    included, each started mid-bracket; otherwise ``microscopic._secular_roots``."""
+    poles, pole_sums = microscopic._poles, microscopic._pole_sums
+    n = freqs.size
+    k = np.arange(first, first + left.size)
+    outer = (k == 0) | (k == n)
+    mid = 0.5 * (left + right)
+    # h at mid, summed about the pole below it (the bottom root: above it)
+    ref = np.maximum(k - 1, 0)
+    t_mid = mid - freqs[ref]
+    h_mid = mid - c * (1.0 / t_mid + pole_sums(t_mid, *poles(freqs, ref), spacing)[0])
+    # the top root has only its left pole, the bottom root only its right one
+    from_left = np.where(outer, k == n, h_mid >= 0.0)
+    origin = np.where(from_left, left, right)
+    pole = np.where(from_left, k - 1, k)
+    sign = np.where(from_left, 1.0, -1.0)
+    near, tails = poles(freqs, pole)
+    far = np.where(outer, np.where(from_left, right, left), mid) - origin
+    lo = np.minimum(far, 0.0)
+    hi = np.maximum(far, 0.0)
+    p_lo = np.full(k.size, np.inf)
+    p_hi = np.full(k.size, np.inf)
+
+    tau = 0.5 * far
+    active = np.arange(k.size)
+    d, counts = near, tails
+    iteration = 0
+    while active.size:
+        iteration += 1
+        t = tau[active]
+        r_sum, r_squares = pole_sums(t, d, counts, spacing)
+        rest = origin[active] + t - c * r_sum
+        s = sign[active]
+        p = s * (t * rest - c)
+        dp = s * rest + np.abs(t) * (1.0 + c * r_squares)
+
+        below, above = p <= 0.0, p >= 0.0
+        a = np.where(below, t, lo[active])
+        b = np.where(above, t, hi[active])
+        lo[active], hi[active] = a, b
+        p_lo[active] = np.where(below, np.abs(p), p_lo[active])
+        p_hi[active] = np.where(above, np.abs(p), p_hi[active])
+
+        step = -p / dp
+        ulp = np.abs(np.spacing(t))
+        step = np.where(np.abs(step) < ulp, np.copysign(ulp, step), step)
+        nxt = t + step
+        inside = (nxt > a) & (nxt < b) & (iteration <= microscopic.NEWTON_ITERATIONS)
+        tau[active] = np.where(inside, nxt, 0.5 * (a + b))
+
+        open_ = b - a > np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        if not open_.all():
+            active = active[open_]
+            d, counts = near[active], tails[active]
+
+    tau = np.where(p_lo <= p_hi, lo, hi)
+    r_squares = pole_sums(tau, near, tails, spacing)[1]
+    weights = 1.0 / (1.0 + c * (r_squares + 1.0 / tau**2))
     return origin + tau, weights
 
 

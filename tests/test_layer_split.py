@@ -55,7 +55,9 @@ def test_layer_split_defaults_show_the_exact_workload_layers():
     assert done.returncode == 0, done.stderr
     rows = {row.split()[0]: row.split() for row in done.stdout.splitlines()[1:]}
     assert list(rows) == ["pass", "experiments._csv", "channel.check_states", "channel.propagate",
-                          "chain.step_chain", "microscopic.emitter_spectrum"]
-    for name in ("chain.step_chain", "microscopic.emitter_spectrum"):
+                          "chain.step_chain", "microscopic.emitter_spectrum",
+                          "microscopic.evolve_microscopic"]
+    for name in ("chain.step_chain", "microscopic.emitter_spectrum",
+                 "microscopic.evolve_microscopic"):
         assert 0.0 < float(rows[name][1]) < float(rows["pass"][1])
         assert int(rows[name][-2]) > 0

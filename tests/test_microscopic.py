@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import timebins.microscopic as microscopic
 from timebins.errors import GuardError
 from timebins.microscopic import (
     FrequencyGrid,
@@ -20,6 +21,7 @@ from oracle import (
     dense_spectrum,
     dense_survival,
     direct_survival,
+    every_root_spectrum,
     full_sum_spectrum,
 )
 
@@ -29,7 +31,7 @@ def test_grid_validation_and_spacing():
     assert grid.spacing == pytest.approx(0.025)
     freqs = grid.frequencies
     assert freqs[0] == -20.0 and freqs[-1] == 20.0
-    assert freqs[800] == pytest.approx(0.0, abs=1e-12)
+    assert freqs[800] == 0.0
 
     with pytest.raises(ValueError):
         FrequencyGrid(1600, 20.0)
@@ -252,6 +254,53 @@ def test_secular_solver_matches_the_full_sum_oracle(n_modes, half_width, gamma):
     np.testing.assert_allclose(weights[ends], full_weights[ends], rtol=0, atol=1e-14)
     assert energies[0] <= freqs[0] <= energies[1] <= freqs[1]
     assert freqs[-2] <= energies[-2] <= freqs[-1] <= energies[-1]
+
+
+@pytest.mark.parametrize("half_width", [1.0, 20.0, 40.0])
+@pytest.mark.parametrize("gamma", [1e-30, 1e-8, 1.0, 50.0])
+@pytest.mark.parametrize("n_modes", [3, 33, 35, 101, 1601])
+def test_mirrored_half_spectrum_matches_the_every_root_oracle(n_modes, half_width, gamma):
+    # The solver finds the roots above the centre pole from a flat-band start
+    # and mirrors them; the oracle solves all n + 1 from mid-bracket.
+    arrow = build_microscopic(FrequencyGrid(n_modes, half_width), gamma)
+    freqs = arrow.grid.frequencies
+    assert np.array_equal(freqs, -freqs[::-1])
+    energies, weights = emitter_spectrum(arrow)
+    every_energies, every_weights = every_root_spectrum(arrow)
+    assert energies.shape == weights.shape == (n_modes + 1,)
+    np.testing.assert_allclose(energies, every_energies, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(weights, every_weights, rtol=0, atol=1e-14)
+    assert np.array_equal(energies, -energies[::-1])
+    assert np.array_equal(weights, weights[::-1])
+
+
+@pytest.mark.parametrize("n_modes", [101, 401])
+def test_dense_spectrum_is_symmetric_and_its_amplitude_real(n_modes):
+    # S H S = -H with S = diag(1, -J), J reversing the modes: checked on the
+    # dense eigendecomposition, which shares no code with the solver
+    arrow = build_microscopic(FrequencyGrid(n_modes, 10.0), 1.0)
+    evals, weights = dense_spectrum(arrow)
+    np.testing.assert_allclose(evals, -evals[::-1], rtol=0, atol=1e-12)
+    amplitude = np.exp(-1j * np.outer(np.linspace(0.0, 3.0, 301), evals)) @ weights
+    assert np.max(np.abs(amplitude.imag)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_modes", [801, 1601])
+def test_seeded_solver_keeps_its_evaluation_budget(monkeypatch, n_modes):
+    # One block of roots costs one evaluation at mid-gap, the Newton steps and
+    # one for the weights: 8 from the flat-band start at these sizes, against
+    # 10 and 11 when every root starts mid-bracket
+    calls = []
+    pole_sums = microscopic._pole_sums
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return pole_sums(*args)
+
+    monkeypatch.setattr(microscopic, "_pole_sums", counted)
+    emitter_spectrum(build_microscopic(FrequencyGrid(n_modes, 20.0), 1.0))
+    assert calls[0] == (n_modes + 1) // 2  # the upper half only, in one block
+    assert len(calls) <= 8
 
 
 def traced_peak(fn, *args) -> int:

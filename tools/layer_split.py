@@ -2,7 +2,8 @@
 
     python3 tools/layer_split.py trajectory:7 [scan:1,2 ...] [--passes 10]
         [--functions experiments._csv channel.check_states channel.propagate
-                     chain.step_chain microscopic.emitter_spectrum]
+                     chain.step_chain microscopic.emitter_spectrum
+                     microscopic.evolve_microscopic]
         [--runs N] [--src DIR]
 
 Builds the run list of each ``workload:seeds`` from ``perfbench/workloads.py``
@@ -38,7 +39,8 @@ from pathlib import Path
 from same_output import ROOT, _load, _plans
 
 FUNCTIONS = ("experiments._csv", "channel.check_states", "channel.propagate",
-             "chain.step_chain", "microscopic.emitter_spectrum")
+             "chain.step_chain", "microscopic.emitter_spectrum",
+             "microscopic.evolve_microscopic")
 
 
 def _wrap_all(
