@@ -9,11 +9,11 @@ The family is one (n_max+1, d, d) array K[m], a sweep's k families one
 (k, n_max+1, d, d) stack, and every sum over m is one broadcast product.
 Long trajectories run in Liouville space: with the row-major vec(rho) =
 rho.ravel(), one collision is the d^2 x d^2 step matrix S_c = sum_m K_m (x)
-conj(K_m).  ``propagate`` stacks the powers S, S^2, ..., S^B (B = POWER_BLOCK)
-into one (B d^2, d^2) matrix and fills a whole (steps+1, d, d) stack B states
-at a time, each block one product with the state before it (a run of at most
-B steps takes one product per step).  The stack is then checked in one pass
-(``check_states``) with the same thresholds as ``DensityMatrix``.
+conj(K_m).  ``propagate`` fills a whole (steps+1, d, d) stack by doubling:
+with states 0 .. m-1 known, states m .. 2m-1 are S^m times them (one
+product), and S^2m = S^m S^m (one squaring), so 10^4 steps take 14 products
+and 13 squarings.  The stack is then checked in one pass (``check_states``)
+with the same thresholds as ``DensityMatrix``.
 
 A collision changes the trace of rho by tr((sum_m K_m^dag K_m - 1) rho), so
 trace preservation is a property of the family, not of a state: the family is
@@ -52,9 +52,6 @@ STEP_MATRIX_TOL = 1e-12
 # trace-preserving up to rounding (3e-15 at worst over the package's systems,
 # n_max <= 8, gamma dt <= 5), and is made exactly so.
 TRACE_ROUNDING = 1e-14
-# States filled per product in propagate: the stacked powers S .. S^B take
-# B d^4 complex entries (64 KiB for d = 4).
-POWER_BLOCK = 64
 
 
 @functools.cache
@@ -203,28 +200,24 @@ def step_matrix(family: np.ndarray) -> np.ndarray:
 
 def propagate(s: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
     """The (steps+1, d, d) stack rho_0, S rho_0, ..., S^steps rho_0 of a
-    row-major step matrix S.
+    row-major step matrix S, or one such stack per matrix of a (k, d^2, d^2)
+    stack.
 
-    States k+1 .. k+B are the stacked powers S .. S^B times state k: one
-    product per block of B = POWER_BLOCK states.  A run of at most B steps
-    takes one product per step, since its powers would take as many.
+    The stack fills by doubling: with P = S^m and states 0 .. m-1 known,
+    states m .. 2m-1 are P times them (one product over their rows), and then
+    P becomes S^2m = P P.  A run takes about 2 log2(steps) products.
     """
-    block = POWER_BLOCK if steps > POWER_BLOCK else 1
     d = rho0.shape[0]
-    n = d * d
-    lead = s.shape[:-2]  # one chain per step matrix of a stack
-    flat = np.empty(lead + (steps + 1, n), dtype=complex)
+    flat = np.empty(s.shape[:-2] + (steps + 1, d * d), dtype=complex)
     flat[..., 0, :] = rho0.ravel()
-    powers = np.empty(lead + (block, n, n), dtype=complex)
-    powers[..., 0, :, :] = s
-    for j in range(1, block):
-        np.matmul(s, powers[..., j - 1, :, :], out=powers[..., j, :, :])
-    stacked = powers.reshape(lead + (block * n, n))
-    for k in range(0, steps, block):
-        rows = min(block, steps - k)
-        out = flat[..., k + 1 : k + 1 + rows, :].reshape(lead + (rows * n, 1))  # a view
-        np.matmul(stacked[..., : rows * n, :], flat[..., k, :, None], out=out)
-    return flat.reshape(lead + (steps + 1, d, d))
+    power, m = s, 1
+    while m <= steps:
+        rows = min(m, steps + 1 - m)
+        np.matmul(flat[..., :rows, :], power.swapaxes(-1, -2), out=flat[..., m : m + rows, :])
+        m += rows
+        if m <= steps:
+            power = power @ power
+    return flat.reshape(s.shape[:-2] + (steps + 1, d, d))
 
 
 def iterate_channel(

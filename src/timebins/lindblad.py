@@ -13,9 +13,10 @@ so rate sweeps never rebuild operators.
 Everything runs on one row-major Liouvillian matrix L (vec(rho) = rho.ravel()).
 For this linear autonomous ODE one classic RK4 step is exactly the matrix
 polynomial S_rk4 = sum_{k<=4} (L dt)^k / k!, so a trajectory is one call to
-``channel.propagate``, which fills it a block of powers of S_rk4 at a time,
-and whose states are checked in one pass (``channel.check_states``).  A step
-whose S_rk4 has a spectral radius past 1 is refused before that call.
+``channel.propagate``, which fills it by doubling (states m .. 2m-1 are
+S_rk4^m times states 0 .. m-1), and whose states are checked in one pass
+(``channel.check_states``).  A step whose S_rk4 has a spectral radius past 1
+is refused before that call.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ equation l = g^2 sum_j 1/(l - w_j), one in each gap of the grid and one past
 each edge, and the emitter's weight in eigenvector l is
 1/(1 + g^2 sum_j 1/(l - w_j)^2).  The grid is exactly symmetric, so with
 S = diag(1, -J), J reversing the modes, S H S = -H: only the roots above the
-centre pole are solved, each from the flat band's estimate, and mirrored.
+centre pole are solved, each from the flat band's estimate, which also picks
+the pole it is solved about, and mirrored.
 Each root sums the poles within NEAR indices of its own directly; the two
 tails past them lie on the uniform grid, where they are digamma (and
 trigamma) differences.  So the whole spectrum costs O(n) time per iteration
@@ -162,33 +163,20 @@ def _secular_roots(
     no pole at the origin and the sign of h.  An inner root starts at the
     flat band's estimate, cot(pi x) = spacing (l - D(l)) / (pi c) with the
     level shift D(l) = (c / spacing) ln|(l + W)/(l - W)|, x its offset from
-    the pole below in spacings; the top root, or an estimate outside the
-    bracket, starts mid-bracket.  Every evaluation shrinks the bracket of
-    tau; a step that would leave it bisects instead, and a step below one
-    ulp is lengthened to one ulp so that the bracket closes.  A root is done
-    when its bracket is one ulp wide, wherever it started.  Each evaluation
-    costs O(NEAR) per root (``_pole_sums``).
+    the pole below in spacings, or from the pole above when negative: its
+    sign picks the origin, and tau is bracketed over the whole gap.  The root
+    above the centre pole starts no further out than g = sqrt(c); the top
+    root, or an estimate outside the bracket, starts mid-bracket.  Every
+    evaluation shrinks the bracket of tau; a step that would leave it
+    bisects instead, and a step below one ulp is lengthened to one ulp so
+    that the bracket closes.  A root is done when its bracket is one ulp
+    wide, wherever it started.  Each evaluation costs O(NEAR) per root
+    (``_pole_sums``).
     """
     n = freqs.size
     k = np.arange(first, first + left.size)
     outer = k == n
     mid = 0.5 * (left + right)
-    # h at mid, summed about the pole below it
-    t_mid = mid - left
-    h_mid = mid - c * (1.0 / t_mid + _pole_sums(t_mid, *_poles(freqs, k - 1), spacing)[0])
-    # the top root has only its left pole
-    from_left = outer | (h_mid >= 0.0)
-    origin = np.where(from_left, left, right)
-    pole = np.where(from_left, k - 1, k)
-    sign = np.where(from_left, 1.0, -1.0)
-    near, tails = _poles(freqs, pole)
-    far = np.where(outer, right, mid) - origin
-    lo = np.minimum(far, 0.0)
-    hi = np.maximum(far, 0.0)
-    # |p| at each end of the bracket; an end never evaluated is a pole or the bound
-    p_lo = np.full(k.size, np.inf)
-    p_hi = np.full(k.size, np.inf)
-
     # the estimate as an offset from the nearer pole, l at mid-gap and then at
     # the first estimate
     shift = c / spacing * np.log((mid + freqs[-1]) / np.abs(mid - freqs[-1]))
@@ -197,6 +185,23 @@ def _secular_roots(
         cot = guess - shift
         seed = np.copysign(np.arctan2(math.pi * c, spacing * np.abs(cot)), cot) * spacing / math.pi
         guess = np.where(seed > 0.0, left, right) + seed
+    # the root above the centre pole is the emitter split from the centre mode
+    # by about g = sqrt(c); at a weak coupling the band puts it a third of a
+    # spacing out, and Newton's method would only halve the distance per step
+    seed = np.where(k == (n + 1) // 2, np.minimum(seed, math.sqrt(c)), seed)
+
+    # the top root has only its left pole
+    from_left = outer | (seed > 0.0)
+    origin = np.where(from_left, left, right)
+    pole = np.where(from_left, k - 1, k)
+    sign = np.where(from_left, 1.0, -1.0)
+    near, tails = _poles(freqs, pole)
+    far = np.where(from_left, right, left) - origin
+    lo = np.minimum(far, 0.0)
+    hi = np.maximum(far, 0.0)
+    # |p| at each end of the bracket; an end never evaluated is a pole or the bound
+    p_lo = np.full(k.size, np.inf)
+    p_hi = np.full(k.size, np.inf)
     tau = np.where((seed > lo) & (seed < hi) & ~outer, seed, 0.5 * far)
     active = np.arange(k.size)
     d, counts = near, tails

@@ -8,8 +8,8 @@ dense complex single-excitation Hamiltonian and its ``eigh`` are the oracle
 of the secular-equation solver in ``microscopic``, ``full_sum_spectrum``
 is that solver with every pole summed directly, the slow path it replaced,
 and ``every_root_spectrum`` is that solver over all n + 1 roots, each started
-mid-bracket, the solve that its mirrored half spectrum and seeded start
-replaced.
+mid-bracket about the pole that an evaluation at mid-gap picks, the solve
+that its mirrored half spectrum and seeded start replaced.
 ``direct_survival`` is ``microscopic.evolve_microscopic`` summing
 weight_l e^{-i l t} directly over blocks of roots, at any times, the oracle
 of its phasor recurrence.
@@ -26,9 +26,9 @@ alone.
 against the Kraus iteration, and ``feedback_markov_defect`` its negative
 control: a dense chain in which a bin meets the system a second time.
 ``stepwise_propagate`` is ``channel.propagate``
-with one matrix-vector product per step, the loop its blocked powers
-replaced, and ``csv_text`` is ``experiments._csv`` formatting one row at a
-time with ``str.format``.  ``plain_check_states`` is ``channel.check_states``
+with one matrix-vector product per step, the loop that its blocked powers,
+and then its doubling, replaced, and ``csv_text`` is ``experiments._csv``
+formatting one row at a time with ``str.format``.  ``plain_check_states`` is ``channel.check_states``
 on full matrices, with ``eigvalsh`` on every state, the check that its single
 read of the lower triangle and its Gershgorin screen replaced.
 ``expm_per_matrix``, ``coarse_maps_per_width`` and

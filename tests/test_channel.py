@@ -488,8 +488,9 @@ def test_undriven_dephasing_keeps_its_trace_over_long_runs(gamma, dt, n_max):
     # plain Kraus sum drifts the trace by 1.1e-12 over these 10^4 steps.  With
     # the trace functional exact, one product per step still drifted by
     # 5.6e-13 at bench-2 and the draw cases: rho_11 lost half an ulp of 0.5
-    # a step that rho_00 rounded away.  A block of powers moves rho_00 by many
-    # ulps at once and rounds once a block.
+    # a step that rho_00 rounded away.  Doubling reaches each state from an
+    # earlier one through one power of S, which moves rho_00 by many ulps at
+    # once and rounds once.
     system = dephasing_variant(two_level_system())
     family = family_of(system, gamma=gamma, dt=dt, n_max=n_max)
     stack = iterate_channel(family, PLUS, 10_000)
@@ -512,12 +513,49 @@ def test_propagate_matches_one_product_per_step(name, kind):
     system = SYSTEMS[name]()
     s = step_matrix(family_of(system)) if kind == "collision" else rk4_step_matrix(system)
     rho = random_state(np.random.default_rng(sum(map(ord, name + kind))), system.dim)
-    for steps in (0, 1, 63, 64, 65, 128, 10_000):
+    for steps in (0, 1, 63, 64, 65, 127, 128, 255, 256, 257, 10_000):
         fast = propagate(s, rho.matrix, steps)
         slow = stepwise_propagate(s, rho.matrix, steps)
         assert fast.shape == (steps + 1, system.dim, system.dim)
         assert np.array_equal(fast[0], rho.matrix)
         assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+def test_propagate_runs_a_stack_of_step_matrices():
+    # one (k, d^2, d^2) stack: each chain is its own matrix's stepwise run
+    system = SYSTEMS["oscillator3"]()
+    s = step_matrix(np.stack([family_of(system, dt=dt) for dt in (0.005, 0.01, 0.02)]))
+    rho = random_state(np.random.default_rng(3), system.dim)
+    for steps in (0, 1, 30, 257):
+        fast = propagate(s, rho.matrix, steps)
+        assert fast.shape == (3, steps + 1, system.dim, system.dim)
+        for chain, matrix in zip(fast, s):
+            assert np.max(np.abs(chain - stepwise_propagate(matrix, rho.matrix, steps))) <= 1e-12
+
+
+class CountedMatrix(np.ndarray):
+    """An ndarray that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountedMatrix.products += 1
+        inputs = tuple(np.asarray(x) for x in inputs)
+        if "out" in kwargs:
+            return getattr(ufunc, method)(*inputs, **kwargs)
+        return getattr(ufunc, method)(*inputs, **kwargs).view(CountedMatrix)
+
+
+@pytest.mark.parametrize("steps", [1, 30, 10_000])
+def test_propagate_doubles_its_run(steps):
+    # one product fills states m .. 2m-1 and one squaring makes S^2m, so a
+    # run takes about 2 log2(steps) products
+    s = step_matrix(tls_family(drive=0.3))
+    CountedMatrix.products = 0
+    stack = propagate(s.view(CountedMatrix), EXCITED.matrix, steps)
+    assert 0 < CountedMatrix.products <= 2 * math.ceil(math.log2(steps + 1))
+    assert np.array_equal(stack, propagate(s, EXCITED.matrix, steps))
 
 
 def test_first_step_cross_check_rejects_a_wrong_step_matrix(monkeypatch):
@@ -567,13 +605,13 @@ def test_guard_parity_accumulated_leak_fails_validation_at_the_same_step():
                          "defect 9.993e-07 exceeds 1e-10"))
 
 
-def test_guard_parity_holds_past_one_block_of_powers():
-    # the accumulated-leak run above over three blocks of powers
+def test_guard_parity_holds_over_a_long_run():
+    # the accumulated-leak run above over 192 steps
     family = family_of(truncated_oscillator(3), dt=1e-3)
     leaky = family[:2]
     p2 = 1.02e-10 / 9.993e-07
     rho = DensityMatrix(np.diag([1.0 - p2, 0.0, p2]).astype(complex))
-    steps = 3 * channel.POWER_BLOCK
+    steps = 192
     slow = guard_record(lambda: stepwise(leaky, rho, steps))
     fast = guard_record(lambda: iterate_channel(leaky, rho, steps))
     assert fast == slow
@@ -590,7 +628,7 @@ def test_a_leaky_family_computes_no_state(monkeypatch):
     for run in (
         lambda: apply_channel(leaky, EXCITED.matrix),
         lambda: iterate_channel(leaky, EXCITED, 1),
-        lambda: iterate_channel(leaky, EXCITED, 3 * channel.POWER_BLOCK),
+        lambda: iterate_channel(leaky, EXCITED, 192),
     ):
         with pytest.raises(GuardError, match="completeness defect 2.000e-08 exceeds 1e-10"):
             run()
@@ -616,7 +654,7 @@ def test_an_inf_family_is_refused_with_warnings_as_errors():
             apply_channel(family, EXCITED.matrix)
 
 
-@pytest.mark.parametrize("steps", [20, 3 * channel.POWER_BLOCK])
+@pytest.mark.parametrize("steps", [20, 192])
 def test_a_trace_gain_below_the_family_check_fails_at_the_stepwise_step(steps):
     # a family scaled by 1 + 1e-11 passes the family check (defect 2e-11),
     # and its states gain 2e-11 of trace a step until one is off by more

@@ -50,14 +50,15 @@ def test_layer_split_times_a_runner_called_through_the_dispatch_table():
 
 
 def test_layer_split_defaults_show_the_exact_workload_layers():
-    # exact runs the joint chain and the microscopic grid: both show by default
+    # exact runs the joint chain and the microscopic grid: both show by
+    # default, and so do the solver's evaluations
     done = run_tool("exact:1", "--passes", "1")
     assert done.returncode == 0, done.stderr
     rows = {row.split()[0]: row.split() for row in done.stdout.splitlines()[1:]}
     assert list(rows) == ["pass", "experiments._csv", "channel.check_states", "channel.propagate",
                           "chain.step_chain", "microscopic.emitter_spectrum",
-                          "microscopic.evolve_microscopic"]
+                          "microscopic.evolve_microscopic", "microscopic._pole_sums"]
     for name in ("chain.step_chain", "microscopic.emitter_spectrum",
-                 "microscopic.evolve_microscopic"):
+                 "microscopic.evolve_microscopic", "microscopic._pole_sums"):
         assert 0.0 < float(rows[name][1]) < float(rows["pass"][1])
         assert int(rows[name][-2]) > 0

@@ -285,11 +285,8 @@ def test_dense_spectrum_is_symmetric_and_its_amplitude_real(n_modes):
     assert np.max(np.abs(amplitude.imag)) <= 1e-12
 
 
-@pytest.mark.parametrize("n_modes", [801, 1601])
-def test_seeded_solver_keeps_its_evaluation_budget(monkeypatch, n_modes):
-    # One block of roots costs one evaluation at mid-gap, the Newton steps and
-    # one for the weights: 8 from the flat-band start at these sizes, against
-    # 10 and 11 when every root starts mid-bracket
+def pole_sum_calls(monkeypatch, n_modes, gamma) -> list[int]:
+    """The number of roots of each ``_pole_sums`` call of one spectrum."""
     calls = []
     pole_sums = microscopic._pole_sums
 
@@ -298,9 +295,29 @@ def test_seeded_solver_keeps_its_evaluation_budget(monkeypatch, n_modes):
         return pole_sums(*args)
 
     monkeypatch.setattr(microscopic, "_pole_sums", counted)
-    emitter_spectrum(build_microscopic(FrequencyGrid(n_modes, 20.0), 1.0))
+    emitter_spectrum(build_microscopic(FrequencyGrid(n_modes, 20.0), gamma))
+    return calls
+
+
+@pytest.mark.parametrize("n_modes", [801, 1601])
+def test_seeded_solver_keeps_its_evaluation_budget(monkeypatch, n_modes):
+    # One block of roots costs the Newton steps and one evaluation for the
+    # weights: 7 from the flat-band start at these sizes, against 10 and 11
+    # when every root starts mid-bracket
+    calls = pole_sum_calls(monkeypatch, n_modes, 1.0)
     assert calls[0] == (n_modes + 1) // 2  # the upper half only, in one block
-    assert len(calls) <= 8
+    assert len(calls) <= 7
+
+
+@pytest.mark.parametrize("gamma", [1e-8, 1e-30])
+@pytest.mark.parametrize("n_modes", [801, 1601])
+def test_weak_coupling_keeps_the_evaluation_budget(monkeypatch, n_modes, gamma):
+    # The root above the centre pole is the emitter split from the centre
+    # mode by g.  Started a third of a spacing out, Newton's method only
+    # halves its way down to g: 18-103 evaluations here.  Started at g, 7-9.
+    calls = pole_sum_calls(monkeypatch, n_modes, gamma)
+    assert calls[0] == (n_modes + 1) // 2
+    assert len(calls) <= 10
 
 
 def traced_peak(fn, *args) -> int:

@@ -3,7 +3,7 @@
     python3 tools/layer_split.py trajectory:7 [scan:1,2 ...] [--passes 10]
         [--functions experiments._csv channel.check_states channel.propagate
                      chain.step_chain microscopic.emitter_spectrum
-                     microscopic.evolve_microscopic]
+                     microscopic.evolve_microscopic microscopic._pole_sums]
         [--runs N] [--src DIR]
 
 Builds the run list of each ``workload:seeds`` from ``perfbench/workloads.py``
@@ -40,7 +40,7 @@ from same_output import ROOT, _load, _plans
 
 FUNCTIONS = ("experiments._csv", "channel.check_states", "channel.propagate",
              "chain.step_chain", "microscopic.emitter_spectrum",
-             "microscopic.evolve_microscopic")
+             "microscopic.evolve_microscopic", "microscopic._pole_sums")
 
 
 def _wrap_all(
