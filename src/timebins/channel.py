@@ -116,8 +116,14 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, amplitudes) -> "DensityMatrix":
-        """Projector onto a (normalized copy of the) given state vector."""
+        """Projector onto a (normalized copy of the) given state vector; a
+        zero or non-finite vector is a StateError."""
         v = np.asarray(amplitudes, dtype=complex).ravel()
+        scale = np.max(np.abs(v.view(float)), initial=0.0)
+        if not 0.0 < scale < np.inf:
+            raise StateError(f"state vector is {'zero' if scale == 0.0 else 'not finite'}")
+        if not 1e-150 < scale < 1e150:  # its squares would lose precision or overflow
+            v = (v.view(float) / scale).view(complex)
         v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()))
 

@@ -9,4 +9,5 @@ class GuardError(RuntimeError):
 
 
 class StateError(ValueError):
-    """A state failed a density-matrix check (raised by ``channel.check_states``)."""
+    """A state failed a density-matrix check (raised by ``channel.check_states``),
+    or a state vector is zero or not finite (``channel.DensityMatrix.pure``)."""

@@ -24,11 +24,12 @@ and a working set of a few (ROOT_BLOCK, 2 NEAR) arrays, instead of a dense
 O(n^3) eigendecomposition.
 
 The survival amplitude c_e(t) = sum_l weight_l e^{-i l t} is then real,
-2 sum_{l > 0} weight_l cos(l t), and at equally spaced times t_j = j dt a
-phasor recurrence: each term of the upper half is multiplied by its own
-phasor e^{-i l dt} once per sample, and set afresh every RESTART samples.
-That is O(n) time per sample and a few complex arrays, not a times x modes
-array of exponentials.
+2 sum_{l > 0} weight_l cos(l t).  Equally spaced times t = (g B + j) dt, with
+B ~ sqrt(count), give cos(l t) = cos(l g B dt) cos(l j dt) - sin(l g B dt)
+sin(l j dt): one product of the giant and the baby steps' cos and sin tables
+per ROOT_BLOCK of roots, O(n sqrt(count)) cosines and not a times x modes
+array of exponentials.  Every entry is its own cosine, so no rounding is
+carried from sample to sample.
 
 The grid is finite, so the dynamics is quasi-periodic; evolution is guarded
 to times below the recurrence time 2 pi / d_omega.
@@ -59,9 +60,6 @@ NEAR = 16
 # Roots are solved this many at a time, so the solver's working set is a few
 # (ROOT_BLOCK, 2 NEAR) float arrays besides the grid.
 ROOT_BLOCK = 2048
-# The survival recurrence restarts from its exact terms every RESTART samples,
-# since its rounding grows by up to about 1e-16 in the survival per sample.
-RESTART = 256
 # Iterations of safeguarded Newton steps before a block falls back to plain
 # bisection, which halves every bracket and so always ends.
 NEWTON_ITERATIONS = 40
@@ -308,9 +306,9 @@ def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
     times t_j = j dt from 0.
 
     c_e(t) = 2 sum_{l > 0} weight_l cos(l t) over the symmetric spectrum of
-    ``emitter_spectrum``, each term of its upper half multiplied by its
-    phasor e^{-i l dt} once per sample; a decoupled emitter, whose one level
-    0 has no mirror image, survives with exactly 1.0.  The recurrence guard
+    ``emitter_spectrum``, each cos(l t) by angle addition from a giant and a
+    baby step of the samples; a decoupled emitter, whose one level 0 has no
+    mirror image, survives with exactly 1.0.  The recurrence guard
     needs every |t| below 2 pi / spacing; beyond it the finite grid revives.
     Times that are empty, not one-dimensional, or not equally spaced from 0
     to rounding are a ValueError.
@@ -334,14 +332,16 @@ def evolve_microscopic(arrow: Arrowhead, times: np.ndarray) -> np.ndarray:
     energies, weights = emitter_spectrum(arrow)
     upper = energies.size // 2
     energies, weights = energies[upper:], weights[upper:] * (2.0 if upper else 1.0)
-    phasors = np.exp(-1j * dt * energies)
-    amplitude = np.empty(count)
-    for k in range(count):
-        if k % RESTART == 0:
-            terms = weights * np.exp(-1j * (k * dt) * energies)
-        amplitude[k] = terms.real.sum()
-        terms *= phasors
-    return amplitude**2
+    # sample g B + j is giant step g and baby step j, with G B >= count
+    baby = math.isqrt(count - 1) + 1
+    giant = -(-count // baby)
+    amplitude = np.zeros((giant, baby))
+    for start in range(0, energies.size, ROOT_BLOCK):
+        e, w = energies[start : start + ROOT_BLOCK], weights[start : start + ROOT_BLOCK, None]
+        giants = np.outer(np.arange(giant) * (baby * dt), e)
+        babies = np.outer(e, np.arange(baby) * dt)
+        amplitude += np.cos(giants) @ (w * np.cos(babies)) - np.sin(giants) @ (w * np.sin(babies))
+    return amplitude.ravel()[:count] ** 2
 
 
 def fit_decay_rate(

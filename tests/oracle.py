@@ -12,7 +12,7 @@ mid-bracket about the pole that an evaluation at mid-gap picks, the solve
 that its mirrored half spectrum and seeded start replaced.
 ``direct_survival`` is ``microscopic.evolve_microscopic`` summing
 weight_l e^{-i l t} directly over blocks of roots, at any times, the oracle
-of its phasor recurrence.
+of its sum by angle addition over blocks of samples.
 ``dense_step_chain`` is the full-length collision on system (x) all N bins,
 the dense layout that the matrix product state of ``chain.step_chain``
 replaced; ``bins_met_vector`` contracts a chain state to the dense vector on

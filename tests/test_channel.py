@@ -72,6 +72,30 @@ def test_density_matrix_rejects_non_finite_entries():
         channel.check_states(stack)
 
 
+@pytest.mark.parametrize("scale", [2.0**-1072, 1e-200, 1e-160, 1e160, 2.0**1020])
+def test_pure_state_of_any_finite_nonzero_vector(scale):
+    # the plain norm's squares underflow or overflow at these scales (or keep
+    # few digits, at 1e-160); the direction is rescaled first, without a
+    # warning
+    rho = DensityMatrix.pure(scale * np.array([3.0, 4.0j]))
+    expected = np.array([[9.0, -12.0j], [12.0j, 16.0]]) / 25.0
+    np.testing.assert_allclose(rho.matrix, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "amplitudes, cause",
+    [
+        ([0.0, 0.0], "zero"),
+        ([], "zero"),
+        ([np.nan, 1.0], "not finite"),
+        ([1.0, np.inf], "not finite"),
+    ],
+)
+def test_pure_state_refuses_a_zero_or_non_finite_vector(amplitudes, cause):
+    with pytest.raises(StateError, match=f"^state vector is {cause}$"):
+        DensityMatrix.pure(amplitudes)
+
+
 def eigvalsh_spy(monkeypatch):
     """Record the stacks that np.linalg.eigvalsh is given."""
     seen = []

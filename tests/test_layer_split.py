@@ -51,11 +51,13 @@ def test_layer_split_times_a_runner_called_through_the_dispatch_table():
 
 def test_layer_split_defaults_show_the_exact_workload_layers():
     # exact runs the joint chain and the microscopic grid: both show by
-    # default, and so do the solver's evaluations
+    # default, and so do the solver's evaluations; scan's two largest layers,
+    # the ordering probe and the coarse map, have their rows too
     done = run_tool("exact:1", "--passes", "1")
     assert done.returncode == 0, done.stderr
     rows = {row.split()[0]: row.split() for row in done.stdout.splitlines()[1:]}
     assert list(rows) == ["pass", "experiments._csv", "channel.check_states", "channel.propagate",
+                          "model.ordering_residual", "model.coarse_map",
                           "chain.step_chain", "microscopic.emitter_spectrum",
                           "microscopic.evolve_microscopic", "microscopic._pole_sums"]
     for name in ("chain.step_chain", "microscopic.emitter_spectrum",

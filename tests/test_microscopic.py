@@ -133,13 +133,12 @@ def test_recurrence_guard_rejects_a_nan_time():
         # every root within an ulp or less of its pole
         (401, 1e-8, 6.0, 1, 301),
         (401, 1e-30, 6.0, 1, 301),
-        # a long series: the recurrence's rounding grows with the samples,
-        # which its restarts bound (with none, 5.9e-13 here); the direct sum
-        # at every 150th time
+        # a long series, in 173 blocks of 174 samples; the direct sum at
+        # every 150th time
         (1601, 0.005, None, 150, 30001),
     ],
 )
-def test_recurrence_survival_matches_the_direct_sum(n_modes, gamma, t_final, every, samples):
+def test_survival_matches_the_direct_sum(n_modes, gamma, t_final, every, samples):
     arrow = build_microscopic(FrequencyGrid(n_modes, 20.0), gamma)
     if t_final is None:
         t_final = 0.95 * 2.0 * math.pi / arrow.grid.spacing
@@ -147,6 +146,17 @@ def test_recurrence_survival_matches_the_direct_sum(n_modes, gamma, t_final, eve
     survival = evolve_microscopic(arrow, times)
     reference = direct_survival(arrow, times[::every])
     np.testing.assert_allclose(survival[::every], reference, rtol=0, atol=1e-13)
+
+
+def test_survival_error_does_not_grow_with_the_samples():
+    # every cos(l t) comes from the cosines of its own giant and baby step,
+    # so no rounding is carried from sample to sample: 3.2e-15 here, and
+    # 4.4e-15 over 301 samples to the same time
+    arrow = build_microscopic(FrequencyGrid(1601, 20.0), 0.005)
+    times = np.linspace(0.0, 0.95 * 2.0 * math.pi / arrow.grid.spacing, 300001)
+    survival = evolve_microscopic(arrow, times)
+    reference = direct_survival(arrow, times[::1500])
+    np.testing.assert_allclose(survival[::1500], reference, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -332,17 +342,18 @@ def traced_peak(fn, *args) -> int:
 
 def test_secular_solver_working_set_is_blocked():
     # the solver keeps a few (2048, 32) float arrays besides the grid: its
-    # peak stays under a quarter of one real n x n array (2.1 MB against
+    # peak stays under a quarter of one real n x n array (0.85 MB against
     # 5.1 MB here)
     arrow = build_microscopic(FrequencyGrid(1601, 20.0), 1.0)
     assert traced_peak(emitter_spectrum, arrow) < 8 * 1602**2 / 4
 
 
 def test_survival_sum_is_blocked_like_the_solver():
-    # the survival recurrence keeps a few complex arrays of the spectrum's
-    # length (6402 here), so the evolution needs no more memory than the
-    # solve: a whole (times x modes) complex exponential would be 31 MB here,
-    # against 2.9 MB for the solver's few (2048, 32) float arrays and the grid
+    # the survival sum keeps a few cos and sin tables of one block of 2048
+    # roots against the 18 baby steps and the 17 giant steps of 301 samples,
+    # so the evolution's peak is the solve's (2.21 MB here, the solver's few
+    # (2048, 32) float arrays and the grid): a whole (times x modes) complex
+    # exponential would be 31 MB here
     arrow = build_microscopic(FrequencyGrid(6401, 20.0), 1.0)
     times = np.linspace(0.0, 3.0, 301)
     solve = traced_peak(emitter_spectrum, arrow)

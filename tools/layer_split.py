@@ -2,6 +2,7 @@
 
     python3 tools/layer_split.py trajectory:7 [scan:1,2 ...] [--passes 10]
         [--functions experiments._csv channel.check_states channel.propagate
+                     model.ordering_residual model.coarse_map
                      chain.step_chain microscopic.emitter_spectrum
                      microscopic.evolve_microscopic microscopic._pole_sums]
         [--runs N] [--src DIR]
@@ -39,6 +40,7 @@ from pathlib import Path
 from same_output import ROOT, _load, _plans
 
 FUNCTIONS = ("experiments._csv", "channel.check_states", "channel.propagate",
+             "model.ordering_residual", "model.coarse_map",
              "chain.step_chain", "microscopic.emitter_spectrum",
              "microscopic.evolve_microscopic", "microscopic._pole_sums")
 
