@@ -10,15 +10,16 @@ the mode frequencies on the diagonal, and g along the border.  Its exact
 evolution is an end-to-end check of the coarse-grained derivation,
 independent of time bins, Kraus operators, and master equations alike.
 
-The arrowhead is never formed.  Its eigenvalues are the roots of the secular
-equation l = g^2 sum_j 1/(l - w_j), one in each gap of the grid and one past
-each edge, and the emitter's weight in eigenvector l is
-1/(1 + g^2 sum_j 1/(l - w_j)^2).  The grid is exactly symmetric, so with
+The arrowhead is never formed.  In units of the spacing the modes are the
+integer ladder j = -half ... half, n = 2 half + 1, and with
+kappa = g^2 / spacing^2 its eigenvalues are spacing times the roots of the
+secular equation l = kappa sum_j 1/(l - j), one in each gap of the ladder
+and one past each end; the emitter's weight in eigenvector l is
+1/(1 + kappa sum_j 1/(l - j)^2).  The ladder is symmetric, so with
 S = diag(1, -J), J reversing the modes, S H S = -H: only the roots above the
 centre pole are solved, each from the flat band's estimate, which also picks
-the pole it is solved about, and mirrored.
-Each root sums the poles within NEAR indices of its own directly; the two
-tails past them lie on the uniform grid, where they are digamma (and
+the pole it is solved about, and mirrored.  Each root sums the poles within
+NEAR of its own directly and the two tails past them as digamma (and
 trigamma) differences.  So the whole spectrum costs O(n) time per iteration
 and a working set of a few (ROOT_BLOCK, 2 NEAR) arrays, instead of a dense
 O(n^3) eigendecomposition.
@@ -73,7 +74,8 @@ TRIGAMMA_SERIES = (-691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform symmetric grid of n_modes frequencies on [-half_width, half_width]."""
+    """Uniform symmetric grid of n_modes frequencies on [-half_width, half_width],
+    mode j within one ulp of half_width of (j - (n_modes - 1)/2) spacing."""
 
     n_modes: int
     half_width: float
@@ -120,99 +122,86 @@ def emitter_spectrum(arrow: Arrowhead) -> tuple[np.ndarray, np.ndarray]:
     mirror images.  With g = 0 the emitter decouples, and its own level 0
     with weight 1 is the whole answer.
     """
-    freqs = arrow.grid.frequencies
+    grid = arrow.grid
     c = arrow.coupling**2
     if c == 0.0:
         return np.zeros(1), np.ones(1)
-    n = freqs.size
-    # every eigenvalue lies within ||diag|| + ||border|| of 0
-    bound = float(np.max(np.abs(freqs))) + math.sqrt(n * c) + 1.0
-    # root k lies between the poles k-1 and k, the top one between the last
-    # pole and the bound; the upper half starts in the gap above the centre
-    upper = (n + 1) // 2
-    left = freqs[upper - 1 :]
-    right = np.append(freqs[upper:], bound)
-    energies = np.empty(upper)
-    weights = np.empty(upper)
-    for start in range(0, upper, ROOT_BLOCK):
+    # in units of the spacing the poles are the integers -half ... half; root
+    # m of the upper half lies in the gap below m, and the top one, as every
+    # eigenvalue lies within ||diag|| + ||border|| of 0, within top of half
+    half, kappa = (grid.n_modes - 1) // 2, c / grid.spacing**2
+    top = (math.sqrt(grid.n_modes * c) + 1.0) / grid.spacing
+    gaps = np.arange(1, half + 2)
+    energies, weights = np.empty((2, gaps.size))
+    for start in range(0, gaps.size, ROOT_BLOCK):
         block = slice(start, start + ROOT_BLOCK)
-        energies[block], weights[block] = _secular_roots(
-            freqs, arrow.grid.spacing, c, left[block], right[block], upper + start
-        )
+        energies[block], weights[block] = _secular_roots(half, kappa, top, gaps[block])
+    energies *= grid.spacing
     return np.concatenate([-energies[::-1], energies]), np.concatenate([weights[::-1], weights])
 
 
 def _secular_roots(
-    freqs: np.ndarray,
-    spacing: float,
-    c: float,
-    left: np.ndarray,
-    right: np.ndarray,
-    first: int,
+    half: int, kappa: float, top: float, gaps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roots first, first+1, ... of h(l) = l - c sum_j 1/(l - w_j), all above
-    the centre pole, each in its bracket (left, right), with the emitter
-    weights 1/h'(l).
+    """Roots of h(l) = l - kappa sum_j 1/(l - j), j = -half ... half, in the
+    gaps (m - 1, m) above the centre pole, the top one, m = half + 1, within
+    top past the top pole; with the emitter weights 1/h'(l).
 
-    Each root is solved as an offset tau from the pole nearer to it, so
-    l - w_j = tau - (w_j - origin) keeps the full relative precision of tau
+    Each root is solved as an offset x from the integer pole nearer to it,
+    so l - j = x - (j - origin) keeps the full relative precision of x
     however close the root is to that pole (Gu & Eisenstat 1995).  The
-    iteration is Newton's method on p(tau) = |tau| h(origin + tau), which has
-    no pole at the origin and the sign of h.  An inner root starts at the
-    flat band's estimate, cot(pi x) = spacing (l - D(l)) / (pi c) with the
-    level shift D(l) = (c / spacing) ln|(l + W)/(l - W)|, x its offset from
-    the pole below in spacings, or from the pole above when negative: its
-    sign picks the origin, and tau is bracketed over the whole gap.  The root
-    above the centre pole starts no further out than g = sqrt(c); the top
-    root, or an estimate outside the bracket, starts mid-bracket.  Every
-    evaluation shrinks the bracket of tau; a step that would leave it
-    bisects instead, and a step below one ulp is lengthened to one ulp so
-    that the bracket closes.  A root is done when its bracket is one ulp
-    wide, wherever it started.  Each evaluation costs O(NEAR) per root
-    (``_pole_sums``).
+    iteration is Newton's method on p(x) = |x| h(origin + x), which has no
+    pole at the origin and the sign of h.  An inner root starts at the flat
+    band's estimate, cot(pi x) = (l - D(l)) / (pi kappa) with the level shift
+    D(l) = kappa ln|(l + half)/(l - half)|, x its offset from the pole
+    below, or from the pole above when negative: its sign picks the origin,
+    and x is bracketed over the whole gap.  The root above the centre pole
+    starts no further out than sqrt(kappa); the top root, or an estimate
+    outside the bracket, starts mid-bracket.  Every evaluation shrinks the
+    bracket of x; a step that would leave it bisects instead, and a step
+    below one ulp is lengthened to one ulp so that the bracket closes.  A
+    root is done when its bracket is one ulp wide, wherever it started.  Each
+    evaluation costs O(NEAR) per root (``_pole_sums``).
     """
-    n = freqs.size
-    k = np.arange(first, first + left.size)
-    outer = k == n
-    mid = 0.5 * (left + right)
+    outer = gaps > half
+    mid = gaps - 0.5
     # the estimate as an offset from the nearer pole, l at mid-gap and then at
     # the first estimate
-    shift = c / spacing * np.log((mid + freqs[-1]) / np.abs(mid - freqs[-1]))
+    shift = kappa * np.log((mid + half) / np.abs(mid - half))
     guess = mid
     for _ in range(2):
         cot = guess - shift
-        seed = np.copysign(np.arctan2(math.pi * c, spacing * np.abs(cot)), cot) * spacing / math.pi
-        guess = np.where(seed > 0.0, left, right) + seed
+        seed = np.copysign(np.arctan2(math.pi * kappa, np.abs(cot)), cot) / math.pi
+        guess = np.where(seed > 0.0, gaps - 1, gaps) + seed
     # the root above the centre pole is the emitter split from the centre mode
-    # by about g = sqrt(c); at a weak coupling the band puts it a third of a
+    # by about sqrt(kappa); at a weak coupling the band puts it a third of a
     # spacing out, and Newton's method would only halve the distance per step
-    seed = np.where(k == (n + 1) // 2, np.minimum(seed, math.sqrt(c)), seed)
+    seed = np.where(gaps == 1, np.minimum(seed, math.sqrt(kappa)), seed)
 
     # the top root has only its left pole
     from_left = outer | (seed > 0.0)
-    origin = np.where(from_left, left, right)
-    pole = np.where(from_left, k - 1, k)
+    origin = np.where(from_left, gaps - 1, gaps)
     sign = np.where(from_left, 1.0, -1.0)
-    near, tails = _poles(freqs, pole)
-    far = np.where(from_left, right, left) - origin
+    near, tails = _poles(origin, half)
+    far = np.where(outer, top, sign)
     lo = np.minimum(far, 0.0)
     hi = np.maximum(far, 0.0)
     # |p| at each end of the bracket; an end never evaluated is a pole or the bound
-    p_lo = np.full(k.size, np.inf)
-    p_hi = np.full(k.size, np.inf)
-    tau = np.where((seed > lo) & (seed < hi) & ~outer, seed, 0.5 * far)
-    active = np.arange(k.size)
+    p_lo = np.full(gaps.size, np.inf)
+    p_hi = np.full(gaps.size, np.inf)
+    x = np.where((seed > lo) & (seed < hi) & ~outer, seed, 0.5 * far)
+    active = np.arange(gaps.size)
     d, counts = near, tails
     iteration = 0
     while active.size:
         iteration += 1
-        t = tau[active]
-        # every pole but the origin, which is in |tau|
-        r_sum, r_squares = _pole_sums(t, d, counts, spacing)
-        rest = origin[active] + t - c * r_sum
+        t = x[active]
+        # every pole but the origin, which is in |x|
+        r_sum, r_squares = _pole_sums(t, d, counts)
+        rest = origin[active] + t - kappa * r_sum
         s = sign[active]
-        p = s * (t * rest - c)
-        dp = s * rest + np.abs(t) * (1.0 + c * r_squares)
+        p = s * (t * rest - kappa)
+        dp = s * rest + np.abs(t) * (1.0 + kappa * r_squares)
 
         below, above = p <= 0.0, p >= 0.0
         a = np.where(below, t, lo[active])
@@ -226,52 +215,45 @@ def _secular_roots(
         step = np.where(np.abs(step) < ulp, np.copysign(ulp, step), step)
         nxt = t + step
         inside = (nxt > a) & (nxt < b) & (iteration <= NEWTON_ITERATIONS)
-        tau[active] = np.where(inside, nxt, 0.5 * (a + b))
+        x[active] = np.where(inside, nxt, 0.5 * (a + b))
 
         open_ = b - a > np.spacing(np.maximum(np.abs(a), np.abs(b)))
         if not open_.all():
             active = active[open_]
             d, counts = near[active], tails[active]
 
-    tau = np.where(p_lo <= p_hi, lo, hi)
-    r_squares = _pole_sums(tau, near, tails, spacing)[1]
-    weights = 1.0 / (1.0 + c * (r_squares + 1.0 / tau**2))
-    return origin + tau, weights
+    x = np.where(p_lo <= p_hi, lo, hi)
+    r_squares = _pole_sums(x, near, tails)[1]
+    weights = 1.0 / (1.0 + kappa * (r_squares + 1.0 / x**2))
+    return origin + x, weights
 
 
-def _poles(freqs: np.ndarray, pole: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each origin pole: the offsets w_j - w_pole of the poles within NEAR
-    indices of it, itself left out and inf past the grid's edges, and the
-    number of poles further out below it and above it."""
-    n = freqs.size
-    steps = np.arange(-NEAR, NEAR + 1)
-    index = pole[:, None] + steps[steps != 0]
-    inside = (index >= 0) & (index < n)
-    near = freqs[np.clip(index, 0, n - 1)] - freqs[pole][:, None]
-    tails = np.maximum(np.stack([pole, n - 1 - pole], axis=1) - NEAR, 0)
-    return np.where(inside, near, np.inf), tails
+def _poles(origin: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each integer origin pole: the offsets of the poles within NEAR of
+    it, itself left out and inf past the ladder's ends -half and half, and
+    the number of poles further out below it and above it."""
+    steps = np.delete(np.arange(-NEAR, NEAR + 1), NEAR)
+    near = np.where(np.abs(origin[:, None] + steps) <= half, steps, np.inf)
+    tails = np.maximum(np.stack([half + origin, half - origin], axis=1) - NEAR, 0)
+    return near, tails
 
 
-def _pole_sums(
-    t: np.ndarray, near: np.ndarray, tails: np.ndarray, spacing: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """sum_j 1/(t - d_j) and sum_j 1/(t - d_j)^2 over every pole d_j but the
-    origin, for offsets t from it.
+def _pole_sums(t: np.ndarray, near: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_j 1/(t - d_j) and sum_j 1/(t - d_j)^2 over every integer pole d_j
+    but the origin, for offsets t from it.
 
-    The near poles are summed directly from their offsets.  The tails lie on
-    the uniform grid: with x = t / spacing, the i-th pole past the near ones
-    contributes 1/(spacing (NEAR + 1 + x + i)) below the origin and
-    -1/(spacing (NEAR + 1 - x + i)) above it.  |x| stays below 1 except at
-    the outer roots, whose offset grows away from the one tail they have, so
-    every tail argument is above NEAR; an empty tail's argument is raised to
-    NEAR to keep it finite.
+    The near poles are summed directly from their offsets.  The i-th pole
+    past them contributes 1/(NEAR + 1 + t + i) below the origin and
+    -1/(NEAR + 1 - t + i) above it.  |t| stays below 1 except at the outer
+    roots, whose offset grows away from the one tail they have, so every
+    tail argument is above NEAR; an empty tail's argument is raised to NEAR
+    to keep it finite.
     """
     r = 1.0 / (t[:, None] - near)
-    x = t / spacing
-    start = np.maximum(NEAR + 1.0 + np.stack([x, -x], axis=1), NEAR)
+    start = np.maximum(NEAR + 1.0 + np.stack([t, -t], axis=1), NEAR)
     first, second = _tail_sums(start, tails)
-    r_sum = r.sum(axis=1) + (first[:, 0] - first[:, 1]) / spacing
-    r_squares = np.einsum("ij,ij->i", r, r) + (second[:, 0] + second[:, 1]) / spacing**2
+    r_sum = r.sum(axis=1) + first[:, 0] - first[:, 1]
+    r_squares = np.einsum("ij,ij->i", r, r) + second[:, 0] + second[:, 1]
     return r_sum, r_squares
 
 

@@ -340,9 +340,8 @@ def dense_spectrum(arrow) -> tuple[np.ndarray, np.ndarray]:
     return evals, np.abs(evecs[0, :]) ** 2
 
 
-def dense_survival(arrow, times: np.ndarray) -> np.ndarray:
-    """|c_e(t)|^2 from one dense Hermitian eigendecomposition."""
-    evals, weights = dense_spectrum(arrow)
+def dense_survival(evals: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """|c_e(t)|^2 from the eigenvalues and emitter weights of ``dense_spectrum``."""
     return np.abs(np.exp(-1j * np.outer(times, evals)) @ weights) ** 2
 
 
@@ -473,65 +472,63 @@ def _full_sum_roots(
 def every_root_spectrum(arrow) -> tuple[np.ndarray, np.ndarray]:
     """``microscopic.emitter_spectrum`` solving every one of the n + 1 roots,
     each from the middle of its bracket: the solve that the mirrored half
-    spectrum and the flat-band start replaced.  It shares the near-pole sums
-    and digamma tails (``microscopic._poles`` and ``_pole_sums``) and the
-    iteration, so the two agree to rounding."""
-    freqs = arrow.grid.frequencies
+    spectrum and the flat-band start replaced.  It shares the integer
+    ladder's near-pole sums and digamma tails (``microscopic._poles`` and
+    ``_pole_sums``) and the iteration, so the two agree to rounding."""
     c = arrow.coupling**2
     if c == 0.0:
         return np.zeros(1), np.ones(1)
-    n = freqs.size
-    bound = float(np.max(np.abs(freqs))) + math.sqrt(n * c) + 1.0
-    left = np.concatenate([[-bound], freqs])
-    right = np.concatenate([freqs, [bound]])
-    energies = np.empty(n + 1)
-    weights = np.empty(n + 1)
-    for start in range(0, n + 1, microscopic.ROOT_BLOCK):
+    spacing = arrow.grid.spacing
+    # in units of the spacing the poles are -half ... half; root m lies in the
+    # gap below m, the bottom one below -half and the top one past half
+    half = (arrow.grid.n_modes - 1) // 2
+    bound = (math.sqrt(arrow.grid.n_modes * c) + 1.0) / spacing
+    gaps = np.arange(-half, half + 2)
+    energies = np.empty(gaps.size)
+    weights = np.empty(gaps.size)
+    for start in range(0, gaps.size, microscopic.ROOT_BLOCK):
         block = slice(start, start + microscopic.ROOT_BLOCK)
-        energies[block], weights[block] = _unseeded_roots(
-            freqs, arrow.grid.spacing, c, left[block], right[block], start
-        )
-    return energies, weights
+        energies[block], weights[block] = _unseeded_roots(half, c / spacing**2, bound, gaps[block])
+    return spacing * energies, weights
 
 
 def _unseeded_roots(
-    freqs: np.ndarray, spacing: float, c: float, left: np.ndarray, right: np.ndarray, first: int
+    half: int, kappa: float, bound: float, gaps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roots first, first+1, ... of the secular equation, the bottom root
-    included, each started mid-bracket; otherwise ``microscopic._secular_roots``."""
+    """Roots in the gaps (m - 1, m) of the secular equation on the integer
+    ladder, the bottom root included and the outer two within bound of the
+    end poles, each started mid-bracket; otherwise
+    ``microscopic._secular_roots``."""
     poles, pole_sums = microscopic._poles, microscopic._pole_sums
-    n = freqs.size
-    k = np.arange(first, first + left.size)
-    outer = (k == 0) | (k == n)
-    mid = 0.5 * (left + right)
-    # h at mid, summed about the pole below it (the bottom root: above it)
-    ref = np.maximum(k - 1, 0)
-    t_mid = mid - freqs[ref]
-    h_mid = mid - c * (1.0 / t_mid + pole_sums(t_mid, *poles(freqs, ref), spacing)[0])
+    outer = (gaps == -half) | (gaps == half + 1)
+    mid = gaps - 0.5
+    # h at mid-gap, summed about the pole below it (the bottom root: above it)
+    ref = np.maximum(gaps - 1, -half)
+    t_mid = mid - ref
+    h_mid = mid - kappa * (1.0 / t_mid + pole_sums(t_mid, *poles(ref, half))[0])
     # the top root has only its left pole, the bottom root only its right one
-    from_left = np.where(outer, k == n, h_mid >= 0.0)
-    origin = np.where(from_left, left, right)
-    pole = np.where(from_left, k - 1, k)
+    from_left = np.where(outer, gaps > 0, h_mid >= 0.0)
+    origin = np.where(from_left, gaps - 1, gaps)
     sign = np.where(from_left, 1.0, -1.0)
-    near, tails = poles(freqs, pole)
-    far = np.where(outer, np.where(from_left, right, left), mid) - origin
+    near, tails = poles(origin, half)
+    far = np.where(outer, sign * bound, mid - origin)
     lo = np.minimum(far, 0.0)
     hi = np.maximum(far, 0.0)
-    p_lo = np.full(k.size, np.inf)
-    p_hi = np.full(k.size, np.inf)
+    p_lo = np.full(gaps.size, np.inf)
+    p_hi = np.full(gaps.size, np.inf)
 
-    tau = 0.5 * far
-    active = np.arange(k.size)
+    x = 0.5 * far
+    active = np.arange(gaps.size)
     d, counts = near, tails
     iteration = 0
     while active.size:
         iteration += 1
-        t = tau[active]
-        r_sum, r_squares = pole_sums(t, d, counts, spacing)
-        rest = origin[active] + t - c * r_sum
+        t = x[active]
+        r_sum, r_squares = pole_sums(t, d, counts)
+        rest = origin[active] + t - kappa * r_sum
         s = sign[active]
-        p = s * (t * rest - c)
-        dp = s * rest + np.abs(t) * (1.0 + c * r_squares)
+        p = s * (t * rest - kappa)
+        dp = s * rest + np.abs(t) * (1.0 + kappa * r_squares)
 
         below, above = p <= 0.0, p >= 0.0
         a = np.where(below, t, lo[active])
@@ -545,17 +542,17 @@ def _unseeded_roots(
         step = np.where(np.abs(step) < ulp, np.copysign(ulp, step), step)
         nxt = t + step
         inside = (nxt > a) & (nxt < b) & (iteration <= microscopic.NEWTON_ITERATIONS)
-        tau[active] = np.where(inside, nxt, 0.5 * (a + b))
+        x[active] = np.where(inside, nxt, 0.5 * (a + b))
 
         open_ = b - a > np.spacing(np.maximum(np.abs(a), np.abs(b)))
         if not open_.all():
             active = active[open_]
             d, counts = near[active], tails[active]
 
-    tau = np.where(p_lo <= p_hi, lo, hi)
-    r_squares = pole_sums(tau, near, tails, spacing)[1]
-    weights = 1.0 / (1.0 + c * (r_squares + 1.0 / tau**2))
-    return origin + tau, weights
+    x = np.where(p_lo <= p_hi, lo, hi)
+    r_squares = pole_sums(x, near, tails)[1]
+    weights = 1.0 / (1.0 + kappa * (r_squares + 1.0 / x**2))
+    return origin + x, weights
 
 
 def bins_met_vector(state: ChainState) -> np.ndarray:

@@ -1,5 +1,6 @@
 """The layer-split tool times named package functions over replayed runs."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,7 +56,11 @@ def test_layer_split_defaults_show_the_exact_workload_layers():
     # the ordering probe and the coarse map, have their rows too
     done = run_tool("exact:1", "--passes", "1")
     assert done.returncode == 0, done.stderr
-    rows = {row.split()[0]: row.split() for row in done.stdout.splitlines()[1:]}
+    lines = done.stdout.splitlines()[1:]
+    rows = {row.split()[0]: row.split() for row in lines}
+    # the names' column fits the longest, microscopic.evolve_microscopic, so
+    # every row's right-aligned time and share end in the same columns
+    assert len({(re.match(r"\S+ +\S+", row).end(), row.index("%")) for row in lines}) == 1
     assert list(rows) == ["pass", "experiments._csv", "channel.check_states", "channel.propagate",
                           "model.ordering_residual", "model.coarse_map",
                           "chain.step_chain", "microscopic.emitter_spectrum",

@@ -39,6 +39,16 @@ def test_grid_validation_and_spacing():
         FrequencyGrid(1601, -1.0)
 
 
+def test_grid_is_the_integer_ladder_to_one_ulp():
+    # the secular solver takes mode j at (j - half) spacing: 1.0 ulp of
+    # half_width at most here
+    for n_modes in (3, 33, 35, 101, 801, 1601, 6401, 102401):
+        for half_width in (1e-3, 1.0, 7.0, 20.0, 40.0, 1e6):
+            grid = FrequencyGrid(n_modes, half_width)
+            ladder = (np.arange(n_modes) - (n_modes - 1) // 2) * grid.spacing
+            assert np.max(np.abs(grid.frequencies - ladder)) <= np.spacing(half_width)
+
+
 def test_build_microscopic_structure():
     grid = FrequencyGrid(11, 1.0)
     h = dense_hamiltonian(build_microscopic(grid, 0.0))
@@ -215,13 +225,13 @@ def test_microscopic_matches_collision_model_end_to_end(wide_band_run):
 def test_secular_solver_matches_dense_eigh(n_modes, half_width, gamma):
     arrow = build_microscopic(FrequencyGrid(n_modes, half_width), gamma)
     energies, weights = emitter_spectrum(arrow)
-    dense_energies, _ = dense_spectrum(arrow)
+    dense = dense_spectrum(arrow)  # one eigh, for the spectrum and the survival
     assert np.all(np.diff(energies) > 0)  # one root per gap, in order
-    np.testing.assert_allclose(energies, dense_energies, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(energies, dense[0], rtol=0, atol=1e-12)
     assert abs(weights.sum() - 1.0) <= 1e-12
     times = np.linspace(0.0, min(3.0, 0.9 * 2.0 * math.pi / arrow.grid.spacing), 301)
     survival = evolve_microscopic(arrow, times)
-    np.testing.assert_allclose(survival, dense_survival(arrow, times), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(survival, dense_survival(*dense, times), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-8, 1e-30])
@@ -235,7 +245,8 @@ def test_secular_solver_at_vanishing_coupling(gamma):
     times = np.linspace(0.0, 6.0, 121)
     survival = evolve_microscopic(arrow, times)
     assert np.all(np.isfinite(survival))
-    np.testing.assert_allclose(survival, dense_survival(arrow, times), rtol=0, atol=1e-12)
+    reference = dense_survival(*dense_spectrum(arrow), times)
+    np.testing.assert_allclose(survival, reference, rtol=0, atol=1e-12)
     if gamma == 0.0:
         assert np.all(survival == 1.0)
     else:
@@ -295,6 +306,29 @@ def test_dense_spectrum_is_symmetric_and_its_amplitude_real(n_modes):
     assert np.max(np.abs(amplitude.imag)) <= 1e-12
 
 
+@pytest.mark.parametrize("n_modes", [3, 33, 35, 1601])
+def test_pole_sums_match_the_exact_sum_over_the_ladder(n_modes):
+    # Every pole of the integer ladder but the origin, summed by math.fsum,
+    # at offsets near 0, about 1/2 and next to the far pole of each gap, and
+    # at the outer roots' offsets past 1.  At 3 modes there are no tails, at
+    # 33 and 35 tails shorter than NEAR, at 1601 long ones (every origin
+    # within NEAR + 2 of an end or 2 of the centre).  Measured: the sum
+    # within 1.0 eps sum_j |1/(t - d_j)|, the squares within 2.13 eps.
+    half = (n_modes - 1) // 2
+    ladder = np.arange(-half, half + 1)
+    origins = ladder[(np.abs(ladder) <= 2) | (np.abs(ladder) >= half - microscopic.NEAR - 2)]
+    inner = [1e-300, 1e-12, 0.25, 0.5 - 2**-30, 0.5, 0.5 + 2**-30, 1.0 - 2**-30]
+    cases = [(o, sign * x) for o in origins for x in inner for sign in (1.0, -1.0)]
+    cases += [(half, x) for x in (1.5, 40.0, 1e3)] + [(-half, -x) for x in (1.5, 40.0, 1e3)]
+    origin, t = np.array(cases).T
+    r_sum, r_squares = microscopic._pole_sums(t, *microscopic._poles(origin.astype(int), half))
+    eps = np.finfo(float).eps
+    for (o, x), got_sum, got_squares in zip(cases, r_sum, r_squares):
+        r = 1.0 / (x - (ladder[ladder != o] - o))
+        assert abs(got_sum - math.fsum(r)) <= 2 * eps * math.fsum(np.abs(r))
+        assert abs(got_squares - math.fsum(r * r)) <= 4 * eps * math.fsum(r * r)
+
+
 def pole_sum_calls(monkeypatch, n_modes, gamma) -> list[int]:
     """The number of roots of each ``_pole_sums`` call of one spectrum."""
     calls = []
@@ -324,7 +358,7 @@ def test_seeded_solver_keeps_its_evaluation_budget(monkeypatch, n_modes):
 def test_weak_coupling_keeps_the_evaluation_budget(monkeypatch, n_modes, gamma):
     # The root above the centre pole is the emitter split from the centre
     # mode by g.  Started a third of a spacing out, Newton's method only
-    # halves its way down to g: 18-103 evaluations here.  Started at g, 7-9.
+    # halves its way down to g: 18-103 evaluations here.  Started at g, 7-8.
     calls = pole_sum_calls(monkeypatch, n_modes, gamma)
     assert calls[0] == (n_modes + 1) // 2
     assert len(calls) <= 10

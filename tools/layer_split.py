@@ -130,10 +130,11 @@ def main(argv: list[str] | None = None) -> int:
     whole = statistics.median(times["pass"])
     runs = f", first {args.runs} runs" if args.runs is not None else ""
     print(f"{' '.join(args.specs)}{runs}: {args.passes} passes, median of each, in ms")
+    width = max(map(len, times))
     for name, values in times.items():
         mid = statistics.median(values)
         unit = "runs" if name == "pass" else "calls"
-        print(f"{name:<28} {1e3 * mid:9.1f}  {100 * mid / whole:5.1f}%"
+        print(f"{name:<{width}} {1e3 * mid:9.1f}  {100 * mid / whole:5.1f}%"
               f"  ({1e3 * min(values):.1f} .. {1e3 * max(values):.1f})"
               f"  {statistics.median_low(counts[name])} {unit}")
     return 0
