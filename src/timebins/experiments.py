@@ -84,10 +84,10 @@ SWEEP_SCALES = (1.0, 0.5, 0.25, 0.125)
 # CSV rows formatted per block, so no full-length Python copy of the table is
 # ever built next to the CSV text.
 CSV_BLOCK_ROWS = 1024
-# Blocks of at least this many cells go through _format_cells, smaller ones
-# through one %.  The kernel costs about 0.2 ms a call and 0.3 us a cell, %
-# 0.7 us a cell: they cross near 450-500 cells (2-vCPU host, numpy 2.4).
-CSV_KERNEL_MIN_CELLS = 512
+# Blocks of >= this many cells go through _format_cells, others one %: at
+# 11/21/31/41/51 rows x 7, % 35/65/99/148/175 us, kernel 102/113/120/137/139
+# us, crossing near 280 cells (seed-7 scan, 1 BLAS thread, 2-vCPU host).
+CSV_KERNEL_MIN_CELLS = 256
 
 
 def fit_order(rows: Sequence[tuple[float, float]]) -> float:

@@ -17,12 +17,12 @@ secular equation l = kappa sum_j 1/(l - j), one in each gap of the ladder
 and one past each end; the emitter's weight in eigenvector l is
 1/(1 + kappa sum_j 1/(l - j)^2).  The ladder is symmetric, so with
 S = diag(1, -J), J reversing the modes, S H S = -H: only the roots above the
-centre pole are solved, each from the flat band's estimate, which also picks
-the pole it is solved about, and mirrored.  Each root sums the poles within
-NEAR of its own directly and the two tails past them as digamma (and
-trigamma) differences.  So the whole spectrum costs O(n) time per iteration
-and a working set of a few (ROOT_BLOCK, 2 NEAR) arrays, instead of a dense
-O(n^3) eigendecomposition.
+centre pole are solved, and mirrored; the flat band's estimate starts each
+inner root and picks the pole it is solved about, the bound state the top
+one.  Each root sums the poles within NEAR of its own directly and the two
+tails past them as digamma (and trigamma) differences.  So the whole
+spectrum costs O(n) time per iteration and a working set of a few
+(ROOT_BLOCK, 2 NEAR) arrays, instead of a dense O(n^3) eigendecomposition.
 
 The survival amplitude c_e(t) = sum_l weight_l e^{-i l t} is then real,
 2 sum_{l > 0} weight_l cos(l t).  Equally spaced times t = (g B + j) dt, with
@@ -75,7 +75,7 @@ TRIGAMMA_SERIES = (-691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform symmetric grid of n_modes frequencies on [-half_width, half_width],
-    mode j within one ulp of half_width of (j - (n_modes - 1)/2) spacing."""
+    mode j at (j - (n_modes - 1)/2) spacing, the integer ladder the solver uses."""
 
     n_modes: int
     half_width: float
@@ -90,18 +90,12 @@ class FrequencyGrid:
     def spacing(self) -> float:
         return 2.0 * self.half_width / (self.n_modes - 1)
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        # the mirrored non-negative half: w_j = -w_{n-1-j} holds exactly
-        half = np.linspace(0.0, self.half_width, (self.n_modes + 1) // 2)
-        return np.concatenate([-half[:0:-1], half])
-
 
 @dataclass(frozen=True)
 class Arrowhead:
     """Real single-excitation Hamiltonian in the basis (|e,vac>, i|g,1_j>):
-    emitter energy 0 in the corner, the grid frequencies on the diagonal,
-    and the same coupling g in every entry of the border."""
+    emitter energy 0 in the corner, the grid's modes on the diagonal, and
+    the same coupling g in every entry of the border."""
 
     grid: FrequencyGrid
     coupling: float
@@ -156,8 +150,11 @@ def _secular_roots(
     D(l) = kappa ln|(l + half)/(l - half)|, x its offset from the pole
     below, or from the pole above when negative: its sign picks the origin,
     and x is bracketed over the whole gap.  The root above the centre pole
-    starts no further out than sqrt(kappa); the top root, or an estimate
-    outside the bracket, starts mid-bracket.  Every evaluation shrinks the
+    starts no further out than sqrt(kappa).  The top root, the bound state
+    above the band, solves x (half + x - kappa sum_{k=1}^{2 half} 1/(x + k))
+    = kappa; at x << 1, with H_m ~ ln m + gamma_E + 1/(2m), it starts at
+    x = kappa / (half - kappa H_{2 half}), none when half <= kappa H_{2 half}.
+    A start outside its bracket is mid-bracket.  Every evaluation shrinks the
     bracket of x; a step that would leave it bisects instead, and a step
     below one ulp is lengthened to one ulp so that the bracket closes.  A
     root is done when its bracket is one ulp wide, wherever it started.  Each
@@ -177,6 +174,9 @@ def _secular_roots(
     # by about sqrt(kappa); at a weak coupling the band puts it a third of a
     # spacing out, and Newton's method would only halve the distance per step
     seed = np.where(gaps == 1, np.minimum(seed, math.sqrt(kappa)), seed)
+    # the top root's bound state; top, outside the bracket, when there is none
+    harmonic = math.log(2 * half) + np.euler_gamma + 0.25 / half
+    seed = np.where(outer, kappa / max(half - kappa * harmonic, kappa / top), seed)
 
     # the top root has only its left pole
     from_left = outer | (seed > 0.0)
@@ -187,9 +187,8 @@ def _secular_roots(
     lo = np.minimum(far, 0.0)
     hi = np.maximum(far, 0.0)
     # |p| at each end of the bracket; an end never evaluated is a pole or the bound
-    p_lo = np.full(gaps.size, np.inf)
-    p_hi = np.full(gaps.size, np.inf)
-    x = np.where((seed > lo) & (seed < hi) & ~outer, seed, 0.5 * far)
+    p_lo, p_hi = np.full((2, gaps.size), np.inf)
+    x = np.where((seed > lo) & (seed < hi), seed, 0.5 * far)
     active = np.arange(gaps.size)
     d, counts = near, tails
     iteration = 0

@@ -9,7 +9,9 @@ of the secular-equation solver in ``microscopic``, ``full_sum_spectrum``
 is that solver with every pole summed directly, the slow path it replaced,
 and ``every_root_spectrum`` is that solver over all n + 1 roots, each started
 mid-bracket about the pole that an evaluation at mid-gap picks, the solve
-that its mirrored half spectrum and seeded start replaced.
+that its mirrored half spectrum and seeded start replaced.  The first two
+take the float grid of ``grid_frequencies``, which the package, working on
+the integer ladder, never forms.
 ``direct_survival`` is ``microscopic.evolve_microscopic`` summing
 weight_l e^{-i l t} directly over blocks of roots, at any times, the oracle
 of its sum by angle addition over blocks of samples.
@@ -322,13 +324,21 @@ def _one_width_each(params) -> list:
     return [model.CoarseParams(params.gamma, dt, params.n_max) for dt in widths]
 
 
+def grid_frequencies(grid) -> np.ndarray:
+    """The float frequencies of a microscopic FrequencyGrid, built as the
+    mirror image of its non-negative half linspace(0, half_width, (n+1)/2),
+    so w_j = -w_{n-1-j} holds exactly and the centre mode is exactly 0."""
+    half = np.linspace(0.0, grid.half_width, (grid.n_modes + 1) // 2)
+    return np.concatenate([-half[:0:-1], half])
+
+
 def dense_hamiltonian(arrow) -> np.ndarray:
     """The complex single-excitation Hamiltonian of a microscopic Arrowhead in
     the basis (|e,vac>, |g,1_1>, ..., |g,1_n>): diagonal (0, omega_1 ...
     omega_n) and coupling i g from the excited emitter to each mode."""
     n = arrow.grid.n_modes + 1
     h = np.zeros((n, n), dtype=complex)
-    h[np.arange(1, n), np.arange(1, n)] = arrow.grid.frequencies
+    h[np.arange(1, n), np.arange(1, n)] = grid_frequencies(arrow.grid)
     h[1:, 0] = 1j * arrow.coupling
     h[0, 1:] = -1j * arrow.coupling
     return h
@@ -377,7 +387,7 @@ def full_sum_spectrum(arrow) -> tuple[np.ndarray, np.ndarray]:
     agree to rounding.  With g = 0 the emitter decouples, and its own level 0
     with weight 1 is the whole answer.
     """
-    freqs = arrow.grid.frequencies
+    freqs = grid_frequencies(arrow.grid)
     c = arrow.coupling**2
     if c == 0.0:
         return np.zeros(1), np.ones(1)

@@ -23,13 +23,14 @@ from oracle import (
     direct_survival,
     every_root_spectrum,
     full_sum_spectrum,
+    grid_frequencies,
 )
 
 
 def test_grid_validation_and_spacing():
     grid = FrequencyGrid(1601, 20.0)
     assert grid.spacing == pytest.approx(0.025)
-    freqs = grid.frequencies
+    freqs = grid_frequencies(grid)
     assert freqs[0] == -20.0 and freqs[-1] == 20.0
     assert freqs[800] == 0.0
 
@@ -40,19 +41,19 @@ def test_grid_validation_and_spacing():
 
 
 def test_grid_is_the_integer_ladder_to_one_ulp():
-    # the secular solver takes mode j at (j - half) spacing: 1.0 ulp of
-    # half_width at most here
+    # the secular solver takes mode j at (j - half) spacing, and the float
+    # references at the oracle's grid: 1.0 ulp of half_width apart at most here
     for n_modes in (3, 33, 35, 101, 801, 1601, 6401, 102401):
         for half_width in (1e-3, 1.0, 7.0, 20.0, 40.0, 1e6):
             grid = FrequencyGrid(n_modes, half_width)
             ladder = (np.arange(n_modes) - (n_modes - 1) // 2) * grid.spacing
-            assert np.max(np.abs(grid.frequencies - ladder)) <= np.spacing(half_width)
+            assert np.max(np.abs(grid_frequencies(grid) - ladder)) <= np.spacing(half_width)
 
 
 def test_build_microscopic_structure():
     grid = FrequencyGrid(11, 1.0)
     h = dense_hamiltonian(build_microscopic(grid, 0.0))
-    np.testing.assert_array_equal(h, np.diag(np.concatenate([[0.0], grid.frequencies])))
+    np.testing.assert_array_equal(h, np.diag(np.concatenate([[0.0], grid_frequencies(grid)])))
 
     gamma = 0.7
     h = dense_hamiltonian(build_microscopic(grid, gamma))
@@ -269,12 +270,26 @@ def test_secular_solver_matches_the_full_sum_oracle(n_modes, half_width, gamma):
     np.testing.assert_allclose(weights, full_weights, rtol=0, atol=1e-14)
     # the two outer roots lie past the grid's edges, and the two next to them
     # in its first and last gaps (on the poles, to rounding, at gamma = 1e-30)
-    freqs = arrow.grid.frequencies
+    freqs = grid_frequencies(arrow.grid)
     ends = [0, 1, -2, -1]
     np.testing.assert_allclose(energies[ends], full_energies[ends], rtol=0, atol=1e-14)
     np.testing.assert_allclose(weights[ends], full_weights[ends], rtol=0, atol=1e-14)
     assert energies[0] <= freqs[0] <= energies[1] <= freqs[1]
     assert freqs[-2] <= energies[-2] <= freqs[-1] <= energies[-1]
+
+
+def test_top_root_without_a_bound_state_matches_the_full_sum_oracle():
+    # At a strong coupling, half <= kappa H_{2 half}, no bound state lies next
+    # to the top pole: the top root lies some 50 spacings out and starts
+    # mid-bracket.  Measured: 3.6e-15 in energy and 1.1e-16 in weight.
+    arrow = build_microscopic(FrequencyGrid(801, 20.0), 50.0)
+    half, kappa = 400, arrow.coupling**2 / arrow.grid.spacing**2
+    assert half <= kappa * math.fsum(1.0 / np.arange(1, 2 * half + 1))
+    energies, weights = emitter_spectrum(arrow)
+    full_energies, full_weights = full_sum_spectrum(arrow)
+    np.testing.assert_allclose(energies, full_energies, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(weights, full_weights, rtol=0, atol=1e-14)
+    assert energies[-1] > 20.0 + arrow.grid.spacing
 
 
 @pytest.mark.parametrize("half_width", [1.0, 20.0, 40.0])
@@ -284,7 +299,7 @@ def test_mirrored_half_spectrum_matches_the_every_root_oracle(n_modes, half_widt
     # The solver finds the roots above the centre pole from a flat-band start
     # and mirrors them; the oracle solves all n + 1 from mid-bracket.
     arrow = build_microscopic(FrequencyGrid(n_modes, half_width), gamma)
-    freqs = arrow.grid.frequencies
+    freqs = grid_frequencies(arrow.grid)
     assert np.array_equal(freqs, -freqs[::-1])
     energies, weights = emitter_spectrum(arrow)
     every_energies, every_weights = every_root_spectrum(arrow)
@@ -346,8 +361,8 @@ def pole_sum_calls(monkeypatch, n_modes, gamma) -> list[int]:
 @pytest.mark.parametrize("n_modes", [801, 1601])
 def test_seeded_solver_keeps_its_evaluation_budget(monkeypatch, n_modes):
     # One block of roots costs the Newton steps and one evaluation for the
-    # weights: 7 from the flat-band start at these sizes, against 10 and 11
-    # when every root starts mid-bracket
+    # weights: 7 and 6 from the flat-band start at these sizes, against 10 and
+    # 11 when every root starts mid-bracket
     calls = pole_sum_calls(monkeypatch, n_modes, 1.0)
     assert calls[0] == (n_modes + 1) // 2  # the upper half only, in one block
     assert len(calls) <= 7
@@ -358,10 +373,21 @@ def test_seeded_solver_keeps_its_evaluation_budget(monkeypatch, n_modes):
 def test_weak_coupling_keeps_the_evaluation_budget(monkeypatch, n_modes, gamma):
     # The root above the centre pole is the emitter split from the centre
     # mode by g.  Started a third of a spacing out, Newton's method only
-    # halves its way down to g: 18-103 evaluations here.  Started at g, 7-8.
+    # halves its way down to g: 18-103 evaluations here.  Started at g, 4-5.
     calls = pole_sum_calls(monkeypatch, n_modes, gamma)
     assert calls[0] == (n_modes + 1) // 2
     assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("gamma", [1e-8, 1e-30])
+@pytest.mark.parametrize("n_modes", [801, 1601, 3201])
+def test_top_root_starts_at_its_bound_state(monkeypatch, n_modes, gamma):
+    # The top root lies about kappa / half spacings above the top pole.
+    # Started there, a block takes 4-5 evaluations; started mid-bracket, 10
+    # to 40 spacings out here, 7-8.
+    calls = pole_sum_calls(monkeypatch, n_modes, gamma)
+    assert calls[0] == (n_modes + 1) // 2
+    assert len(calls) <= 5
 
 
 def traced_peak(fn, *args) -> int:
