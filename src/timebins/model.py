@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# apply_channel stays bound in model too: perfbench/tracing.py wraps it here
 from .channel import DensityMatrix, apply_channel, extract_kraus, iterate_channel
 from .operators import HERMITICITY_TOL, expm, kron
 
@@ -128,17 +129,16 @@ def ordering_residual(
 ) -> float | np.ndarray:
     """Per-bin discrepancy between one coarse step and a subdivided reference.
 
-    Builds the channel of a single bin of width dt and the channel composed of
-    ``subdivisions`` sequential sub-bins of width dt/subdivisions (each sub-bin
-    starting in vacuum and traced out), applies both to the projector onto the
-    most excited system state, and returns the max-norm difference of the two
-    output density matrices.  Channels are compared instead of unitaries so
-    the reference's larger bin-product space never has to be formed.
+    Applies one bin of width dt, and ``subdivisions`` sequential sub-bins of
+    width dt/subdivisions (each starting in vacuum, traced out), to the
+    projector onto the most excited system state and returns the max-norm
+    difference of the outputs: channels, so no bin-product space is formed.
 
-    For k widths: k residuals, from one coarse_map, apply_channel and
-    iterate_channel over all bins and sub-bins.  apply_channel takes the whole
-    stack of families, each bin before its sub-bin, so that its family check
-    names an incomplete one in width order.
+    For k widths: one coarse_map and one iterate_channel over the 2k families,
+    each bin before its sub-bin, so families are refused in width order; a
+    bin chain's first collision is compared with a sub-bin chain's last.
+    Every state is checked, so a bin family within TRACE_TOL whose trace loss
+    compounds past it in ``subdivisions`` collisions is refused (StateError).
     """
     if subdivisions < 2:
         raise ValueError("subdivisions must be >= 2")
@@ -148,9 +148,8 @@ def ordering_residual(
     families = extract_kraus(maps, system.dim, params.n_max)
 
     rho = DensityMatrix.pure(np.eye(system.dim)[-1])  # the most excited state
-    one_step = apply_channel(families, rho.matrix)[0::2]
-    reference = iterate_channel(families[1::2], rho, subdivisions)[:, -1]
-    out = np.max(np.abs(one_step - reference), axis=(-2, -1))
+    chains = iterate_channel(families, rho, subdivisions)
+    out = np.max(np.abs(chains[0::2, 1] - chains[1::2, -1]), axis=(-2, -1))
     return out.reshape(np.shape(params.dt))[()]  # a float for a single width
 
 

@@ -37,7 +37,9 @@ read of the lower triangle and its Gershgorin screen replaced.
 ``ordering_residual_per_width`` are the one-width-at-a-time loops that the
 stacked ``expm``, ``coarse_map`` and ``ordering_residual`` replaced: each
 width builds its own generator and exponential, and each ordering residual
-runs its own coarse collision and its own sub-bin chain.
+runs its own one-collision coarse chain and its own sub-bin chain (or, with
+``kraus_sum``, takes the coarse collision from the Kraus sum, as the stacked
+probe once did).
 ``kron_bin_generator`` and ``kron_liouvillian_matrix`` build the generator
 and the Liouvillian with ``np.kron``, which ``operators.kron``'s single
 broadcast replaced; ``filtered_vn_entropy`` is the entropy of one matrix from
@@ -301,10 +303,15 @@ def coarse_maps_per_width(system, params) -> np.ndarray:
     return np.array([model.coarse_map(system, one) for one in _one_width_each(params)])
 
 
-def ordering_residual_per_width(system, params, subdivisions: int) -> np.ndarray:
+def ordering_residual_per_width(
+    system, params, subdivisions: int, kraus_sum: bool = False
+) -> np.ndarray:
     """The ordering residuals of the widths of params.dt, one width at a
     time: per width a coarse map and a sub-bin map from ``model.coarse_map``,
-    one ``apply_channel`` and one ``iterate_channel`` over the sub-bins."""
+    the coarse map's first collision by ``iterate_channel`` (its step matrix)
+    or, with ``kraus_sum``, by ``apply_channel`` (the Kraus sum that
+    ``ordering_residual`` once took), and one ``iterate_channel`` over the
+    sub-bins."""
     out = []
     rho = DensityMatrix.pure(basis_state(system.dim, system.dim - 1))
     for one in _one_width_each(params):
@@ -312,7 +319,10 @@ def ordering_residual_per_width(system, params, subdivisions: int) -> np.ndarray
         coarse, fine = (
             extract_kraus(model.coarse_map(system, p), system.dim, one.n_max) for p in (one, sub)
         )
-        one_step = apply_channel(coarse, rho.matrix)
+        if kraus_sum:
+            one_step = apply_channel(coarse, rho.matrix)
+        else:
+            one_step = iterate_channel(coarse, rho, 1)[1]
         reference = iterate_channel(fine, rho, subdivisions)[-1]
         out.append(np.max(np.abs(one_step - reference)))
     return np.array(out)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_split.py"
 
@@ -69,3 +70,35 @@ def test_layer_split_defaults_show_the_exact_workload_layers():
                  "microscopic.evolve_microscopic", "microscopic._pole_sums"):
         assert 0.0 < float(rows[name][1]) < float(rows["pass"][1])
         assert int(rows[name][-2]) > 0
+
+
+def test_layer_split_times_the_calls_alone(tmp_path, monkeypatch):
+    # as the benchmark does: every config is written before the warm-up, and
+    # no timed call finds its output already there to overwrite
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    import layer_split
+
+    events = []
+    original_write = Path.write_text
+
+    def write_text(path, *args, **kwargs):
+        events.append(("write", path.name))
+        return original_write(path, *args, **kwargs)
+
+    def main(argv):
+        cfg, out = Path(argv[argv.index("--config") + 1]), Path(argv[argv.index("--out") + 1])
+        events.append(("call", cfg.read_text(encoding="utf-8"), out.exists()))
+        out.write_bytes(b"t\n0\n")
+        return 0
+
+    texts = [f"experiment = collision\nt_final = 0.{i + 1}\n" for i in range(3)]
+    specs = [SimpleNamespace(text=lambda t=t: t) for t in texts]
+    workloads = SimpleNamespace(build=lambda workload, seed: specs)
+    monkeypatch.setattr(layer_split, "_load", lambda src: (SimpleNamespace(main=main), workloads))
+    monkeypatch.setattr(Path, "write_text", write_text)
+    times, counts = layer_split.split(["trajectory:1"], [], 2, "unused")
+    assert len(times["pass"]) == 2 and counts["pass"] == [3, 3]
+    writes = [e for e in events if e[0] == "write"]
+    assert events[: len(writes)] == writes and len(writes) == 3
+    calls = events[len(writes):]
+    assert calls == [("call", text, False) for text in texts] * 3

@@ -1,10 +1,11 @@
 """The stacked sweep core against the one-width-at-a-time loops it replaced.
 
 A sweep over bin widths is one stacked ``coarse_map`` (one ``expm``) and, for
-the ordering probe, one ``apply_channel`` and one ``iterate_channel`` over
-all the widths.  LAPACK and BLAS run the same routine on each matrix of a
-stack, so every result must equal the per-width loop bit for bit, and every
-guard must speak as it did from the loop: the same error, in width order.
+the ordering probe, one ``iterate_channel`` over the bins and sub-bins of all
+the widths, which checks every family through one ``apply_channel``.  LAPACK
+and BLAS run the same routine on each matrix of a stack, so every result must
+equal the per-width loop bit for bit, and every guard must speak as it did
+from the loop: the same error, in width order.
 """
 
 import warnings
@@ -14,7 +15,9 @@ import pytest
 
 import timebins.experiments as experiments
 import timebins.model as model
+import timebins.channel as channel
 from timebins.channel import (
+    STEP_MATRIX_TOL,
     DensityMatrix,
     apply_channel,
     extract_kraus,
@@ -57,6 +60,32 @@ def test_stacked_sweep_equals_the_per_width_loop(name, variant, n_max):
     residuals = ordering_residual(system, params, 8)
     assert residuals.shape == (4,)
     assert np.array_equal(residuals, ordering_residual_per_width(system, params, 8))
+    # the coarse step from the Kraus sum instead of the chain's step matrix
+    kraus_sum = ordering_residual_per_width(system, params, 8, kraus_sum=True)
+    assert np.max(np.abs(residuals - kraus_sum)) <= STEP_MATRIX_TOL
+
+
+def test_ordering_residual_runs_one_chain_over_bins_and_sub_bins(monkeypatch):
+    # one coarse_map and one iterate_channel, whose first collision is the
+    # only apply_channel call, bound in channel or in model
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def count(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, count)
+
+    for module, name in ((model, "coarse_map"), (model, "iterate_channel"),
+                         (model, "apply_channel"), (channel, "apply_channel")):
+        counted(module, name)
+    system = build_system("tls-driven", "driven")
+    residuals = ordering_residual(system, CoarseParams(1.0, WIDTHS, 2), 8)
+    assert residuals.shape == (4,)
+    assert sorted(calls) == ["apply_channel", "coarse_map", "iterate_channel"]
 
 
 def test_stacked_expm_equals_per_matrix_expm():
@@ -270,6 +299,21 @@ def test_ordering_probe_with_warnings_only_matches_the_per_width_loop(
     assert stacked == cli_guards(tmp_path, capsys, text)
     assert not (tmp_path / "run.csv").exists()
     assert stacked == (3, [], f"numeric guard: {REFUSED}\n")
+
+
+def test_ordering_probe_refuses_a_bin_whose_trace_loss_compounds(
+    tmp_path, capsys, monkeypatch
+):
+    # the bin of width dt keeps 1 - 2e-11 of the trace per collision: its
+    # completeness defect is under TRACE_TOL, but its chain of
+    # ORDERING_SUBDIVISIONS collisions loses more than 1e-10 by the fifth
+    dt = 0.1
+    planted_leak(monkeypatch, {dt: 1 - 1e-11})
+    text = f"experiment = ordering-probe\nsystem = tls-driven\ndt = {dt}\n"
+    code, caught, err = cli_guards(tmp_path, capsys, text)
+    assert (code, caught) == (3, [])
+    assert err == "numeric guard: density matrix trace 0.9999999998999995 is not 1\n"
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_sweeps_make_one_coarse_map_call(tmp_path, capsys, monkeypatch):

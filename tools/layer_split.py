@@ -11,7 +11,10 @@ Builds the run list of each ``workload:seeds`` from ``perfbench/workloads.py``
 and runs every config through ``timebins.cli.main`` in this process, loaded
 as ``tools/same_output.py`` loads it, with BLAS pinned to one thread (only
 the first ``--runs`` of the list, if given): one warm-up pass (lazy tables,
-first calls), then ``--passes`` timed passes.
+first calls), then ``--passes`` timed passes.  As ``perfbench/run.py`` does,
+every config is written to its own file before the warm-up, and each run's
+output is unlinked before its call, so every call writes a fresh file; a
+pass's time is the sum of its ``cli.main`` calls, without those file steps.
 Each named function, ``module.name`` with private names allowed, has every
 binding in the package's modules, and every entry of their module-level
 dicts (such as ``experiments._RUNNERS``), replaced by one timing wrapper, so
@@ -96,16 +99,22 @@ def split(
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cfg, out = Path(tmp) / "run.cfg", str(Path(tmp) / "run.csv")
+            plan = []
+            for i, text in enumerate(texts):
+                cfg = Path(tmp) / f"{i}.cfg"
+                cfg.write_text(text, encoding="utf-8")
+                plan.append((str(cfg), Path(tmp) / f"{i}.csv"))
             for n in range(passes + 1):  # pass 0 warms up
                 totals.update(dict.fromkeys(names, 0.0))
                 calls.update(dict.fromkeys(names, 0))
-                start = time.perf_counter()
-                for text in texts:
-                    cfg.write_text(text, encoding="utf-8")
-                    cli.main(["--config", str(cfg), "--out", out])
+                elapsed = 0.0
+                for cfg, out in plan:
+                    out.unlink(missing_ok=True)
+                    start = time.perf_counter()
+                    cli.main(["--config", cfg, "--out", str(out)])
+                    elapsed += time.perf_counter() - start
                 if n:
-                    times["pass"].append(time.perf_counter() - start)
+                    times["pass"].append(elapsed)
                     counts["pass"].append(len(texts))
                     for name in names:
                         times[name].append(totals[name])
