@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -81,12 +81,12 @@ ORDERING_MAX_EXACT = 1e-12
 ORDERING_SUBDIVISIONS = 8
 # The bin widths of a sweep, as fractions of cfg.dt.
 SWEEP_SCALES = (1.0, 0.5, 0.25, 0.125)
-# CSV rows formatted per block, so no full-length Python copy of the table is
-# ever built next to the CSV text.
+# CSV rows formatted and written per block, so neither a full-length Python
+# copy of the table nor the whole CSV text is ever held.
 CSV_BLOCK_ROWS = 1024
-# Blocks of >= this many cells go through _format_cells, others one %: at
-# 11/21/31/41/51 rows x 7, % 35/65/99/148/175 us, kernel 102/113/120/137/139
-# us, crossing near 280 cells (seed-7 scan, 1 BLAS thread, 2-vCPU host).
+# Blocks of >= this many cells go through _format_cells, others one bytes %:
+# at 11/21/31/41/51 rows x 7, % 29/54/82/109/144 us, kernel 84/91/98/104/109
+# us, crossing near 270 cells (normal deviates, 1 BLAS thread, 2-vCPU host).
 CSV_KERNEL_MIN_CELLS = 256
 
 
@@ -209,10 +209,10 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, e - (hi - p)
 
 
-def _format_cells(block: np.ndarray, buffer: np.ndarray | None = None) -> str:
-    """'%.17g' text of every cell of a 2-d float block, byte for byte: cells
-    joined by ',' and rows by newlines.  The cells are laid out in the rows
-    of a (cells, _WORDS) uint64 buffer, which _csv reuses from block to block."""
+def _format_cells(block: np.ndarray, buffer: np.ndarray | None = None) -> bytes:
+    """'%.17g' ASCII of every cell of a 2-d float block, byte for byte: cells
+    joined by ',' and each row ended by a newline.  The cells are laid out in
+    the rows of a (cells, _WORDS) uint64 buffer, which _csv reuses per block."""
     cols = block.shape[1]
     x = block.ravel()
     a = np.abs(x)
@@ -264,9 +264,8 @@ def _format_cells(block: np.ndarray, buffer: np.ndarray | None = None) -> str:
     shown = np.maximum(n_sig, whole)
     words[:, 1] &= masks[0].take(shown)
     words[:, 2] &= masks[1].take(shown)
-    end = row * 3 + 1  # then ',', a newline after a row, nothing after the block
+    end = row * 3 + 1  # then ',', or a newline after a row
     end[cols - 1 :: cols] += 1
-    end[-1] -= 2
     words[:, 3] = suffix.take(end)
     # digit p >= 1 is byte p + 7; a point after digit whole - 1 >= 1 moves the
     # digits and separator after it up a byte (no exponent in fixed notation)
@@ -279,43 +278,39 @@ def _format_cells(block: np.ndarray, buffer: np.ndarray | None = None) -> str:
     slow = np.flatnonzero(slow)
     if slow.size:
         width = 8 * (_WORDS - 1)  # all but the separator's word
-        text = b"".join(("%.17g" % v).encode().ljust(width, b"\0") for v in x[slow].tolist())
+        text = b"".join((b"%.17g" % v).ljust(width, b"\0") for v in x[slow].tolist())
         cells[slow, :width] = np.frombuffer(text, np.uint8).reshape(slow.size, width)
-    return words.tobytes().translate(None, b"\0").decode("ascii")
+    return words.tobytes().translate(None, b"\0")
 
 
 def _csv(
-    header: Sequence[str], table: np.ndarray, note: tuple[str, float] | None = None
-) -> str:
-    """CSV text of a float table, ended by a '# name = value' line if a note
-    is given.  17 significant digits round-trip doubles exactly."""
-    row = ",".join(["%.17g"] * table.shape[1])
-    blocks = [",".join(header)]
+    out: BinaryIO, header: Sequence[str], table: np.ndarray, note: tuple[str, float] | None = None
+) -> None:
+    """Write a float table to the binary file out as ASCII CSV: the header
+    line, each block of CSV_BLOCK_ROWS rows as soon as it is formatted (the
+    whole text is never held), then a '# name = value' line if a note is
+    given.  17 significant digits round-trip doubles exactly."""
+    row = b",".join([b"%.17g"] * table.shape[1]) + b"\n"
+    out.write(",".join(header).encode("ascii") + b"\n")
     buffer = np.empty((min(len(table), CSV_BLOCK_ROWS) * table.shape[1], _WORDS), np.uint64)
     for start in range(0, len(table), CSV_BLOCK_ROWS):
         block = table[start : start + CSV_BLOCK_ROWS]
         if block.size >= CSV_KERNEL_MIN_CELLS:
-            blocks.append(_format_cells(block, buffer))
+            out.write(_format_cells(block, buffer))
         else:
-            blocks.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
+            out.write(row * len(block) % tuple(block.ravel().tolist()))
     if note is not None:
-        blocks.append("# {} = {:.17g}".format(*note))
-    blocks.append("")  # the final newline, joined in rather than appended to a copy
-    return "\n".join(blocks)
+        out.write(b"# %s = %.17g\n" % (note[0].encode("ascii"), note[1]))
 
 
-def _timeseries_csv(
-    times: Sequence[float],
-    stack: np.ndarray,
-    extra: dict[str, Sequence[float]] | None = None,
-) -> str:
+def _timeseries_csv(times: np.ndarray, stack: np.ndarray, extra: dict | None = None) -> tuple:
     extra = extra or {}
     header = ["t", "rho_gg", "rho_ee", "re_rho_eg", "im_rho_eg", "trace", "purity"]
     trace = np.trace(stack, axis1=1, axis2=2).real
     rho = stack[:, 0, 0].real, stack[:, 1, 1].real, stack[:, 1, 0].real, stack[:, 1, 0].imag
     purity = np.einsum("kij,kji->k", stack, stack).real
     table = np.column_stack([times, *rho, trace, purity, *extra.values()])
-    return _csv(header + list(extra), table)
+    return header + list(extra), table, None
 
 
 def _steps(t_final: float, dt: float) -> int:
@@ -343,15 +338,15 @@ def _collision_family(system: SystemModel, cfg: RunConfig, dt: float | np.ndarra
 
 def _timeseries_report(
     cfg: RunConfig, stack: np.ndarray, rho0: DensityMatrix, tol: float
-) -> tuple[str, str, int]:
+) -> tuple[tuple, str, int]:
     """CSV and summary of a collision or Lindblad trajectory on the dt grid."""
     times = np.arange(len(stack)) * cfg.dt
     csv = _timeseries_csv(times, stack)
     final = stack[-1]
     kind = _oracle_kind(cfg)
     if kind is None:
-        purity = np.einsum("ij,ji->", final, final).real
-        summary = f"final_trace={np.trace(final).real:.6f} final_purity={purity:.6f}"
+        trace, purity = csv[1][-1, 5:7]  # the table's last row
+        summary = f"final_trace={trace:.6f} final_purity={purity:.6f}"
         return csv, summary, EXIT_OK
     reference = analytic_oracle(kind, cfg.gamma, times[-1:], rho0)[0]
     if kind == "spontaneous":
@@ -363,7 +358,7 @@ def _timeseries_report(
     return csv, summary, (EXIT_OK if err <= tol else EXIT_TOLERANCE)
 
 
-def _run_collision(cfg: RunConfig) -> tuple[str, str, int]:
+def _run_collision(cfg: RunConfig) -> tuple[tuple, str, int]:
     system = _build_system(cfg)
     family = _collision_family(system, cfg, cfg.dt)
     rho0 = DensityMatrix.pure(_initial_vector(cfg, system))
@@ -372,7 +367,7 @@ def _run_collision(cfg: RunConfig) -> tuple[str, str, int]:
     return _timeseries_report(cfg, stack, rho0, tol)
 
 
-def _run_lindblad(cfg: RunConfig) -> tuple[str, str, int]:
+def _run_lindblad(cfg: RunConfig) -> tuple[tuple, str, int]:
     system = _build_system(cfg)
     model = LindbladModel(system, cfg.gamma)
     rho0 = DensityMatrix.pure(_initial_vector(cfg, system))
@@ -381,7 +376,7 @@ def _run_lindblad(cfg: RunConfig) -> tuple[str, str, int]:
     return _timeseries_report(cfg, stack, rho0, tol)
 
 
-def _run_joint_chain(cfg: RunConfig) -> tuple[str, str, int]:
+def _run_joint_chain(cfg: RunConfig) -> tuple[tuple, str, int]:
     system = _build_system(cfg)
     vec = _initial_vector(cfg, system)
     # the amplitude cap refuses an oversized chain before any unitary is built,
@@ -416,7 +411,7 @@ def _run_joint_chain(cfg: RunConfig) -> tuple[str, str, int]:
     return csv, summary, code
 
 
-def _run_microscopic(cfg: RunConfig) -> tuple[str, str, int]:
+def _run_microscopic(cfg: RunConfig) -> tuple[tuple, str, int]:
     if _oracle_kind(cfg) != "spontaneous":
         raise ConfigError("microscopic covers the undriven two-level emitter only")
     steps = _steps(cfg.t_final, cfg.dt)
@@ -447,7 +442,7 @@ def _run_microscopic(cfg: RunConfig) -> tuple[str, str, int]:
     return csv, summary, code
 
 
-def _run_convergence(cfg: RunConfig) -> tuple[str, str, int]:
+def _run_convergence(cfg: RunConfig) -> tuple[tuple, str, int]:
     kind = _oracle_kind(cfg)
     if kind is None:
         raise ConfigError(
@@ -465,7 +460,7 @@ def _run_convergence(cfg: RunConfig) -> tuple[str, str, int]:
         errors.append(np.max(np.abs(stack[1:] - reference)))
     table = np.column_stack([dts, errors])
     order = fit_order(table)
-    csv = _csv(["dt", "max_error"], table, ("fitted_order", order))
+    csv = ["dt", "max_error"], table, ("fitted_order", order)
     summary = f"fitted_order={order:.4f}"
     code = EXIT_OK
     if kind == "spontaneous":
@@ -476,7 +471,7 @@ def _run_convergence(cfg: RunConfig) -> tuple[str, str, int]:
     return csv, summary, code
 
 
-def _run_kraus_report(cfg: RunConfig) -> tuple[str, str, int]:
+def _run_kraus_report(cfg: RunConfig) -> tuple[tuple, str, int]:
     if cfg.n_max < 2:
         raise ConfigError("kraus-report needs n_max >= 2 so that K_2 exists")
     system = _build_system(cfg)
@@ -484,7 +479,7 @@ def _run_kraus_report(cfg: RunConfig) -> tuple[str, str, int]:
     families = _collision_family(system, cfg, dts)
     residuals = expansion_report(families, system, cfg.gamma, dts)
     table = np.column_stack([dts, *residuals, completeness_defect(families)])
-    csv = _csv(["dt", "r0", "r1", "r2", "completeness_defect"], table)
+    csv = ["dt", "r0", "r1", "r2", "completeness_defect"], table, None
 
     r1_order = fit_order(table[:, [0, 2]])
     r2_max = table[:, 3].max()
@@ -512,7 +507,7 @@ def _run_kraus_report(cfg: RunConfig) -> tuple[str, str, int]:
     return csv, summary, code
 
 
-def _run_ordering_probe(cfg: RunConfig) -> tuple[str, str, int]:
+def _run_ordering_probe(cfg: RunConfig) -> tuple[tuple, str, int]:
     system = _build_system(cfg)
     dts = cfg.dt * np.array(SWEEP_SCALES)
     params = _coarse_params(system, cfg, dts)
@@ -520,12 +515,12 @@ def _run_ordering_probe(cfg: RunConfig) -> tuple[str, str, int]:
     header = ["dt", "max_error"]
     if cfg.system == "dephasing" and cfg.drive == 0.0:
         residual_max = table[:, 1].max()
-        csv = _csv(header, table, ("residual_max", residual_max))
+        csv = header, table, ("residual_max", residual_max)
         summary = f"residual_max={residual_max:.3g} threshold={ORDERING_MAX_EXACT:g}"
         code = EXIT_OK if residual_max <= ORDERING_MAX_EXACT else EXIT_TOLERANCE
         return csv, summary, code
     order = fit_order(table)
-    csv = _csv(header, table, ("fitted_order", order))
+    csv = header, table, ("fitted_order", order)
     free_system = cfg.omega0 == 0.0 and cfg.drive == 0.0
     threshold = ORDERING_ORDER_MIN_FREE if free_system else ORDERING_ORDER_MIN
     summary = f"fitted_order={order:.4f} threshold={threshold}"
@@ -548,12 +543,13 @@ def run_experiment(cfg: RunConfig, out_override: str | None = None) -> int:
     """Run one named experiment: write its CSV, print the summary line.
 
     Returns the exit status; guard and configuration errors propagate as
-    exceptions for the CLI to map onto exit codes.
+    exceptions for the CLI to map onto exit codes.  Every check ends in the
+    runner, before the file is opened, so a refused run leaves no file.
     """
     runner = _RUNNERS[cfg.experiment]
     csv, summary, code = runner(cfg)
     out_path = out_override or cfg.out_path or f"{cfg.experiment}.csv"
-    with open(out_path, "wb") as out:  # the text is ASCII
-        out.write(csv.encode("ascii"))
+    with open(out_path, "wb") as out:
+        _csv(out, *csv)
     print(summary)
     return code

@@ -29,9 +29,9 @@ against the Kraus iteration, and ``feedback_markov_defect`` its negative
 control: a dense chain in which a bin meets the system a second time.
 ``stepwise_propagate`` is ``channel.propagate``
 with one matrix-vector product per step, the loop that its blocked powers,
-and then its doubling, replaced, and ``csv_text`` is ``experiments._csv``
-formatting one row at a time with ``str.format``.  ``plain_check_states`` is ``channel.check_states``
-on full matrices, with ``eigvalsh`` on every state, the check that its single
+and then its doubling, replaced, and ``csv_text`` is the text that
+``experiments._csv`` writes, formatted one row at a time with
+``str.format``.  ``plain_check_states`` is ``channel.check_states`` on full matrices, with ``eigvalsh`` on every state, the check that its single
 read of the lower triangle and its Gershgorin screen replaced.
 ``expm_per_matrix``, ``coarse_maps_per_width`` and
 ``ordering_residual_per_width`` are the one-width-at-a-time loops that the

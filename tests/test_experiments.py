@@ -1,5 +1,6 @@
 """End-to-end tests of the CLI experiments, CSV formats, and exit codes."""
 
+import io
 import math
 import os
 import resource
@@ -876,8 +877,13 @@ def test_csv_text_matches_row_by_row_formatting(rows):
         table[-1, :-1] = SPECIAL_VALUES[::-1]
         table.flat[7 : 7 + len(EDGE_VALUES)] = EDGE_VALUES
     header = ["t", "a", "b", "c", "d", "e", "f"]
-    for note in (None, ("fitted_order", 1.0000000123), ("residual_max", 5e-324)):
-        assert experiments._csv(header, table, note) == csv_text(header, table, note)
+    # the note goes through bytes '%', the oracle through str.format
+    notes = [("fitted_order", 1.0000000123), ("residual_max", 5e-324),
+             ("residual_max", 0.0), ("residual_max", -0.0), ("fitted_order", math.nan)]
+    for note in (None, *notes):
+        out = io.BytesIO()
+        experiments._csv(out, header, table, note)
+        assert out.getvalue() == csv_text(header, table, note).encode("ascii")
 
 
 def test_format_cells_matches_percent_on_random_bit_patterns():
@@ -885,21 +891,24 @@ def test_format_cells_matches_percent_on_random_bit_patterns():
     # signs, subnormals, infinities and NaNs
     bits = np.random.default_rng(19).integers(0, 2**64, 7 * 15000, dtype=np.uint64)
     table = bits.view(np.float64).reshape(-1, 7)
-    expected = "\n".join(",".join("%.17g" % x for x in row) for row in table.tolist())
-    assert experiments._format_cells(table) == expected
+    expected = "".join(",".join("%.17g" % x for x in row) + "\n" for row in table.tolist())
+    assert experiments._format_cells(table) == expected.encode("ascii")
 
 
-def test_csv_text_is_joined_without_a_further_copy():
-    # a 10001-row table, the length of a long trajectory: the formatted
-    # blocks and the joined text are two copies; adding the final newline to
-    # the joined text would make a third
-    table = np.random.default_rng(7).standard_normal((10001, 7))
+def test_csv_peak_memory_does_not_grow_with_the_table(tmp_path):
+    # each block goes to the file as soon as it is formatted, so a 10**5-row
+    # table, 14 MB of CSV, peaks at what one 1024-row block takes
     header = ["t", "a", "b", "c", "d", "e", "f"]
-    tracemalloc.start()
-    try:
-        text = experiments._csv(header, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert text.endswith("\n") and not text.endswith("\n\n")
-    assert peak <= 2.5 * len(text)
+    experiments._csv(io.BytesIO(), header, np.ones((1024, 7)))  # builds the kernel's tables
+    peaks = []
+    for rows in (1024, 10**4, 10**5):
+        table = np.random.default_rng(rows).standard_normal((rows, 7))
+        with open(tmp_path / "table.csv", "wb") as out:
+            tracemalloc.start()
+            try:
+                experiments._csv(out, header, table)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "table.csv").stat().st_size > 100 * rows
+    assert max(peaks) <= 1.1 * min(peaks), peaks

@@ -20,7 +20,9 @@ binding in the package's modules, and every entry of their module-level
 dicts (such as ``experiments._RUNNERS``), replaced by one timing wrapper, so
 the calls made through another module's import or through a dispatch table
 are counted too.  A function's time is inclusive (what it calls counts), and
-a call made while the same function is already running is not counted again.
+a call made while the same function is already running is not counted again;
+so ``experiments._csv``, which formats each CSV block and writes it to the
+open output file, counts the writing as well as the formatting.
 
 Prints, per function, the median time per pass and its share of the median
 pass, with the smallest and largest pass, and its outermost calls per pass
