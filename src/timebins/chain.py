@@ -30,7 +30,7 @@ __all__ = ["ChainState", "MAX_AMPLITUDES", "init_chain", "step_chain", "reduced_
 # small, but the cap keeps every accepted chain within the dense oracle's
 # reach), and the bound on every size a run config sets (steps, microscopic
 # modes, one-bin unitary entries), each refused before any array exists: a
-# run at the cap traces up to about 2.4 GB (273-577 bytes a row at 10**6 steps).
+# run at the cap traces up to about 0.8 GB (106-186 bytes a row at 10**6 steps).
 MAX_AMPLITUDES = 1 << 22
 NORM_TOL = 1e-10
 

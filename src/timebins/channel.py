@@ -12,8 +12,8 @@ rho.ravel(), one collision is the d^2 x d^2 step matrix S_c = sum_m K_m (x)
 conj(K_m).  ``propagate`` fills a whole (steps+1, d, d) stack by doubling:
 with states 0 .. m-1 known, states m .. 2m-1 are S^m times them (one
 product), and S^2m = S^m S^m (one squaring), so 10^4 steps take 14 products
-and 13 squarings.  The stack is then checked in one pass (``check_states``)
-with the same thresholds as ``DensityMatrix``.
+and 13 squarings.  The stack is then checked block by block
+(``check_states``) with the same thresholds as ``DensityMatrix``.
 
 A collision changes the trace of rho by tr((sum_m K_m^dag K_m - 1) rho), so
 trace preservation is a property of the family, not of a state: the family is
@@ -52,6 +52,9 @@ STEP_MATRIX_TOL = 1e-12
 # trace-preserving up to rounding (3e-15 at worst over the package's systems,
 # n_max <= 8, gamma dt <= 5), and is made exactly so.
 TRACE_ROUNDING = 1e-14
+# States checked, and CSV rows formatted and written, per block, so neither
+# the check's copies nor a CSV table ever grow with a run's length.
+CSV_BLOCK_ROWS = 1024
 
 
 @functools.cache
@@ -65,13 +68,17 @@ def _triangles(d: int) -> tuple[np.ndarray, ...]:
 
 
 def check_states(stack: np.ndarray) -> None:
-    """Check every state of a (n, d, d) stack at once as a density matrix
-    (finiteness, Hermiticity, unit trace, smallest eigenvalue); StateError
-    names the earliest state that fails, with the first check it fails.  The
-    stack is read once, into rows of entries; the Hermiticity defect is the
-    largest |rho_ij - conj(rho_ji)| on the lower triangle and diagonal, and
-    eigvalsh runs only where Gershgorin's bound on the lower triangle (what
-    eigvalsh reads) does not clear a state."""
+    """Check every state of a (n, d, d) stack as a density matrix (finiteness,
+    Hermiticity, unit trace, smallest eigenvalue); StateError names the
+    earliest state that fails, with the first check it fails.  Blocks of
+    CSV_BLOCK_ROWS states are checked in order, each read once into rows of
+    entries; the Hermiticity defect is the largest |rho_ij - conj(rho_ji)| on
+    the lower triangle and diagonal, and eigvalsh runs only where Gershgorin's
+    bound on the lower triangle (what eigvalsh reads) does not clear a state."""
+    if len(stack) > CSV_BLOCK_ROWS:
+        for start in range(0, len(stack), CSV_BLOCK_ROWS):
+            check_states(stack[start : start + CSV_BLOCK_ROWS])
+        return
     n, d = len(stack), stack.shape[-1]
     entries = stack.reshape(n, d * d).T.copy()
     # every comparison with NaN is False, so non-finite states get their own

@@ -12,13 +12,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
 from .chain import MAX_AMPLITUDES, init_chain, step_chain
-from .channel import (DensityMatrix, check_states, completeness_defect, extract_kraus,
-                      iterate_channel)
+from .channel import (CSV_BLOCK_ROWS, DensityMatrix, check_states, completeness_defect,
+                      extract_kraus, iterate_channel)
 from .config import ConfigError, RunConfig
 from .errors import GuardError
 from .lindblad import LindbladModel, analytic_oracle, integrate_rk4
@@ -81,18 +81,15 @@ ORDERING_MAX_EXACT = 1e-12
 ORDERING_SUBDIVISIONS = 8
 # The bin widths of a sweep, as fractions of cfg.dt.
 SWEEP_SCALES = (1.0, 0.5, 0.25, 0.125)
-# CSV rows formatted and written per block, so neither a full-length Python
-# copy of the table nor the whole CSV text is ever held.
-CSV_BLOCK_ROWS = 1024
 # Blocks of >= this many cells go through _format_cells, others one bytes %:
 # at 11/21/31/41/51 rows x 7, % 29/54/82/109/144 us, kernel 84/91/98/104/109
 # us, crossing near 270 cells (normal deviates, 1 BLAS thread, 2-vCPU host).
 CSV_KERNEL_MIN_CELLS = 256
 
 
-def fit_order(rows: Sequence[tuple[float, float]]) -> float:
+def fit_order(rows: Iterable[tuple[float, float]]) -> float:
     """Least-squares slope of ln(error) against ln(dt), from (dt, error) rows
-    such as two columns of a sweep table."""
+    such as two columns of a sweep zipped together."""
     pts = [(float(dt), float(err)) for dt, err in rows]
     if len(pts) < 3:
         raise GuardError("order fit needs at least three (dt, error) rows")
@@ -284,17 +281,17 @@ def _format_cells(block: np.ndarray, buffer: np.ndarray | None = None) -> bytes:
 
 
 def _csv(
-    out: BinaryIO, header: Sequence[str], table: np.ndarray, note: tuple[str, float] | None = None
+    out: BinaryIO, header: Sequence[str], columns: Sequence, note: tuple[str, float] | None = None
 ) -> None:
-    """Write a float table to the binary file out as ASCII CSV: the header
-    line, each block of CSV_BLOCK_ROWS rows as soon as it is formatted (the
-    whole text is never held), then a '# name = value' line if a note is
-    given.  17 significant digits round-trip doubles exactly."""
-    row = b",".join([b"%.17g"] * table.shape[1]) + b"\n"
+    """Write a run's float columns to the binary file out as ASCII CSV: the
+    header, each CSV_BLOCK_ROWS-row block stacked from the columns and written
+    once formatted (no whole table or text is held), then a '# name = value'
+    line if a note is given.  17 significant digits round-trip doubles exactly."""
+    row = b",".join([b"%.17g"] * len(columns)) + b"\n"
     out.write(",".join(header).encode("ascii") + b"\n")
-    buffer = np.empty((min(len(table), CSV_BLOCK_ROWS) * table.shape[1], _WORDS), np.uint64)
-    for start in range(0, len(table), CSV_BLOCK_ROWS):
-        block = table[start : start + CSV_BLOCK_ROWS]
+    buffer = np.empty((min(len(columns[0]), CSV_BLOCK_ROWS) * len(columns), _WORDS), np.uint64)
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = np.column_stack([column[start : start + CSV_BLOCK_ROWS] for column in columns])
         if block.size >= CSV_KERNEL_MIN_CELLS:
             out.write(_format_cells(block, buffer))
         else:
@@ -304,13 +301,13 @@ def _csv(
 
 
 def _timeseries_csv(times: np.ndarray, stack: np.ndarray, extra: dict | None = None) -> tuple:
+    """Header, columns (t, rho's entries as views of the stack, trace, purity, extra), note."""
     extra = extra or {}
     header = ["t", "rho_gg", "rho_ee", "re_rho_eg", "im_rho_eg", "trace", "purity"]
     trace = np.trace(stack, axis1=1, axis2=2).real
     rho = stack[:, 0, 0].real, stack[:, 1, 1].real, stack[:, 1, 0].real, stack[:, 1, 0].imag
     purity = np.einsum("kij,kji->k", stack, stack).real
-    table = np.column_stack([times, *rho, trace, purity, *extra.values()])
-    return header + list(extra), table, None
+    return header + list(extra), [times, *rho, trace, purity, *extra.values()], None
 
 
 def _steps(t_final: float, dt: float) -> int:
@@ -345,7 +342,7 @@ def _timeseries_report(
     final = stack[-1]
     kind = _oracle_kind(cfg)
     if kind is None:
-        trace, purity = csv[1][-1, 5:7]  # the table's last row
+        trace, purity = csv[1][5][-1], csv[1][6][-1]  # the columns' last entries
         summary = f"final_trace={trace:.6f} final_purity={purity:.6f}"
         return csv, summary, EXIT_OK
     reference = analytic_oracle(kind, cfg.gamma, times[-1:], rho0)[0]
@@ -458,9 +455,8 @@ def _run_convergence(cfg: RunConfig) -> tuple[tuple, str, int]:
         stack = iterate_channel(family, rho0, steps)
         reference = analytic_oracle(kind, cfg.gamma, np.arange(1, steps + 1) * dt, rho0)
         errors.append(np.max(np.abs(stack[1:] - reference)))
-    table = np.column_stack([dts, errors])
-    order = fit_order(table)
-    csv = ["dt", "max_error"], table, ("fitted_order", order)
+    order = fit_order(zip(dts, errors))
+    csv = ["dt", "max_error"], [dts, errors], ("fitted_order", order)
     summary = f"fitted_order={order:.4f}"
     code = EXIT_OK
     if kind == "spontaneous":
@@ -477,13 +473,13 @@ def _run_kraus_report(cfg: RunConfig) -> tuple[tuple, str, int]:
     system = _build_system(cfg)
     dts = cfg.dt * np.array(SWEEP_SCALES)
     families = _collision_family(system, cfg, dts)
-    residuals = expansion_report(families, system, cfg.gamma, dts)
-    table = np.column_stack([dts, *residuals, completeness_defect(families)])
-    csv = ["dt", "r0", "r1", "r2", "completeness_defect"], table, None
+    r0, r1, r2 = expansion_report(families, system, cfg.gamma, dts)
+    defects = completeness_defect(families)
+    csv = ["dt", "r0", "r1", "r2", "completeness_defect"], [dts, r0, r1, r2, defects], None
 
-    r1_order = fit_order(table[:, [0, 2]])
-    r2_max = table[:, 3].max()
-    defect_max = table[:, 4].max()
+    r1_order = fit_order(zip(dts, r1))
+    r2_max = r2.max()
+    defect_max = defects.max()
     summary = (
         f"r1_order={r1_order:.4f} r2_max={r2_max:.3g} "
         f"completeness_defect_max={defect_max:.3g}"
@@ -500,7 +496,7 @@ def _run_kraus_report(cfg: RunConfig) -> tuple[tuple, str, int]:
                 code = EXIT_TOLERANCE
         else:
             # the drive lets a second photon out within one bin: K2 = O(dt^2)
-            r2_order = fit_order(table[:, [0, 3]])
+            r2_order = fit_order(zip(dts, r2))
             summary += f" r2_order={r2_order:.4f}"
             if r2_order < R2_ORDER_MIN:
                 code = EXIT_TOLERANCE
@@ -511,16 +507,16 @@ def _run_ordering_probe(cfg: RunConfig) -> tuple[tuple, str, int]:
     system = _build_system(cfg)
     dts = cfg.dt * np.array(SWEEP_SCALES)
     params = _coarse_params(system, cfg, dts)
-    table = np.column_stack([dts, ordering_residual(system, params, ORDERING_SUBDIVISIONS)])
-    header = ["dt", "max_error"]
+    residuals = ordering_residual(system, params, ORDERING_SUBDIVISIONS)
+    header, columns = ["dt", "max_error"], [dts, residuals]
     if cfg.system == "dephasing" and cfg.drive == 0.0:
-        residual_max = table[:, 1].max()
-        csv = header, table, ("residual_max", residual_max)
+        residual_max = residuals.max()
+        csv = header, columns, ("residual_max", residual_max)
         summary = f"residual_max={residual_max:.3g} threshold={ORDERING_MAX_EXACT:g}"
         code = EXIT_OK if residual_max <= ORDERING_MAX_EXACT else EXIT_TOLERANCE
         return csv, summary, code
-    order = fit_order(table)
-    csv = header, table, ("fitted_order", order)
+    order = fit_order(zip(dts, residuals))
+    csv = header, columns, ("fitted_order", order)
     free_system = cfg.omega0 == 0.0 and cfg.drive == 0.0
     threshold = ORDERING_ORDER_MIN_FREE if free_system else ORDERING_ORDER_MIN
     summary = f"fitted_order={order:.4f} threshold={threshold}"

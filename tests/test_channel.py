@@ -1,6 +1,7 @@
 """Unit tests for Kraus extraction and the collision channel."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -197,6 +198,37 @@ def test_check_states_matches_the_full_matrix_check(n, d):
         expected = outcome(plain_check_states, stack)
         assert outcome(channel.check_states, stack) == expected, defects
         assert (expected is None) == (not defects), defects
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_a_failure_in_the_second_block_is_named_as_on_full_matrices(defect):
+    # 3000 states are checked in blocks of CSV_BLOCK_ROWS: the first block is
+    # clean, and the earliest failure lies in the second, before a third-block one
+    rng = np.random.default_rng(3000)
+    block = channel.CSV_BLOCK_ROWS
+    stack = random_states(rng, 3000, 3)
+    plant(rng, stack[block : 2 * block], defect)
+    plant(rng, stack[2 * block :], "nan" if defect == "negative" else "negative")
+    expected = outcome(plain_check_states, stack)
+    assert expected is not None
+    assert outcome(channel.check_states, stack) == expected
+
+
+def test_check_states_peak_memory_does_not_grow_with_the_stack():
+    # its copies are one block's, so 10**5 states (14 MB) peak as one block does
+    block = channel.CSV_BLOCK_ROWS
+    states = random_states(np.random.default_rng(5), block, 3)
+    channel.check_states(states)  # builds the cached index tables
+    peaks = []
+    for n in (block, 10**5):
+        stack = np.resize(states, (n, 3, 3))
+        tracemalloc.start()
+        try:
+            channel.check_states(stack)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_an_imaginary_diagonal_is_a_hermiticity_defect():

@@ -882,7 +882,7 @@ def test_csv_text_matches_row_by_row_formatting(rows):
              ("residual_max", 0.0), ("residual_max", -0.0), ("fitted_order", math.nan)]
     for note in (None, *notes):
         out = io.BytesIO()
-        experiments._csv(out, header, table, note)
+        experiments._csv(out, header, table.T, note)
         assert out.getvalue() == csv_text(header, table, note).encode("ascii")
 
 
@@ -896,19 +896,42 @@ def test_format_cells_matches_percent_on_random_bit_patterns():
 
 
 def test_csv_peak_memory_does_not_grow_with_the_table(tmp_path):
-    # each block goes to the file as soon as it is formatted, so a 10**5-row
-    # table, 14 MB of CSV, peaks at what one 1024-row block takes
+    # each block is stacked from the columns and goes to the file as soon as
+    # it is formatted, so a 10**5-row table, 14 MB of CSV, peaks at what one
+    # 1024-row block takes
     header = ["t", "a", "b", "c", "d", "e", "f"]
-    experiments._csv(io.BytesIO(), header, np.ones((1024, 7)))  # builds the kernel's tables
+    experiments._csv(io.BytesIO(), header, np.ones((7, 1024)))  # builds the kernel's tables
     peaks = []
     for rows in (1024, 10**4, 10**5):
         table = np.random.default_rng(rows).standard_normal((rows, 7))
         with open(tmp_path / "table.csv", "wb") as out:
             tracemalloc.start()
             try:
-                experiments._csv(out, header, table)
+                experiments._csv(out, header, table.T)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert (tmp_path / "table.csv").stat().st_size > 100 * rows
     assert max(peaks) <= 1.1 * min(peaks), peaks
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("experiment = collision\nsystem = tls-driven\ndrive = 0.5\n", 150),
+    ("experiment = lindblad\nsystem = oscillator3\nomega0 = 0.5\n", 250),
+], ids=["collision", "lindblad"])
+def test_a_long_run_traces_only_its_stack_and_three_columns(tmp_path, capsys, text, bound):
+    # what scales with a run is its (steps+1, d, d) stack, 16 d^2 bytes a step
+    # (d = 2, 3), and its time, trace and purity columns, 8 + 16 + 16 (the last
+    # two views of complex results): 104 and 184 bytes, with ~17 more for one
+    # block's formatting at 10**5 steps; the table and the check's copies are
+    # one block each, never the run's length
+    steps = 10**5
+    tracemalloc.start()
+    try:
+        code, out = run_cli(tmp_path, text + f"dt = 0.001\nt_final = {steps * 0.001}\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0 and len(out.read_bytes().splitlines()) == steps + 2
+    assert peak / steps <= bound, peak / steps
