@@ -304,9 +304,9 @@ def _timeseries_csv(times: np.ndarray, stack: np.ndarray, extra: dict | None = N
     """Header, columns (t, rho's entries as views of the stack, trace, purity, extra), note."""
     extra = extra or {}
     header = ["t", "rho_gg", "rho_ee", "re_rho_eg", "im_rho_eg", "trace", "purity"]
-    trace = np.trace(stack, axis1=1, axis2=2).real
+    trace = np.trace(stack.real, axis1=1, axis2=2)
     rho = stack[:, 0, 0].real, stack[:, 1, 1].real, stack[:, 1, 0].real, stack[:, 1, 0].imag
-    purity = np.einsum("kij,kji->k", stack, stack).real
+    purity = np.einsum("kij,kji->k", stack, stack).real.copy()
     return header + list(extra), [times, *rho, trace, purity, *extra.values()], None
 
 

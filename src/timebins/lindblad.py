@@ -14,9 +14,9 @@ Everything runs on one row-major Liouvillian matrix L (vec(rho) = rho.ravel()).
 For this linear autonomous ODE one classic RK4 step is exactly the matrix
 polynomial S_rk4 = sum_{k<=4} (L dt)^k / k!, so a trajectory is one call to
 ``channel.propagate``, which fills it by doubling (states m .. 2m-1 are
-S_rk4^m times states 0 .. m-1), and whose states are checked in one pass
-(``channel.check_states``).  A step whose S_rk4 has a spectral radius past 1
-is refused before that call.
+S_rk4^m times states 0 .. m-1) and keeps each power trace-exact as for a
+collision, and whose states are checked in one pass (``check_states``).  A
+step whose S_rk4 has a spectral radius past 1 is refused before that call.
 """
 
 from __future__ import annotations
@@ -69,14 +69,15 @@ def integrate_rk4(
 ) -> np.ndarray:
     """The (steps+1, d, d) stack of ``steps`` classic RK4 steps from rho0.
 
-    S_rk4 has the eigenvalue 1 (its left eigenvector is the trace), and a
-    larger one grows its mode without bound: GuardError, before any state is
-    computed, when S_rk4 is not finite or its spectral radius exceeds 1 by
-    more than RK4_RADIUS_TOL = 1e-12, a rounding allowance (``eigvals`` finds
-    the 1 to about 1e-15).  Every computed state must then pass the
-    DensityMatrix checks: StateError names the first that fails, which at a
-    stable step means a broken input, or a step too coarse for RK4, which is
-    not a positive map, to keep the states positive.
+    S_rk4 has the eigenvalue 1 (its left eigenvector is the trace, which
+    ``propagate`` keeps exact in every power), and a larger one grows its
+    mode without bound: GuardError, before any state is computed, when S_rk4
+    is not finite or its spectral radius exceeds 1 by more than
+    RK4_RADIUS_TOL = 1e-12, a rounding allowance (``eigvals`` finds the 1 to
+    about 1e-15).  Every computed state must then pass the DensityMatrix
+    checks: StateError names the first that fails, which at a stable step
+    means a broken input, or a step too coarse for RK4, which is not a
+    positive map, to keep the states positive.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -921,10 +921,10 @@ def test_csv_peak_memory_does_not_grow_with_the_table(tmp_path):
 ], ids=["collision", "lindblad"])
 def test_a_long_run_traces_only_its_stack_and_three_columns(tmp_path, capsys, text, bound):
     # what scales with a run is its (steps+1, d, d) stack, 16 d^2 bytes a step
-    # (d = 2, 3), and its time, trace and purity columns, 8 + 16 + 16 (the last
-    # two views of complex results): 104 and 184 bytes, with ~17 more for one
-    # block's formatting at 10**5 steps; the table and the check's copies are
-    # one block each, never the run's length
+    # (d = 2, 3), and its time, trace and purity columns, 8 bytes each: 88 and
+    # 168 bytes, with ~18 more at 10**5 steps (one block's formatting, or the
+    # purity's complex einsum result while its real part is copied); the table
+    # and the check's copies are one block each, never the run's length
     steps = 10**5
     tracemalloc.start()
     try:

@@ -93,3 +93,22 @@ def test_compare_names_the_largest_stdout_number_change(tmp_path):
             tmp_path, record(stdout=summary.format("6.66e-16")), record(stdout=changed)
         ).stdout
     assert "largest stdout number |delta|: 0\n" in compare(tmp_path, record(), record()).stdout
+
+
+def test_compare_names_the_largest_note_change_over_all_runs(tmp_path):
+    (run,) = record().values()
+    a = {"scan:1:s000": run, "scan:2:s001": run}
+    b = {
+        "scan:1:s000": {**run, "csv": "t,rho_ee\n0,1\n0.5,0.25\n# fitted_order = 1.5000001\n"},
+        "scan:2:s001": {**run, "csv": "t,rho_ee\n0,1\n0.5,0.26\n# fitted_order = 1.52\n"},
+    }
+    done = compare(tmp_path, a, b)
+    assert done.returncode == 0
+    assert "largest # line number |delta|: 0.02 in scan:2:s001\n" in done.stdout
+    # a changed word, or a '#' line more or less, is not a roundoff change
+    for changed in ("t,rho_ee\n0,1\n0.5,0.25\n# fitted_slope = 1.5\n",
+                    "t,rho_ee\n0,1\n0.5,0.25\n# fitted_order = 1.5\n# extra = 1\n"):
+        assert "largest # line number |delta|: inf in scan:1:s000_collision\n" in compare(
+            tmp_path, record(), record(csv=changed)
+        ).stdout
+    assert "largest # line number |delta|: 0\n" in compare(tmp_path, record(), record()).stdout

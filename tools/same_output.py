@@ -16,10 +16,11 @@ largest absolute difference in each numeric CSV column, and the CSV's ``#``
 lines apart, since a fitted value there can move more than the columns it is
 fitted to; for a stdout that differs, it also prints the largest change in
 its numbers, line by line, when the words between them match (infinite when
-they do not).  Its last lines name the largest column difference and the
-largest stdout change over all runs, each with its run (and column; the
-``#`` lines left out), and count the runs that differ.  It exits 1 when a
-run is missing from one record, or when an exit
+they do not).  Its last lines name the largest column difference (the
+``#`` lines left out), the largest ``#`` line change and the largest stdout
+change over all runs, each with its run (and column), and count the runs
+that differ; a ``#`` line change is measured as a stdout change is.  It
+exits 1 when a run is missing from one record, or when an exit
 code, stderr or warning differs; a difference only in stdout or CSV text is
 printed for the reader to judge and exits 0.
 """
@@ -103,9 +104,10 @@ def record(path: str, specs: list[str], src: str) -> int:
     return 0
 
 
-def _csv_diff(a: str, b: str) -> tuple[list[str], dict[str, float]]:
-    """Lines describing how two CSV texts differ, and the largest absolute
-    difference in each column of two tables of the same shape."""
+def _csv_diff(a: str, b: str) -> tuple[list[str], dict[str, float], float]:
+    """Lines describing how two CSV texts differ, the largest absolute
+    difference in each column of two tables of the same shape, and the
+    largest change in the numbers of their ``#`` lines."""
     (a_notes, a_rows), (b_notes, b_rows) = (
         ([ln for ln in t.splitlines() if ln.startswith("#")],
          [ln.split(",") for ln in t.splitlines() if not ln.startswith("#")])
@@ -114,13 +116,14 @@ def _csv_diff(a: str, b: str) -> tuple[list[str], dict[str, float]]:
     lines = [f"  {x}  ->  {y}" for x, y in zip(a_notes, b_notes) if x != y]
     if len(a_notes) != len(b_notes):
         lines.append(f"  # lines: {len(a_notes)} -> {len(b_notes)}")
+    notes = _number_delta("\n".join(a_notes), "\n".join(b_notes))
     if len(a_rows) != len(b_rows) or not a_rows or a_rows[0] != b_rows[0]:
         lines.append(f"  table shape or header differs: {len(a_rows)} -> {len(b_rows)} rows")
-        return lines, {}
+        return lines, {}, notes
     worst = dict.fromkeys(a_rows[0], 0.0)
     for ra, rb in zip(a_rows[1:], b_rows[1:]):
         if len(ra) != len(rb):
-            return lines + ["  a row has a different number of entries"], {}
+            return lines + ["  a row has a different number of entries"], {}, notes
         for col, x, y in zip(a_rows[0], ra, rb):
             if x != y:
                 try:
@@ -130,11 +133,11 @@ def _csv_diff(a: str, b: str) -> tuple[list[str], dict[str, float]]:
                 # a NaN against a number counts as an infinite difference
                 worst[col] = max(worst[col], delta if delta >= 0.0 else math.inf)
     moved = ", ".join(f"{col} {d:.2g}" for col, d in worst.items() if d)
-    return lines + ([f"  max |delta| per column: {moved}"] if moved else []), worst
+    return lines + ([f"  max |delta| per column: {moved}"] if moved else []), worst, notes
 
 
-def _stdout_delta(a: str, b: str) -> float:
-    """The largest absolute change between the numbers of two stdout texts,
+def _number_delta(a: str, b: str) -> float:
+    """The largest absolute change between the numbers of two texts,
     over the lines that differ; a line whose words (the text between its
     numbers) differ, or a different line count, counts as infinite."""
     a_lines, b_lines = a.splitlines(), b.splitlines()
@@ -154,7 +157,7 @@ def compare(path_a: str, path_b: str) -> int:
     b = json.loads(Path(path_b).read_text(encoding="utf-8"))
     failed = differing = 0
     largest = (0.0, "", "")  # (|delta|, run, column)
-    largest_stdout = (0.0, "")  # (|delta|, run)
+    largest_notes = largest_stdout = (0.0, "")  # (|delta|, run)
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
             print(f"{name}: only in {path_a if name in a else path_b}")
@@ -170,20 +173,21 @@ def compare(path_a: str, path_b: str) -> int:
         print(f"{name}: {', '.join(fields)} differ")
         for f in fields:
             if f == "csv" and ra[f] is not None and rb[f] is not None:
-                lines, worst = _csv_diff(ra[f], rb[f])
+                lines, worst, notes = _csv_diff(ra[f], rb[f])
                 print("\n".join(lines))
                 largest = max([largest, *((d, name, col) for col, d in worst.items())])
+                largest_notes = max(largest_notes, (notes, name))
             else:
                 print(f"  {f}: {ra[f]!r}  ->  {rb[f]!r}")
             if f == "stdout":
-                delta = _stdout_delta(ra[f], rb[f])
+                delta = _number_delta(ra[f], rb[f])
                 print(f"  max |delta| in stdout numbers: {delta:.2g}")
                 largest_stdout = max(largest_stdout, (delta, name))
     delta, run, column = largest
     where = f" in {run}, column {column}" if delta else ""
     print(f"largest CSV column |delta|: {delta:.3g}{where}")
-    delta, run = largest_stdout
-    print(f"largest stdout number |delta|: {delta:.3g}{f' in {run}' if delta else ''}")
+    for what, (delta, run) in (("# line", largest_notes), ("stdout", largest_stdout)):
+        print(f"largest {what} number |delta|: {delta:.3g}{f' in {run}' if delta else ''}")
     print(f"{len(set(a) | set(b))} runs: {differing} differ, {failed} in exit code, "
           "stderr, warnings or presence")
     return 1 if failed else 0
