@@ -153,8 +153,8 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _pow10_table() -> np.ndarray:
-    """(n, 4) rows of hi, lo and hi's two Dekker halves with hi + lo = 10**k to
-    about 2**-106, for k = _POW10_MIN .. _POW10_MAX, built exactly from
+    """The rows hi, lo and hi's two Dekker halves, with hi + lo = 10**k to
+    about 2**-106 for k = _POW10_MIN .. _POW10_MAX, built exactly from
     Python integers (whose true division rounds correctly)."""
     pairs = []
     for k in range(_POW10_MIN, _POW10_MAX + 1):
@@ -163,7 +163,7 @@ def _pow10_table() -> np.ndarray:
         a, b = hi.as_integer_ratio()
         pairs.append((hi, (num * b - a * den) / (den * b)))
     hi, lo = np.array(pairs).T
-    table = np.stack([hi, lo, *_split(hi)], axis=1)  # a row is one gather
+    table = np.stack([hi, lo, *_split(hi)])
     table.flags.writeable = False  # one array, shared by every call
     return table
 
@@ -198,10 +198,11 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a * 10**k as a double-double (hi, lo), |lo| <= ulp(hi)/2, with Dekker's
     exact product of a and hi(10**k) plus a * lo(10**k)."""
-    t_hi, t_lo, t1, t2 = _pow10_table().take(k - _POW10_MIN, axis=0).T
-    p = a * t_hi
+    hk, lk, h1, h2 = _pow10_table()  # a row per gather: one gathered row alive at once
+    i = k - _POW10_MIN
+    p = a * hk.take(i)
     a1, a2 = _split(a)
-    e = ((a1 * t1 - p) + a1 * t2 + a2 * t1) + a2 * t2 + a * t_lo
+    e = (a1 * h1.take(i) - p) + a1 * h2.take(i) + a2 * h1.take(i) + a2 * h2.take(i) + a * lk.take(i)
     hi = p + e
     return hi, e - (hi - p)
 
@@ -236,6 +237,7 @@ def _format_cells(block: np.ndarray, buffer: np.ndarray | None = None) -> bytes:
     e10 += carry
     d[zero] = 0  # a zero is its sign and one digit 0
     e10[slow] = 0  # a cell % writes is laid out as one in fixed notation
+    del a, fast, zero, hi, lo, low, high, redo, r, carry  # a block peaks at one step's
 
     groups, masks, notation, prefix, suffix = _digit_tables()
     # D's first digit and 4-digit groups (// by a constant is far cheaper than %)
@@ -252,6 +254,7 @@ def _format_cells(block: np.ndarray, buffer: np.ndarray | None = None) -> bytes:
     # word less its '0's ends (exact in a double: each byte is at most 9)
     ends = [np.frexp((words[:, i] - _ZEROS).astype(float))[1] + 7 >> 3 for i in (1, 2)]
     n_sig = 1 + np.where(ends[1], 8 + ends[1], ends[0])
+    del d, top, bottom, q0, q2, q, ends
 
     # %g: fixed notation for -4 <= E < 17, else d.ddd e+XX
     row = e10 - _EXP_MIN
@@ -277,6 +280,7 @@ def _format_cells(block: np.ndarray, buffer: np.ndarray | None = None) -> bytes:
         width = 8 * (_WORDS - 1)  # all but the separator's word
         text = b"".join((b"%.17g" % v).ljust(width, b"\0") for v in x[slow].tolist())
         cells[slow, :width] = np.frombuffer(text, np.uint8).reshape(slow.size, width)
+    del e10, slow, first, n_sig, row, whole, lead, key, shown, end, cells, inner
     return words.tobytes().translate(None, b"\0")
 
 
